@@ -1,15 +1,17 @@
-"""Verification registry and reproducible experiment runner.
+"""Claim registry and reproducible experiment runner.
 
-Every registered check ties a claimed relation to a measured value and a
-pass/fail verdict, emitted as one JSON-lines record per check.  Experiment
-configs fully determine their outputs; reruns produce byte-identical files.
+Each paper claim has one entry in CLAIMS, read by both `actionlim verify`
+and the acceptance tests.  Every check ties a claimed relation to a measured
+value and a pass/fail verdict, emitted as one JSON-lines record per check.
+Experiment configs fully determine their outputs; reruns produce
+byte-identical files.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -20,12 +22,13 @@ from . import limits, lp_metric, measures, operators, profiles
 
 __all__ = [
     "VerificationRecord",
+    "Claim",
+    "CLAIMS",
     "ExperimentConfig",
     "run_verify",
     "run_experiment",
     "parse_operator_spec",
     "load_edge_list",
-    "SUITES",
 ]
 
 
@@ -101,7 +104,7 @@ class VerificationRecord:
     anchor: str
     expected: str
     measured: str
-    passed: object  # True, False, or "skip"
+    passed: bool
     ms: float
 
     def to_dict(self) -> dict:
@@ -135,7 +138,6 @@ ANCHORS = {
     "regularity_shift": "if A is c-regular then A^+ is (c+1)-regular and A^- is (c-1)-regular",
     "positivity_shift": "A^+ is positivity-preserving when A is; A^- need not be",
     "norm_discontinuity": "lim norm_{inf->1}(S_n) = 2 > 1 = norm of the limit: the (inf,1)-norm is not continuous",
-    "norm_readout": "norm_{inf->1}(B) = sup over 1-profile measures of the mean of |x| under the y-marginal",
     "adjoint_norms": "norm_{p->q}(A) = norm_{q'->p'}(A*) for Holder conjugates; (inf,1) is self-conjugate",
 }
 
@@ -158,140 +160,19 @@ def _random_shift(rng: np.random.Generator, dim: int) -> measures.ShiftVector:
 
 
 # ---------------------------------------------------------------------------
-# suite implementations (shared with the acceptance tests)
+# claim runners: each check's threshold lives only here
 # ---------------------------------------------------------------------------
 
-def lp_oracle_deviation(cases: int = 200, seed: int = 2024) -> float:
-    """Max |exact - brute force| over random pairs with small supports."""
+def _lp_oracle(cases: int = 200, seed: int = 2024) -> list[VerificationRecord]:
+    """The max-flow engine agrees with subset enumeration on small supports."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    dev = 0.0
     for _ in range(cases):
         dim = int(rng.integers(1, 5))
         a = _random_measure(rng, dim, 4)
         b = _random_measure(rng, dim, 4)
-        worst = max(worst, abs(lp_metric.lp_distance(a, b).value - lp_metric.lp_distance_bruteforce(a, b).value))
-    return worst
-
-
-def lp_property_violations(cases: int = 500, seed: int = 77) -> dict[str, float]:
-    """Worst violation per metric property over random dyadic measures."""
-    rng = np.random.default_rng(seed)
-    out = {
-        "symmetry": 0.0,
-        "identity": 0.0,
-        "triangle": 0.0,
-        "bounded": 0.0,
-        "shift_identity": 0.0,
-        "shift_contraction": 0.0,
-        "marginal_contraction": 0.0,
-    }
-    for i in range(cases):
-        dim = int(rng.integers(1, 4))
-        a = _random_measure(rng, dim, 5)
-        b = _random_measure(rng, dim, 5)
-        dab = lp_metric.lp_distance(a, b).value
-        out["symmetry"] = max(out["symmetry"], abs(dab - lp_metric.lp_distance(b, a).value))
-        out["identity"] = max(out["identity"], lp_metric.lp_distance(a, a).value)
-        out["bounded"] = max(out["bounded"], dab - 1.0)
-        w = _random_shift(rng, dim)
-        out["shift_identity"] = max(
-            out["shift_identity"],
-            abs(
-                lp_metric.lp_distance(measures.shift(a, w), b).value
-                - lp_metric.lp_distance(a, measures.shift(b, -w)).value
-            ),
-        )
-        out["shift_contraction"] = max(
-            out["shift_contraction"],
-            lp_metric.lp_distance(a, measures.shift(a, w)).value - w.norm(),
-        )
-        if i % 3 == 0:
-            c = _random_measure(rng, dim, 5)
-            dac = lp_metric.lp_distance(a, c).value
-            dcb = lp_metric.lp_distance(c, b).value
-            out["triangle"] = max(out["triangle"], dab - dac - dcb)
-        if dim > 1:
-            k = int(rng.integers(1, dim))
-            coords = sorted(rng.choice(dim, size=k, replace=False).tolist())
-            dm = lp_metric.lp_distance(measures.marginal(a, coords), measures.marginal(b, coords)).value
-            out["marginal_contraction"] = max(out["marginal_contraction"], dm - dab)
-    return out
-
-
-def uniform_grid_proxy(atoms: int = 2048, lo: float = -1.0, hi: float = 1.0) -> measures.DiscreteMeasure:
-    """Fine-grid stand-in for the uniform distribution on [lo, hi]."""
-    pitch = (hi - lo) / atoms
-    pts = [(lo + (j + 0.5) * pitch,) for j in range(atoms)]
-    return measures.empirical(pts)
-
-
-def discretization_errors(resolutions: Sequence[int] = (2, 4, 8), atoms: int = 2048) -> dict[int, float]:
-    proxy = uniform_grid_proxy(atoms)
-    out = {}
-    for k in resolutions:
-        quant = measures.discretize(proxy, k, box=[(-1.0, 1.0)])
-        out[k] = lp_metric.lp_distance(proxy, quant).value
-    return out
-
-
-def gplus_shift_deviation(n: int = 50, graphs: int = 50, k: int = 2, seed: int = 11) -> float:
-    """Worst d_LP(apex-augmented measure, shifted base measure) - 1/(n+1)."""
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for g in range(graphs):
-        spec = operators.GraphSpec("erdos_renyi", n, p=float(rng.uniform(0.05, 0.6)), seed=int(rng.integers(1 << 31)))
-        base = operators.adjacency(spec)
-        aug = operators.gplus(spec)
-        fs = rng.uniform(-1.0, 1.0, size=(k, n))
-        v = rng.uniform(-1.0, 1.0, size=k)
-        fs_plus = np.concatenate([fs, v[:, None]], axis=1)
-        mu_plus = profiles.measure_of(aug, fs_plus)
-        mu_shift = measures.shift(profiles.measure_of(base, fs), tuple([0.0] * k) + tuple(v))
-        d = lp_metric.lp_distance(mu_plus, mu_shift).value
-        worst = max(worst, d - 1.0 / (n + 1))
-    return worst
-
-
-def star_convergence_trajectory(
-    sizes: Sequence[int] = (8, 32, 128), K: int = 3, count: int = 64, seed: int = 7
-) -> list[float]:
-    vals = []
-    for n in sizes:
-        strat = profiles.TestFunctionStrategy("mixed", count=count, seed=seed)
-        rep = profiles.action_distance_estimate(
-            operators.adjacency(operators.GraphSpec("star", n)), limits.broadcast(n, 0), K, strat
-        )
-        vals.append(rep.value)
-    return vals
-
-
-def gplus_limit_trajectory(
-    sizes: Sequence[int] = (8, 32, 128), K: int = 3, count: int = 64, seed: int = 7
-) -> list[float]:
-    vals = []
-    for n in sizes:
-        aug = operators.gplus(operators.GraphSpec("cycle", n))
-        signed = limits.signed_limit(operators.adjacency(operators.GraphSpec("cycle", n + 1)), 0, 1)
-        strat_a = profiles.TestFunctionStrategy("vertex_probe", count=count, seed=seed, probe_vertex=n)
-        strat_b = profiles.TestFunctionStrategy("vertex_probe", count=count, seed=seed, probe_vertex=0)
-        rep = profiles.action_distance_estimate(aug, signed, K, strat_a, strat_b)
-        vals.append(rep.value)
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# suite wrappers producing records
-# ---------------------------------------------------------------------------
-
-def _suite_lp_oracle(cases: int = 200) -> list[VerificationRecord]:
-    t0 = time.perf_counter()
-    if cases == 0:
-        return [
-            VerificationRecord(
-                "lp_oracle", ANCHORS["lp_definition"], "vacuous (0 cases)", "warning: empty suite", True, 0.0
-            )
-        ]
-    dev = lp_oracle_deviation(cases)
+        dev = max(dev, abs(lp_metric.lp_distance(a, b).value - lp_metric.lp_distance_bruteforce(a, b).value))
     return [
         _record(
             "lp_oracle", ANCHORS["lp_definition"], "|flow - brute| <= 1e-9 over random pairs",
@@ -300,37 +181,58 @@ def _suite_lp_oracle(cases: int = 200) -> list[VerificationRecord]:
     ]
 
 
-def _suite_lp_properties(cases: int = 500) -> list[VerificationRecord]:
+# metric property -> (largest tolerated violation, anchor)
+_LP_PROPERTIES = {
+    "symmetry": (0.0, "lp_definition"),
+    "identity": (0.0, "lp_definition"),
+    "triangle": (1e-12, "lp_definition"),
+    "bounded": (0.0, "lp_bounded"),
+    "shift_identity": (0.0, "lp_shift"),
+    "shift_contraction": (1e-12, "lp_shift"),
+    "marginal_contraction": (1e-12, "lp_marginal"),
+}
+
+
+def _lp_properties(cases: int = 500, seed: int = 77) -> list[VerificationRecord]:
+    """Worst violation per metric property over random dyadic measures."""
     t0 = time.perf_counter()
-    viol = lp_property_violations(cases)
-    tol = {
-        "symmetry": 0.0,
-        "identity": 0.0,
-        "triangle": 1e-12,
-        "bounded": 0.0,
-        "shift_identity": 0.0,
-        "shift_contraction": 1e-12,
-        "marginal_contraction": 1e-12,
-    }
-    anchor = {
-        "symmetry": ANCHORS["lp_definition"],
-        "identity": ANCHORS["lp_definition"],
-        "triangle": ANCHORS["lp_definition"],
-        "bounded": ANCHORS["lp_bounded"],
-        "shift_identity": ANCHORS["lp_shift"],
-        "shift_contraction": ANCHORS["lp_shift"],
-        "marginal_contraction": ANCHORS["lp_marginal"],
-    }
+    rng = np.random.default_rng(seed)
+    viol = dict.fromkeys(_LP_PROPERTIES, 0.0)
+
+    def d(x: measures.DiscreteMeasure, y: measures.DiscreteMeasure) -> float:
+        return lp_metric.lp_distance(x, y).value
+
+    def worst(name: str, v: float) -> None:
+        viol[name] = max(viol[name], v)
+
+    for i in range(cases):
+        dim = int(rng.integers(1, 4))
+        a = _random_measure(rng, dim, 5)
+        b = _random_measure(rng, dim, 5)
+        dab = d(a, b)
+        worst("symmetry", abs(dab - d(b, a)))
+        worst("identity", d(a, a))
+        worst("bounded", dab - 1.0)
+        w = _random_shift(rng, dim)
+        worst("shift_identity", abs(d(measures.shift(a, w), b) - d(a, measures.shift(b, -w))))
+        worst("shift_contraction", d(a, measures.shift(a, w)) - w.norm())
+        if i % 3 == 0:
+            c = _random_measure(rng, dim, 5)
+            worst("triangle", dab - d(a, c) - d(c, b))
+        if dim > 1:
+            k = int(rng.integers(1, dim))
+            coords = sorted(rng.choice(dim, size=k, replace=False).tolist())
+            worst("marginal_contraction", d(measures.marginal(a, coords), measures.marginal(b, coords)) - dab)
     return [
         _record(
-            f"lp_properties.{name}", anchor[name], f"violation <= {tol[name]:g}",
-            f"worst violation {v:.3e} over {cases} cases", v <= tol[name], t0,
+            f"lp_properties.{name}", ANCHORS[anchor], f"violation <= {tol:g}",
+            f"worst violation {viol[name]:.3e} over {cases} cases", viol[name] <= tol, t0,
         )
-        for name, v in viol.items()
+        for name, (tol, anchor) in _LP_PROPERTIES.items()
     ]
 
 
-def _suite_norms() -> list[VerificationRecord]:
+def _norms() -> list[VerificationRecord]:
     records = []
     for n in (4, 10, 100, 1000):
         t0 = time.perf_counter()
@@ -357,24 +259,35 @@ def _suite_norms() -> list[VerificationRecord]:
     return records
 
 
-def _suite_discretization(atoms: int = 2048) -> list[VerificationRecord]:
-    records = []
+def _discretization(atoms: int = 2048) -> list[VerificationRecord]:
+    """Grid quantization of a fine-grid stand-in for uniform([-1, 1])."""
     pitch = 2.0 / atoms
-    for k, err in discretization_errors(atoms=atoms).items():
+    proxy = measures.empirical([(-1.0 + (j + 0.5) * pitch,) for j in range(atoms)])
+    records = []
+    for k in (2, 4, 8):
         t0 = time.perf_counter()
-        bound = 1.0 / k + pitch
+        err = lp_metric.lp_distance(proxy, measures.discretize(proxy, k, box=[(-1.0, 1.0)])).value
         records.append(
             _record(
                 f"discretization.k{k}", ANCHORS["uniform_approx"], f"d_LP <= 1/{k} + {pitch:g}",
-                f"{err:.6f}", err <= bound, t0,
+                f"{err:.6f}", err <= 1.0 / k + pitch, t0,
             )
         )
     return records
 
 
-def _suite_gplus_shift(graphs: int = 50) -> list[VerificationRecord]:
+def _gplus_shift(n: int = 50, graphs: int = 50, k: int = 2, seed: int = 11) -> list[VerificationRecord]:
+    """Worst d_LP(apex-augmented measure, shifted base measure) - 1/(n+1)."""
     t0 = time.perf_counter()
-    dev = gplus_shift_deviation(graphs=graphs)
+    rng = np.random.default_rng(seed)
+    dev = -math.inf
+    for _ in range(graphs):
+        spec = operators.GraphSpec("erdos_renyi", n, p=float(rng.uniform(0.05, 0.6)), seed=int(rng.integers(1 << 31)))
+        fs = rng.uniform(-1.0, 1.0, size=(k, n))
+        v = rng.uniform(-1.0, 1.0, size=k)
+        mu_plus = profiles.measure_of(operators.gplus(spec), np.concatenate([fs, v[:, None]], axis=1))
+        mu_shift = measures.shift(profiles.measure_of(operators.adjacency(spec), fs), tuple([0.0] * k) + tuple(v))
+        dev = max(dev, lp_metric.lp_distance(mu_plus, mu_shift).value - 1.0 / (n + 1))
     return [
         _record(
             "gplus_shift", ANCHORS["gplus_shift"], "d_LP - 1/(n+1) <= 1e-12",
@@ -383,32 +296,51 @@ def _suite_gplus_shift(graphs: int = 50) -> list[VerificationRecord]:
     ]
 
 
-def _suite_star_convergence(count: int = 64) -> list[VerificationRecord]:
+_TRAJECTORY_SIZES = (8, 32, 128)
+
+
+def _nonincreasing(vals: Sequence[float]) -> bool:
+    return all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def _trajectory(vals: Sequence[float]) -> str:
+    return "trajectory " + ", ".join(f"{v:.5f}" for v in vals)
+
+
+def _star_convergence(K: int = 3, count: int = 64, seed: int = 7) -> list[VerificationRecord]:
     t0 = time.perf_counter()
-    vals = star_convergence_trajectory(count=count)
-    ok = all(b <= a for a, b in zip(vals, vals[1:])) and vals[-1] <= vals[0] / 2
+    vals = []
+    for n in _TRAJECTORY_SIZES:
+        strat = profiles.TestFunctionStrategy("mixed", count=count, seed=seed)
+        star = operators.adjacency(operators.GraphSpec("star", n))
+        vals.append(profiles.action_distance_estimate(star, limits.broadcast(n, 0), K, strat).value)
     return [
         _record(
             "star_convergence", ANCHORS["star_limit"],
             "estimate nonincreasing over n in (8,32,128) and final <= first/2",
-            "trajectory " + ", ".join(f"{v:.5f}" for v in vals), ok, t0,
+            _trajectory(vals), _nonincreasing(vals) and vals[-1] <= vals[0] / 2, t0,
         )
     ]
 
 
-def _suite_gplus_limit(count: int = 64) -> list[VerificationRecord]:
+def _gplus_limit(K: int = 3, count: int = 64, seed: int = 7) -> list[VerificationRecord]:
     t0 = time.perf_counter()
-    vals = gplus_limit_trajectory(count=count)
-    ok = all(b <= a for a, b in zip(vals, vals[1:]))
+    vals = []
+    for n in _TRAJECTORY_SIZES:
+        aug = operators.gplus(operators.GraphSpec("cycle", n))
+        signed = limits.signed_limit(operators.adjacency(operators.GraphSpec("cycle", n + 1)), 0, 1)
+        strat_a = profiles.TestFunctionStrategy("vertex_probe", count=count, seed=seed, probe_vertex=n)
+        strat_b = profiles.TestFunctionStrategy("vertex_probe", count=count, seed=seed, probe_vertex=0)
+        vals.append(profiles.action_distance_estimate(aug, signed, K, strat_a, strat_b).value)
     return [
         _record(
             "gplus_limit", ANCHORS["gplus_limit"], "estimate nonincreasing over n in (8,32,128)",
-            "trajectory " + ", ".join(f"{v:.5f}" for v in vals), ok, t0,
+            _trajectory(vals), _nonincreasing(vals), t0,
         )
     ]
 
 
-def _suite_self_adjoint() -> list[VerificationRecord]:
+def _self_adjoint() -> list[VerificationRecord]:
     records = []
     for n in (8, 64):
         t0 = time.perf_counter()
@@ -425,6 +357,7 @@ def _suite_self_adjoint() -> list[VerificationRecord]:
         operators.GraphSpec("star", 9),
         operators.GraphSpec("cycle", 12),
         operators.GraphSpec("complete", 7),
+        operators.GraphSpec("path", 11),
         operators.GraphSpec("erdos_renyi", 20, p=0.3, seed=5),
     ]
     defects = [operators.self_adjoint_defect(operators.adjacency(s)) for s in specs]
@@ -437,7 +370,7 @@ def _suite_self_adjoint() -> list[VerificationRecord]:
     return records
 
 
-def _suite_regularity() -> list[VerificationRecord]:
+def _regularity() -> list[VerificationRecord]:
     records = []
     for n in (8, 64):
         cyc = operators.adjacency(operators.GraphSpec("cycle", n))
@@ -462,7 +395,7 @@ def _suite_regularity() -> list[VerificationRecord]:
     return records
 
 
-def _suite_norm_gap() -> list[VerificationRecord]:
+def _norm_gap() -> list[VerificationRecord]:
     records = []
     strat = profiles.TestFunctionStrategy("mixed", count=8, seed=3)
     for n in (8, 128):
@@ -483,15 +416,14 @@ def _suite_norm_gap() -> list[VerificationRecord]:
     return records
 
 
-def _suite_adjoint_duality(cases: int = 50, seed: int = 42) -> list[VerificationRecord]:
+def _adjoint_duality(cases: int = 50, seed: int = 42) -> list[VerificationRecord]:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(2, 13))
-        m = rng.choice([-1.0, 1.0], size=(n, n))
-        A = operators.WeightedOperator(m)
+        A = operators.WeightedOperator(rng.choice([-1.0, 1.0], size=(n, n)))
         left = operators.pq_norm(A, math.inf, 1)
         right = operators.pq_norm(operators.adjoint(A), math.inf, 1)
         worst = max(worst, abs(left - right))
@@ -504,47 +436,41 @@ def _suite_adjoint_duality(cases: int = 50, seed: int = 42) -> list[Verification
     ]
 
 
-SUITES: dict[str, tuple[Callable[[], list[VerificationRecord]], float]] = {
-    # name -> (runner, rough cost estimate in seconds, used by the time guard)
-    "lp_oracle": (_suite_lp_oracle, 10.0),
-    "lp_properties": (_suite_lp_properties, 30.0),
-    "norms": (_suite_norms, 1.0),
-    "discretization": (_suite_discretization, 30.0),
-    "gplus_shift": (_suite_gplus_shift, 30.0),
-    "star_convergence": (_suite_star_convergence, 30.0),
-    "gplus_limit": (_suite_gplus_limit, 60.0),
-    "self_adjoint": (_suite_self_adjoint, 1.0),
-    "regularity": (_suite_regularity, 1.0),
-    "norm_gap": (_suite_norm_gap, 2.0),
-    "adjoint_duality": (_suite_adjoint_duality, 5.0),
-}
+# ---------------------------------------------------------------------------
+# claim registry, read by `actionlim verify` and the acceptance gate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim: its acceptance criterion, its verify suite, its checks."""
+
+    number: int  # acceptance criterion number
+    name: str  # acceptance criterion name
+    suite: str  # `actionlim verify --suite` name
+    run: Callable[[], list[VerificationRecord]]
 
 
-def run_verify(
-    suite: str = "all",
-    out: Optional[str | Path] = None,
-    time_guard: float = 120.0,
-) -> list[VerificationRecord]:
-    """Run one named suite or all of them; returns records sorted by id.
+CLAIMS: tuple[Claim, ...] = (
+    Claim(1, "lp-oracle-equivalence", "lp_oracle", _lp_oracle),
+    Claim(2, "lp-metric-properties", "lp_properties", _lp_properties),
+    Claim(3, "star-norms-exact", "norms", _norms),
+    Claim(4, "discretization-bound", "discretization", _discretization),
+    Claim(5, "apex-shift-bound", "gplus_shift", _gplus_shift),
+    Claim(6, "star-convergence", "star_convergence", _star_convergence),
+    Claim(7, "apex-limit-convergence", "gplus_limit", _gplus_limit),
+    Claim(8, "non-self-adjointness", "self_adjoint", _self_adjoint),
+    Claim(9, "regularity-shift", "regularity", _regularity),
+    Claim(10, "norm-discontinuity", "norm_gap", _norm_gap),
+    Claim(11, "adjoint-norm-duality", "adjoint_duality", _adjoint_duality),
+)
 
-    Suites whose cost estimate exceeds the time guard are reported as skip.
-    """
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)} or 'all'")
-    records: list[VerificationRecord] = []
-    for name in names:
-        runner, estimate = SUITES[name]
-        if estimate > time_guard:
-            records.append(
-                VerificationRecord(name, "", f"estimated {estimate:.0f}s", f"exceeds time guard {time_guard:.0f}s", "skip", 0.0)
-            )
-            continue
-        records.extend(runner())
-    records.sort(key=lambda r: r.id)
+
+def run_verify(suite: str = "all", out: Optional[str | Path] = None) -> list[VerificationRecord]:
+    """Run one claim's suite, or all of them; returns records sorted by id."""
+    claims = [c for c in CLAIMS if suite in ("all", c.suite)]
+    if not claims:
+        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(c.suite for c in CLAIMS)} or 'all'")
+    records = sorted((r for c in claims for r in c.run()), key=lambda r: r.id)
     if out is not None:
         Path(out).write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records))
     return records
@@ -562,7 +488,6 @@ class ExperimentConfig:
     vertices may be an integer index or "last".
     """
 
-    experiment: str = "star_vs_broadcast"
     graph_a: str = "star:{n}"
     graph_b: str = "broadcast:{n}:0"
     sizes: tuple[int, ...] = (8, 32, 128)
@@ -603,19 +528,7 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "graph_a": self.graph_a,
-            "graph_b": self.graph_b,
-            "sizes": list(self.sizes),
-            "K": self.K,
-            "count": self.count,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "probe_a": self.probe_a,
-            "probe_b": self.probe_b,
-            "out": self.out,
-        }
+        return dict(asdict(self), sizes=list(self.sizes))
 
 
 def _strategy_for(cfg: ExperimentConfig, op: operators.WeightedOperator, probe: Optional[str]) -> profiles.TestFunctionStrategy:

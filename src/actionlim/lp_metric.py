@@ -37,7 +37,6 @@ _MAX_SCALE = 1 << 60
 @dataclass(frozen=True)
 class LpResult:
     value: float
-    witness_epsilon: float
     method: str  # "exact_flow" or "brute_force"
 
 
@@ -136,9 +135,9 @@ def _distance_from_pair(pair: _Pair) -> float:
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Exact Levy-Prokhorov distance via the flow engine."""
     if mu.atoms == nu.atoms:
-        return LpResult(0.0, 0.0, "exact_flow")
+        return LpResult(0.0, "exact_flow")
     v = _distance_from_pair(_Pair(mu, nu))
-    return LpResult(v, v, "exact_flow")
+    return LpResult(v, "exact_flow")
 
 
 def _subset_tables(points_a, wa, points_b, wb):
@@ -215,7 +214,7 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
             else:
                 lo = mid + 1
         value = float(ordered[lo])
-    return LpResult(value, value, "brute_force")
+    return LpResult(value, "brute_force")
 
 
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache: dict):

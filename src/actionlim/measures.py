@@ -6,6 +6,7 @@ construction and every operation returns a fresh measure.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ class DiscreteMeasure:
 
     Atoms with identical coordinates are merged on construction and zero
     weights dropped; atoms are kept sorted so equal measures compare equal.
+    Non-finite coordinates are rejected, since NaN atoms would never merge.
     """
 
     dim: int
@@ -66,6 +68,8 @@ class DiscreteMeasure:
             if len(p) != dim:
                 raise ValueError(f"point {p} has {len(p)} coordinates, expected {dim}")
             merged[p] = merged.get(p, Fraction(0)) + _as_weight(w)
+        if not np.isfinite(np.fromiter(itertools.chain.from_iterable(merged), dtype=float)).all():
+            raise ValueError("atom coordinates must be finite")
         cleaned = tuple(sorted((p, w) for p, w in merged.items() if w != 0))
         total = sum((w for _, w in cleaned), Fraction(0))
         if total != 1:

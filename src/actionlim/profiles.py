@@ -163,7 +163,7 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
     k, n = F.shape
     if n != A.n:
         raise ValueError(f"test vectors have length {n}, operator has n={A.n}")
-    if np.max(np.abs(F)) > 1 + 1e-9:
+    if not np.all(np.abs(F) <= 1 + 1e-9):
         raise ValueError("test vector entries must lie in [-1, 1]")
     Y = F @ A.matrix.T  # row i: A f_i evaluated at each coordinate
     atoms = []

@@ -102,6 +102,22 @@ class TestExperiment:
         rows = (outdir / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 3
 
+    def test_apex_sweep_via_set(self, capsys, tmp_path):
+        outdir = tmp_path / "apex"
+        argv = ["--json", "experiment", "--out", str(outdir)]
+        for item in (
+            "graph_a=gplus:cycle:{n}", "graph_b=signed:+1:0:cycle:{n1}", "strategy=vertex_probe",
+            "probe_a=last", "probe_b=0", "sizes=4", "count=2", "K=1",
+        ):
+            argv += ["--set", item]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"out": str(outdir)}
+        report = json.loads((outdir / "report_n4.json").read_text())
+        # the apex of gplus:cycle:4 is vertex 4; both operators act on 5 coordinates
+        assert report["strategy"] == "vertex_probe:2:7:v4:g9|vertex_probe:2:7:v0:g9"
+        assert (outdir / "trajectory.csv").read_text().splitlines()[1].startswith("4,")
+
     def test_bad_set_syntax(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "--set", "sizes"])

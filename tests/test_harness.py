@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from actionlim import GraphSpec, adjacency, broadcast
+from actionlim import GraphSpec, adjacency, broadcast, harness
 from actionlim.harness import (
-    SUITES,
+    CLAIMS,
     ExperimentConfig,
+    VerificationRecord,
     load_edge_list,
     parse_operator_spec,
     run_experiment,
@@ -77,10 +79,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="unknown suite"):
             run_verify("nope")
 
-    def test_time_guard_skips(self):
-        records = run_verify("all", time_guard=0.0)
-        assert records
-        assert all(r.passed == "skip" for r in records)
+    def test_claims_registry(self, monkeypatch):
+        assert [c.number for c in CLAIMS] == list(range(1, 12))
+        assert len({c.suite for c in CLAIMS}) == len(CLAIMS)
+        # stub runners that report which suite ran, so dispatch is checked without the cost
+        stubs = tuple(replace(c, run=lambda s=c.suite: [VerificationRecord(s, "", "", "", True, 0.0)]) for c in CLAIMS)
+        monkeypatch.setattr(harness, "CLAIMS", stubs)
+        for c in CLAIMS:
+            assert [r.id for r in run_verify(c.suite)] == [c.suite]
 
     def test_records_written_as_json_lines(self, tmp_path):
         out = tmp_path / "records.jsonl"
@@ -120,7 +126,6 @@ class TestExperiment:
 
     def test_probe_template_experiment(self, tmp_path):
         cfg = ExperimentConfig(
-            experiment="gplus_vs_signed",
             graph_a="gplus:cycle:{n}",
             graph_b="signed:+1:0:cycle:{n1}",
             sizes=(4,),

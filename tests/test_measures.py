@@ -56,6 +56,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="coordinates"):
             DiscreteMeasure(2, [((0.0,), 1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(2, [((0.0, bad), Fraction(1, 2)), ((1.0, 0.0), Fraction(1, 2))])
+
     def test_string_weights(self):
         mu = DiscreteMeasure(1, [((0.0,), "1/3"), ((1.0,), "2/3")])
         assert mu.mass((1.0,)) == Fraction(2, 3)
@@ -73,6 +78,10 @@ class TestSerialization:
     def test_dict_weight_format(self):
         mu = DiscreteMeasure(1, [((0.0,), Fraction(1, 3)), ((1.0,), Fraction(2, 3))])
         assert mu.to_dict()["atoms"][0]["w"] == "1/3"
+
+    def test_non_finite_json_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [NaN], "w": "1/1"}]}')
 
 
 class TestOperations:

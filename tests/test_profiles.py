@@ -95,6 +95,11 @@ class TestMeasureOf:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             measure_of(A, [[2.0, 0.0, 0.0]])
 
+    def test_rejects_nan_entries(self):
+        A = adjacency(GraphSpec("star", 3))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            measure_of(A, [[np.nan, 0.5, 0.5]])
+
     def test_rejects_length_mismatch(self):
         A = adjacency(GraphSpec("star", 3))
         with pytest.raises(ValueError, match="length"):
