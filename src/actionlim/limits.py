@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp_metric import lp_distance
-from .measures import DiscreteMeasure, marginal, product_with_dirac
+from .measures import DiscreteMeasure, product_with_dirac
 from .operators import WeightedOperator, bilinear
 
 __all__ = [
@@ -75,11 +75,8 @@ def distance_to_star_limit(mu: DiscreteMeasure, k: int) -> float:
     if mu.dim != 2 * k:
         raise ValueError(f"measure has dim {mu.dim}, expected {2 * k}")
     pts = mu.points()
-    w = np.array([float(x) for x in mu.weights()])
-    x_marg = marginal(mu, list(range(k)))
-    x_clamped = DiscreteMeasure(
-        k, [(tuple(np.clip(p, -1.0, 1.0)), wt) for p, wt in x_marg.atoms]
-    )
+    w = np.array([m / mu.denom for m in mu.masses])
+    x_clamped = DiscreteMeasure(k, zip(np.clip(pts[:, :k], -1.0, 1.0), mu.weights()))
     ys = pts[:, k:]
     candidates = [tuple(row) for row in np.clip(ys, -1.0, 1.0)]
     candidates.append(tuple(np.clip(w @ ys, -1.0, 1.0)))

@@ -1,7 +1,8 @@
 """Exact Levy-Prokhorov distances between discrete measures.
 
 The main engine decides coupling feasibility (Strassen's theorem) with an
-integer max-flow over exactly scaled rational weights, and locates the
+integer max-flow over the measures' masses scaled to one common denominator
+(scipy while capacities fit in int32, exact Python ints above), and locates the
 minimum feasible epsilon by a monotone search over the pairwise-distance
 breakpoints.  A subset-enumeration oracle covers small supports, and the
 Hausdorff distance between finite measure sets is built on top.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,7 +33,8 @@ __all__ = [
     "hausdorff",
 ]
 
-_MAX_SCALE = 1 << 60
+# scipy's maximum_flow truncates capacities to int32; wider scales use _exact_max_flow
+_INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -47,40 +50,70 @@ class HausdorffResult:
     witness: tuple[int, int]
 
 
+def _exact_max_flow(ca: Sequence[int], cb: Sequence[int], mask: np.ndarray) -> int:
+    """Max-flow in Python ints from source via A-atoms (capacities `ca`) and
+    B-atoms (capacities `cb`) to sink, with an uncapacitated A -> B edge where
+    `mask` holds: Edmonds-Karp on a dense residual capacity matrix."""
+    p, q = mask.shape
+    sink = p + q + 1
+    cap = [[0] * (sink + 1) for _ in range(sink + 1)]
+    cap[0][1 : p + 1] = ca
+    for j, c in enumerate(cb):
+        cap[1 + p + j][sink] = c
+    for i, j in zip(*np.nonzero(mask)):
+        cap[1 + i][1 + p + j] = sum(ca)  # never binds: the source sends at most sum(ca)
+    total = 0
+    while True:
+        parent = {0: None}  # breadth-first search for a shortest augmenting path
+        queue = deque([0])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, c in enumerate(cap[u]):
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return total
+        path, v = [], sink
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= push
+            cap[v][u] += push
+        total += push
+
+
 class _Pair:
-    """Shared state for one (mu, nu) pair: scaled weights and distances."""
+    """Shared state for one (mu, nu) pair: masses over one scale, and distances."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         if mu.dim != nu.dim:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-        self.wa = mu.weights()
-        self.wb = nu.weights()
-        lcm = 1
-        for w in (*self.wa, *self.wb):
-            lcm = math.lcm(lcm, w.denominator)
-        if lcm > _MAX_SCALE:
-            raise ValueError("weight denominators too large for exact flow scaling")
-        self.scale = lcm
-        self.ca = np.array([int(w * lcm) for w in self.wa], dtype=np.int64)
-        self.cb = np.array([int(w * lcm) for w in self.wb], dtype=np.int64)
+        self.scale = math.lcm(mu.denom, nu.denom)
+        # int64 while scipy takes the capacities, exact Python ints above
+        dtype = np.int64 if self.scale <= _INT32_MAX else object
+        self.ca = np.array(mu.masses, dtype=dtype) * (self.scale // mu.denom)
+        self.cb = np.array(nu.masses, dtype=dtype) * (self.scale // nu.denom)
         self.dist = cdist(mu.points(), nu.points())
-        self.p = len(self.wa)
-        self.q = len(self.wb)
 
     def max_coupling(self, eps: float) -> Fraction:
         """Largest coupling mass placeable on pairs at distance <= eps."""
         mask = self.dist <= eps
-        ii, jj = np.nonzero(mask)
-        p, q = self.p, self.q
-        if len(ii) == 0:
+        if not mask.any():
             return Fraction(0)
+        if self.scale > _INT32_MAX:
+            return Fraction(_exact_max_flow(self.ca, self.cb, mask), self.scale)
+        ii, jj = np.nonzero(mask)
+        p, q = mask.shape
         sink = p + q + 1
         rows = np.concatenate([np.zeros(p, dtype=np.int64), 1 + ii, 1 + p + np.arange(q)])
         cols = np.concatenate([1 + np.arange(p), 1 + p + jj, np.full(q, sink)])
         # middle edges effectively uncapacitated
-        caps = np.concatenate([self.ca, np.full(len(ii), self.scale, dtype=np.int64), self.cb])
+        caps = np.concatenate([self.ca, np.full(len(ii), self.scale), self.cb])
         graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
-        flow = maximum_flow(graph, 0, p + q + 1).flow_value
+        flow = maximum_flow(graph, 0, sink).flow_value
         return Fraction(int(flow), self.scale)
 
     def feasible(self, eps) -> bool:
@@ -95,8 +128,6 @@ class _Pair:
 
 def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps."""
-    if eps < 0:
-        raise ValueError("negative epsilon")
     return _Pair(mu, nu).feasible(eps)
 
 
@@ -134,7 +165,7 @@ def _distance_from_pair(pair: _Pair) -> float:
 
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Exact Levy-Prokhorov distance via the flow engine."""
-    if mu.atoms == nu.atoms:
+    if mu == nu:
         return LpResult(0.0, "exact_flow")
     v = _distance_from_pair(_Pair(mu, nu))
     return LpResult(v, "exact_flow")

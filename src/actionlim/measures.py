@@ -1,17 +1,16 @@
 """Finitely supported probability measures on R^d.
 
-Weights are exact rationals so that mass comparisons in the metric engine
-are exact; atom coordinates are floats.  All values are immutable after
-construction and every operation returns a fresh measure.
+A measure is a sorted float point array with integer masses over one
+denominator, so weights are exact rationals and the metric engine compares
+masses in integers.  All values are immutable after construction and every
+operation returns a fresh measure.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,79 +27,89 @@ __all__ = [
 ]
 
 
-def _as_weight(w) -> Fraction:
-    """Convert a weight to an exact Fraction.
-
-    Floats are converted exactly (binary value), so dyadic weights like 0.25
-    round-trip; strings use the "num/den" form.
-    """
-    if isinstance(w, Rational):
-        f = Fraction(w)
-    elif isinstance(w, float):
-        f = Fraction(w)
-    elif isinstance(w, str):
-        f = Fraction(w)
-    else:
-        raise TypeError(f"unsupported weight type {type(w).__name__}")
-    if f < 0:
-        raise ValueError(f"negative weight {f}")
-    return f
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """A discrete probability measure: atoms with exact rational weights.
+    """A discrete probability measure: distinct points with exact rational weights.
 
-    Atoms with identical coordinates are merged on construction and zero
-    weights dropped; atoms are kept sorted so equal measures compare equal.
-    Non-finite coordinates are rejected, since NaN atoms would never merge.
+    Row i of `support` carries weight masses[i] / denom, where the masses are
+    positive integers with gcd 1 and denom is their sum.  The constructor takes
+    (point, weight) atoms, merges equal points, drops zero weights and sorts
+    the rows lexicographically (-0.0 stored as 0.0), so equal measures have
+    equal fields.  Weights may be ints, floats (taken at their exact binary
+    value), Fractions or "num/den" strings.  Non-finite coordinates are
+    rejected, since NaN atoms would never merge.
     """
 
     dim: int
-    atoms: tuple[tuple[tuple[float, ...], Fraction], ...]
+    support: np.ndarray  # read-only float64 (m, dim)
+    masses: tuple[int, ...]
+    denom: int
 
     def __init__(self, dim: int, atoms: Iterable[tuple[Sequence[float], object]]):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        merged: dict[tuple[float, ...], Fraction] = {}
-        for point, w in atoms:
-            p = tuple(float(c) for c in point)
-            if len(p) != dim:
-                raise ValueError(f"point {p} has {len(p)} coordinates, expected {dim}")
-            merged[p] = merged.get(p, Fraction(0)) + _as_weight(w)
-        if not np.isfinite(np.fromiter(itertools.chain.from_iterable(merged), dtype=float)).all():
+        atoms = list(atoms)
+        pts = np.array([p for p, _ in atoms] or np.empty((0, dim)), dtype=float)
+        if pts.shape != (len(atoms), dim):
+            raise ValueError(f"points must have {dim} coordinates, got an array of shape {pts.shape}")
+        if not np.isfinite(pts).all():
             raise ValueError("atom coordinates must be finite")
-        cleaned = tuple(sorted((p, w) for p, w in merged.items() if w != 0))
-        total = sum((w for _, w in cleaned), Fraction(0))
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected exactly 1")
+        ws = [Fraction(w) for _, w in atoms]
+        for w in ws:
+            if w < 0:
+                raise ValueError(f"negative weight {w}")
+        denom = math.lcm(*(w.denominator for w in ws))
+        scaled = [w.numerator * (denom // w.denominator) for w in ws]
+        keep = [i for i, m in enumerate(scaled) if m]
+        order = [keep[i] for i in np.lexsort(pts[keep].T[::-1])]  # nonzero atoms, lexicographic
+        pts = pts[order] + 0.0  # + 0.0 turns -0.0 into 0.0
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (pts[1:] != pts[:-1]).any(axis=1)  # rows that start a run of equal points
+        starts = np.flatnonzero(first).tolist() + [len(order)]
+        masses = [sum(scaled[i] for i in order[a:b]) for a, b in zip(starts, starts[1:])]
+        if sum(masses) != denom:
+            raise ValueError(f"weights sum to {Fraction(sum(masses), denom)}, expected exactly 1")
+        g = math.gcd(*masses)
+        pts = pts[first]
+        pts.setflags(write=False)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "atoms", cleaned)
+        object.__setattr__(self, "support", pts)
+        object.__setattr__(self, "masses", tuple(m // g for m in masses))
+        object.__setattr__(self, "denom", denom // g)
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return self.masses == other.masses and np.array_equal(self.support, other.support)
+
+    def __hash__(self):
+        return hash((self.masses, self.support.shape, self.support.tobytes()))
 
     @property
     def support_size(self) -> int:
-        return len(self.atoms)
+        return len(self.masses)
 
     def points(self) -> np.ndarray:
-        """Support as a (m, dim) float array."""
-        return np.array([p for p, _ in self.atoms], dtype=float).reshape(-1, self.dim)
+        """Support as a read-only (m, dim) float array."""
+        return self.support
 
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for _, w in self.atoms)
+        return tuple(Fraction(m, self.denom) for m in self.masses)
 
     def mass(self, point: Sequence[float]) -> Fraction:
-        p = tuple(float(c) for c in point)
-        for q, w in self.atoms:
-            if q == p:
-                return w
-        return Fraction(0)
+        p = np.asarray(point, dtype=float)
+        hit = np.flatnonzero((self.support == p).all(axis=1)) if p.shape == (self.dim,) else []
+        return Fraction(self.masses[hit[0]], self.denom) if len(hit) else Fraction(0)
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "atoms": [{"p": list(p), "w": f"{w.numerator}/{w.denominator}"} for p, w in self.atoms],
+            "atoms": [
+                {"p": p, "w": f"{w.numerator}/{w.denominator}"}
+                for p, w in zip(self.support.tolist(), self.weights())
+            ],
         }
 
     def to_json(self) -> str:
@@ -162,10 +171,7 @@ def empirical(points: Sequence[Sequence[float]], weights: Sequence | None = None
 def shift(mu: DiscreteMeasure, v) -> DiscreteMeasure:
     """Translate every atom of mu by v; weights unchanged."""
     sv = _coerce_shift(v, mu.dim)
-    return DiscreteMeasure(
-        mu.dim,
-        [(tuple(c + d for c, d in zip(p, sv.components)), w) for p, w in mu.atoms],
-    )
+    return DiscreteMeasure(mu.dim, zip(mu.points() + sv.components, mu.weights()))
 
 
 def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:
@@ -176,23 +182,24 @@ def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:
     for c in cs:
         if not 0 <= c < mu.dim:
             raise ValueError(f"coordinate {c} out of range for dim {mu.dim}")
-    return DiscreteMeasure(len(cs), [(tuple(p[c] for c in cs), w) for p, w in mu.atoms])
+    return DiscreteMeasure(len(cs), zip(mu.points()[:, cs], mu.weights()))
 
 
 def mean_abs(mu: DiscreteMeasure, coord: int) -> float:
     """Exact weighted mean of |x_coord|, returned as the nearest float."""
     if not 0 <= coord < mu.dim:
         raise ValueError(f"coordinate {coord} out of range for dim {mu.dim}")
-    total = sum((w * abs(Fraction(p[coord])) for p, w in mu.atoms), Fraction(0))
-    return float(total)
+    total = sum((m * abs(Fraction(x)) for m, x in zip(mu.masses, mu.points()[:, coord].tolist())), Fraction(0))
+    return float(total / mu.denom)
 
 
 def product_with_dirac(nu: DiscreteMeasure, z: Sequence[float]) -> DiscreteMeasure:
     """Product measure nu x delta_z on R^{2k}: each atom (x, w) becomes ((x, z), w)."""
-    zz = tuple(float(c) for c in z)
-    if len(zz) != nu.dim:
-        raise ValueError(f"z has {len(zz)} coordinates, nu has dim {nu.dim}")
-    return DiscreteMeasure(2 * nu.dim, [(p + zz, w) for p, w in nu.atoms])
+    zz = np.asarray(z, dtype=float)
+    if zz.shape != (nu.dim,):
+        raise ValueError(f"z has {zz.size} coordinates, nu has dim {nu.dim}")
+    pts = np.hstack([nu.points(), np.broadcast_to(zz, nu.points().shape)])
+    return DiscreteMeasure(2 * nu.dim, zip(pts, nu.weights()))
 
 
 def discretize(
@@ -211,6 +218,8 @@ def discretize(
     """
     if k < 1:
         raise ValueError("resolution k must be >= 1")
+    if n is not None and n < 1:
+        raise ValueError("stage-2 sample count n must be >= 1")
     d = mu.dim
     pts = mu.points()
     if box is None:
@@ -218,48 +227,26 @@ def discretize(
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != d:
         raise ValueError(f"box has {len(box)} dimensions, measure has {d}")
-    for p, _ in mu.atoms:
-        for c, (lo, hi) in zip(p, box):
-            if not lo <= c <= hi:
-                raise ValueError(f"atom coordinate {c} outside box [{lo}, {hi}]")
+    lo, hi = np.array(box).T
+    outside = np.argwhere((pts < lo) | (pts > hi))
+    if len(outside):
+        i, j = outside[0]
+        raise ValueError(f"atom coordinate {pts[i, j]} outside box [{lo[j]}, {hi[j]}]")
 
     # cell side <= 1/(k*sqrt(d)) forces cell diameter <= 1/k
-    counts = []
-    pitches = []
-    for lo, hi in box:
-        span = hi - lo
-        cnt = max(1, math.ceil(span * k * math.sqrt(d))) if span > 0 else 1
-        counts.append(cnt)
-        pitches.append(span / cnt if span > 0 else 0.0)
+    span = hi - lo
+    counts = np.array([max(1, math.ceil(s * k * math.sqrt(d))) for s in span.tolist()])
+    pitch = span / counts
+    cell = np.minimum(counts - 1, ((pts - lo) / np.where(pitch > 0, pitch, 1.0)).astype(int))
+    # the constructor merges the atoms that fall into one cell
+    cells = DiscreteMeasure(d, zip(lo + (cell + 0.5) * pitch, mu.weights()))
+    if n is None:
+        return cells
 
-    cells: dict[tuple[int, ...], Fraction] = {}
-    for p, w in mu.atoms:
-        idx = []
-        for c, (lo, _), cnt, pitch in zip(p, box, counts, pitches):
-            i = 0 if pitch == 0.0 else min(cnt - 1, int((c - lo) / pitch))
-            idx.append(i)
-        key = tuple(idx)
-        cells[key] = cells.get(key, Fraction(0)) + w
-
-    def center(idx: tuple[int, ...]) -> tuple[float, ...]:
-        return tuple(
-            lo + (i + 0.5) * pitch if pitch > 0 else lo
-            for i, (lo, _), pitch in zip(idx, box, pitches)
-        )
-
-    keys = sorted(cells)
-    masses = [cells[key] for key in keys]
-
-    if n is not None:
-        if n < 1:
-            raise ValueError("stage-2 sample count n must be >= 1")
-        scaled = [m * n for m in masses]
-        floors = [int(s) for s in scaled]
-        leftover = n - sum(floors)
-        # hand the leftover units to cells by decreasing fractional part
-        order = sorted(range(len(keys)), key=lambda i: (-(scaled[i] - floors[i]), i))
-        for i in order[:leftover]:
-            floors[i] += 1
-        masses = [Fraction(f, n) for f in floors]
-
-    return DiscreteMeasure(d, [(center(key), m) for key, m in zip(keys, masses) if m != 0])
+    # units of mass * n / denom: hand the leftover units to cells by decreasing remainder
+    floors, rems = zip(*(divmod(m * n, cells.denom) for m in cells.masses))
+    floors = list(floors)
+    order = sorted(range(len(floors)), key=lambda i: (-rems[i], i))
+    for i in order[: n - sum(floors)]:
+        floors[i] += 1
+    return DiscreteMeasure(d, zip(cells.points(), (Fraction(f, n) for f in floors)))

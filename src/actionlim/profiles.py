@@ -166,11 +166,8 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
     if not np.all(np.abs(F) <= 1 + 1e-9):
         raise ValueError("test vector entries must lie in [-1, 1]")
     Y = F @ A.matrix.T  # row i: A f_i evaluated at each coordinate
-    atoms = []
-    for j in range(n):
-        point = tuple(F[:, j]) + tuple(Y[:, j])
-        atoms.append((point, A.weights[j]))
-    return DiscreteMeasure(2 * k, atoms)
+    # atom j: the point (F[:, j], Y[:, j]) with the weight of coordinate j
+    return DiscreteMeasure(2 * k, zip(np.vstack([F, Y]).T, A.weights))
 
 
 def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) -> ProfileSample:

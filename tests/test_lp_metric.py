@@ -13,6 +13,7 @@ from actionlim import (
     marginal,
     shift,
 )
+from actionlim.lp_metric import _exact_max_flow, _Pair
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
@@ -141,3 +142,60 @@ class TestHausdorff:
     def test_requires_matching_dim(self):
         with pytest.raises(ValueError):
             hausdorff([dirac(0.0)], [dirac(0.0, 0.0)])
+
+
+INT32_MAX = 2**31 - 1
+
+
+@st.composite
+def near_int32_measures(draw, dim=1):
+    """Measures whose masses share one denominator within 8 of 2^31."""
+    den = draw(st.integers(2**31 - 8, 2**31 + 8))
+    m = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=m - 1, max_size=m - 1, unique=True)))
+    masses = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, den])]
+    pts = [tuple(draw(dyadic) for _ in range(dim)) for _ in range(m)]
+    return DiscreteMeasure(dim, zip(pts, (Fraction(x, den) for x in masses)))
+
+
+def two_atoms(den, p0, p1):
+    return DiscreteMeasure(1, [((p0,), Fraction(1, den)), ((p1,), 1 - Fraction(1, den))])
+
+
+class TestWideScale:
+    """Flow scales beyond int32, where scipy's max-flow truncates capacities."""
+
+    def test_int32_overflow_regression(self):
+        # scale 65537 * 65539 > 2^31 - 1; the int32 flow answered 0.99994
+        a, b = two_atoms(65537, 0.0, 0.5), two_atoms(65539, 0.0, 0.9)
+        assert lp_distance_bruteforce(a, b).value == 0.4
+        assert lp_distance(a, b).value == lp_distance(b, a).value == 0.4
+
+    @pytest.mark.parametrize("den_a, den_b", [
+        (INT32_MAX, INT32_MAX),  # scale at the cap: scipy
+        (INT32_MAX + 1, INT32_MAX + 1),  # one past it: exact ints
+        (INT32_MAX, 2),
+        (3**40, 7),
+    ])
+    def test_both_sides_of_the_cap(self, den_a, den_b):
+        a, b = two_atoms(den_a, 0.0, 0.25), two_atoms(den_b, 0.125, 1.0)
+        assert lp_distance(a, b).value == lp_distance_bruteforce(a, b).value
+        assert lp_feasible(a, b, lp_distance(a, b).value)
+
+    @given(near_int32_measures(), near_int32_measures())
+    @settings(max_examples=60, deadline=None)
+    def test_denominators_near_int32_match_oracle(self, a, b):
+        assert lp_distance(a, b).value == lp_distance_bruteforce(a, b).value
+
+    @given(near_int32_measures(2), near_int32_measures(2))
+    @settings(max_examples=30, deadline=None)
+    def test_denominators_near_int32_match_oracle_dim2(self, a, b):
+        assert lp_distance(a, b).value == lp_distance_bruteforce(a, b).value
+
+    @given(dyadic_measures(2, 6), dyadic_measures(2, 6), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_max_flow_matches_scipy(self, a, b, eps):
+        # narrow pairs go through scipy; the exact engine must agree on them
+        pair = _Pair(a, b)
+        mask = pair.dist <= eps
+        assert _exact_max_flow(pair.ca, pair.cb, mask) == pair.max_coupling(eps) * pair.scale

@@ -15,6 +15,7 @@ from actionlim import (
     product_with_dirac,
     shift,
 )
+from actionlim import cli
 
 # dyadic coordinates make float translation exact
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
@@ -70,7 +71,89 @@ class TestConstruction:
         assert mu.weights() == (Fraction(1, 3),) * 3
 
 
+HALF = Fraction(1, 2)
+# each spelling of the measure 1/2 delta_(0,1) + 1/2 delta_(1,-1)
+SAME_MEASURE = {
+    "sorted": [((0.0, 1.0), HALF), ((1.0, -1.0), HALF)],
+    "permuted": [((1.0, -1.0), HALF), ((0.0, 1.0), HALF)],
+    "split_duplicates": [((0.0, 1.0), Fraction(1, 4)), ((1.0, -1.0), HALF), ((0.0, 1.0), Fraction(1, 4))],
+    "float_weights": [((0.0, 1.0), 0.5), ((1.0, -1.0), 0.5)],
+    "string_weights": [((0.0, 1.0), "1/2"), ((1.0, -1.0), "1/2")],
+    "mixed_weights": [((1.0, -1.0), "1/2"), ((0.0, 1.0), 0.25), ((0.0, 1.0), Fraction(1, 4))],
+    "negative_zero": [((-0.0, 1.0), HALF), ((1.0, -1.0), HALF)],
+    "zero_weight_atom": [((0.0, 1.0), HALF), ((5.0, 5.0), 0), ((1.0, -1.0), HALF)],
+}
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("name", sorted(SAME_MEASURE))
+    def test_spellings_equal_and_hash_equal(self, name):
+        ref = DiscreteMeasure(2, SAME_MEASURE["sorted"])
+        mu = DiscreteMeasure(2, SAME_MEASURE[name])
+        assert mu == ref and hash(mu) == hash(ref)
+        assert mu.masses == (1, 1) and mu.denom == 2
+        assert mu.points().tolist() == [[0.0, 1.0], [1.0, -1.0]]
+        assert mu.to_json() == ref.to_json()
+
+    def test_spellings_are_one_dict_key(self):
+        table = {DiscreteMeasure(2, atoms): name for name, atoms in SAME_MEASURE.items()}
+        assert len(table) == 1
+        assert DiscreteMeasure(2, SAME_MEASURE["sorted"]) in table
+
+    def test_different_measures_differ(self):
+        ref = DiscreteMeasure(2, SAME_MEASURE["sorted"])
+        assert ref != DiscreteMeasure(2, [((0.0, 1.0), Fraction(1, 3)), ((1.0, -1.0), Fraction(2, 3))])
+        assert ref != DiscreteMeasure(2, [((0.0, 1.0), HALF), ((1.0, -0.5), HALF)])
+        assert ref != DiscreteMeasure(1, [((0.0,), HALF), ((1.0,), HALF)])
+        assert ref != "not a measure"
+
+    def test_negative_zero_stored_as_zero(self):
+        mu = DiscreteMeasure(1, [((-0.0,), 1)])
+        assert math.copysign(1.0, mu.points()[0, 0]) == 1.0
+        assert mu.to_json() == '{"dim": 1, "atoms": [{"p": [0.0], "w": "1/1"}]}'
+
+    def test_points_read_only(self):
+        mu = empirical([(0.0,), (1.0,)])
+        with pytest.raises(ValueError):
+            mu.points()[0, 0] = 5.0
+        assert mu.points()[0, 0] == 0.0
+
+    def test_masses_reduced_after_merging(self):
+        mu = DiscreteMeasure(1, [((0.0,), Fraction(1, 6)), ((0.0,), Fraction(1, 3)), ((1.0,), HALF)])
+        assert mu.masses == (1, 1) and mu.denom == 2
+
+    def test_huge_denominator_stays_exact(self):
+        tiny = Fraction(1, 3**60)
+        mu = DiscreteMeasure(1, [((0.0,), tiny), ((1.0,), 1 - tiny)])
+        assert mu.denom == 3**60 and mu.masses == (1, 3**60 - 1)
+        assert mu.weights() == (tiny, 1 - tiny)
+
+
+# files written by `actionlim profile --graph star:5 -k 1 --count 4 --seed 1`,
+# recorded so that a change of representation keeps the serialized form
+GOLDEN_PROFILE = {
+    "measure_0002.json": (
+        '{"dim": 2, "atoms": [{"p": [-0.9925911123464033, -0.44711120333294296], "w": "1/5"}, '
+        '{"p": [-0.5142462545107342, -0.9925911123464033], "w": "1/5"}, '
+        '{"p": [-0.4964273888875692, -0.9925911123464033], "w": "1/5"}, '
+        '{"p": [0.2031641331376952, -0.9925911123464033], "w": "1/5"}, '
+        '{"p": [0.3603983069276653, -0.9925911123464033], "w": "1/5"}]}'
+    ),
+    "measure_0005.json": (
+        '{"dim": 2, "atoms": [{"p": [0.0, 0.0], "w": "2/5"}, {"p": [0.0, 2.0], "w": "1/5"}, '
+        '{"p": [1.0, 0.0], "w": "2/5"}]}'
+    ),
+}
+
+
 class TestSerialization:
+    def test_profile_json_matches_golden(self, tmp_path, capsys):
+        argv = ["profile", "--graph", "star:5", "-k", "1", "--count", "4", "--seed", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        for name, text in GOLDEN_PROFILE.items():
+            assert (tmp_path / name).read_text() == text + "\n"
+            assert DiscreteMeasure.from_json(text).to_json() == text
+
     def test_round_trip(self):
         mu = DiscreteMeasure(2, [((0.5, -1.0), Fraction(1, 3)), ((0.0, 0.25), Fraction(2, 3))])
         assert DiscreteMeasure.from_json(mu.to_json()) == mu
@@ -127,9 +210,7 @@ class TestDiscretize:
         pts = [(j / 100.0,) for j in range(100)]
         mu = empirical(pts)
         quant = discretize(mu, 4)
-        dists = [
-            min(abs(p[0] - q[0]) for q, _ in quant.atoms) for p, _ in mu.atoms
-        ]
+        dists = np.abs(mu.points() - quant.points().T).min(axis=1)
         assert max(dists) <= 1 / 4
 
     def test_stage_two_masses_are_multiples(self):
@@ -152,6 +233,6 @@ class TestDiscretize:
         mu = empirical([tuple(p) for p in rng.uniform(-1, 1, size=(50, 2))])
         quant = discretize(mu, 3, box=[(-1.0, 1.0), (-1.0, 1.0)])
         qpts = quant.points()
-        for p, _ in mu.atoms:
-            d = math.sqrt(min(((qpts - np.array(p)) ** 2).sum(axis=1)))
+        for p in mu.points():
+            d = math.sqrt(min(((qpts - p) ** 2).sum(axis=1)))
             assert d <= 1 / 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -123,6 +124,25 @@ class TestNorms:
     def test_signed_matrix_enumeration(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert pq_norm(WeightedOperator(m), math.inf, 1) == 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+    def test_sign_enumeration_matches_full_product(self, n):
+        m = np.random.default_rng(n).choice([-1.0, 1.0], size=(n, n))
+        # every sign vector, not only the half with the last sign +1
+        best = max(np.abs(m @ np.array(f)).sum() for f in itertools.product((-1.0, 1.0), repeat=n))
+        assert pq_norm(WeightedOperator(m), math.inf, 1) == float(Fraction(int(best), n))
+
+    def test_sign_enumeration_with_float_weights(self):
+        rng = np.random.default_rng(3)
+        m = rng.uniform(-1.0, 1.0, size=(7, 7))
+        w = [Fraction(i + 1, 28) for i in range(7)]
+        wf = np.array([float(x) for x in w])
+        best = max(np.abs(m @ np.array(f)) @ wf for f in itertools.product((-1.0, 1.0), repeat=7))
+        assert pq_norm(WeightedOperator(m, w), math.inf, 1) == pytest.approx(best, rel=1e-12)
+
+    def test_adjoint_duality_exact_at_n20(self):
+        A = WeightedOperator(np.random.default_rng(20).choice([-1.0, 1.0], size=(20, 20)))
+        assert pq_norm(A, math.inf, 1) == pq_norm(adjoint(A), math.inf, 1)
 
     def test_unsupported_regime_raises(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
