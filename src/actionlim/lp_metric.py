@@ -1,11 +1,11 @@
 """Exact Levy-Prokhorov distances between discrete measures.
 
-The main engine decides coupling feasibility (Strassen's theorem) with an
-integer max-flow over the measures' masses scaled to one common denominator
-(scipy while capacities fit in int32, exact Python ints above), and locates the
-minimum feasible epsilon by a monotone search over the pairwise-distance
-breakpoints.  A subset-enumeration oracle covers small supports, and the
-Hausdorff distance between finite measure sets is built on top.
+The main engine sweeps the pairwise-distance breakpoints upward and grows one
+integer max-flow (Strassen's theorem) over the measures' masses scaled to one
+common denominator, in Python ints at every scale, until the minimum feasible
+epsilon is located (Garel & Masse, AStA 2009).  A subset-enumeration oracle
+covers small supports, and the Hausdorff distance between finite measure sets
+is built on top.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial.distance import cdist
 
 from .measures import DiscreteMeasure
@@ -32,9 +30,6 @@ __all__ = [
     "lp_distance_bruteforce",
     "hausdorff",
 ]
-
-# scipy's maximum_flow truncates capacities to int32; wider scales use _exact_max_flow
-_INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -50,125 +45,124 @@ class HausdorffResult:
     witness: tuple[int, int]
 
 
-def _exact_max_flow(ca: Sequence[int], cb: Sequence[int], mask: np.ndarray) -> int:
-    """Max-flow in Python ints from source via A-atoms (capacities `ca`) and
-    B-atoms (capacities `cb`) to sink, with an uncapacitated A -> B edge where
-    `mask` holds: Edmonds-Karp on a dense residual capacity matrix."""
-    p, q = mask.shape
-    sink = p + q + 1
-    cap = [[0] * (sink + 1) for _ in range(sink + 1)]
-    cap[0][1 : p + 1] = ca
-    for j, c in enumerate(cb):
-        cap[1 + p + j][sink] = c
-    for i, j in zip(*np.nonzero(mask)):
-        cap[1 + i][1 + p + j] = sum(ca)  # never binds: the source sends at most sum(ca)
-    total = 0
-    while True:
-        parent = {0: None}  # breadth-first search for a shortest augmenting path
-        queue = deque([0])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, c in enumerate(cap[u]):
-                if c > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return total
-        path, v = [], sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(cap[u][v] for u, v in path)
-        for u, v in path:
-            cap[u][v] -= push
-            cap[v][u] += push
-        total += push
-
-
 class _Pair:
-    """Shared state for one (mu, nu) pair: masses over one scale, and distances."""
+    """One (mu, nu) pair as an incremental max-flow in Python ints: source ->
+    A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
+    sink (nu's masses), all masses over one common scale."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         if mu.dim != nu.dim:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
         self.scale = math.lcm(mu.denom, nu.denom)
-        # int64 while scipy takes the capacities, exact Python ints above
-        dtype = np.int64 if self.scale <= _INT32_MAX else object
-        self.ca = np.array(mu.masses, dtype=dtype) * (self.scale // mu.denom)
-        self.cb = np.array(nu.masses, dtype=dtype) * (self.scale // nu.denom)
+        self.src = [m * (self.scale // mu.denom) for m in mu.masses]  # residual source -> A
+        self.snk = [m * (self.scale // nu.denom) for m in nu.masses]  # residual B -> sink
+        self.out: list[list[int]] = [[] for _ in self.src]  # opened edges A -> B
+        self.into: list[dict[int, int]] = [{} for _ in self.snk]  # into[j][i]: flow A_i -> B_j
+        self.flow = 0
         self.dist = cdist(mu.points(), nu.points())
+        self._new_tree()
 
-    def max_coupling(self, eps: float) -> Fraction:
-        """Largest coupling mass placeable on pairs at distance <= eps."""
-        mask = self.dist <= eps
-        if not mask.any():
-            return Fraction(0)
-        if self.scale > _INT32_MAX:
-            return Fraction(_exact_max_flow(self.ca, self.cb, mask), self.scale)
-        ii, jj = np.nonzero(mask)
-        p, q = mask.shape
-        sink = p + q + 1
-        rows = np.concatenate([np.zeros(p, dtype=np.int64), 1 + ii, 1 + p + np.arange(q)])
-        cols = np.concatenate([1 + np.arange(p), 1 + p + jj, np.full(q, sink)])
-        # middle edges effectively uncapacitated
-        caps = np.concatenate([self.ca, np.full(len(ii), self.scale), self.cb])
-        graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
-        flow = maximum_flow(graph, 0, sink).flow_value
-        return Fraction(int(flow), self.scale)
+    def _new_tree(self) -> None:
+        # breadth-first tree from the source: reach_a[i] is -1 (the source) or the B-atom
+        # that reached A_i, reach_b[j] the A-atom that reached B_j
+        self.reach_a = [-1 if c else None for c in self.src]
+        self.reach_b: list[int | None] = [None] * len(self.snk)
+        self.scanned = [0] * len(self.src)  # out-edges of each A-atom searched
+        self.queue = deque([i for i, c in enumerate(self.src) if c and self.out[i]])
 
-    def feasible(self, eps) -> bool:
-        """Coupling with mass >= 1 - eps supported on pairs at distance <= eps."""
-        e = Fraction(eps) if not isinstance(eps, Fraction) else eps
-        if e < 0:
-            raise ValueError("negative epsilon")
-        if e >= 1:
-            return True
-        return self.max_coupling(float(e)) >= 1 - e
+    def open(self, edges) -> None:
+        """Add A -> B edges; a reached A-atom resumes its search from them (the
+        queue holds only reached A-atoms with edges left to scan)."""
+        for i, j in edges:
+            self.out[i].append(j)
+            if self.reach_a[i] is not None:
+                self.queue.append(i)
+
+    def _search(self) -> int | None:
+        """Grow the tree until it reaches a B-atom with residual sink capacity."""
+        out, into, reach_a, reach_b, scanned, queue, snk = (
+            self.out, self.into, self.reach_a, self.reach_b, self.scanned, self.queue, self.snk)
+        while queue:
+            i = queue.popleft()
+            new, scanned[i] = out[i][scanned[i]:], len(out[i])
+            for j in new:
+                if reach_b[j] is None:
+                    reach_b[j] = i
+                    if snk[j]:
+                        return j
+                    for k in into[j]:
+                        if reach_a[k] is None:
+                            reach_a[k] = j
+                            queue.append(k)
+        return None
+
+    def max_flow(self) -> int:
+        """Augment along tree paths to a maximum flow over the opened edges."""
+        while (j := self._search()) is not None:
+            path = [(self.reach_b[j], j)]  # A -> B edges of the tree path, from the sink back
+            while (back := self.reach_a[path[-1][0]]) >= 0:
+                path.append((self.reach_b[back], back))
+            rev = [(i, b) for (i, _), (_, b) in zip(path, path[1:])]  # B_b -> A_i, cancelling flow
+            push = min(self.snk[j], self.src[path[-1][0]], *(self.into[b][i] for i, b in rev))
+            self.snk[j] -= push
+            self.src[path[-1][0]] -= push
+            for i, b in path:
+                self.into[b][i] = self.into[b].get(i, 0) + push
+            for i, b in rev:
+                self.into[b][i] -= push
+                if not self.into[b][i]:
+                    del self.into[b][i]
+            self.flow += push
+            self._new_tree()
+        return self.flow
+
+
+def _distance_upto(pair: _Pair, ceiling: float | Fraction = math.inf) -> Fraction | None:
+    """Exact d_LP of a fresh pair if it is <= ceiling (>= 0), else None.
+
+    Sweeps the breakpoints 0 and each pairwise distance below min(ceiling, 1)
+    upward, opening that distance's edges and growing the flow F: the least
+    feasible eps in [b, next breakpoint) exists iff 1 - F < next, and is then
+    max(b, 1 - F).  Past the last breakpoint under a ceiling below 1, d_LP <=
+    ceiling iff 1 - F <= ceiling.
+    """
+    if ceiling < 1:
+        cn, cd = ceiling.as_integer_ratio()
+        ii, jj = np.nonzero(pair.dist <= float(ceiling))
+    else:
+        cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
+        ii, jj = np.nonzero(pair.dist < 1.0)
+    dists = pair.dist[ii, jj]
+    order = np.argsort(dists, kind="stable")
+    edges = zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
+    scale, b = pair.scale, 0.0
+    for nxt, group in itertools.groupby(edges, key=lambda e: e[0]):
+        if nxt > ceiling:  # a non-float ceiling whose float rounded up
+            break
+        if nxt > b:  # edges at distance 0 open at breakpoint 0
+            rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
+            n, d = nxt.as_integer_ratio()
+            if rest * d < n * scale:
+                return max(Fraction(b), Fraction(rest, scale))
+            b = nxt
+        pair.open((i, j) for _, i, j in group)
+    rest = scale - pair.max_flow()
+    return max(Fraction(b), Fraction(rest, scale)) if rest * cd <= cn * scale else None
 
 
 def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps."""
-    return _Pair(mu, nu).feasible(eps)
-
-
-def _distance_from_pair(pair: _Pair) -> float:
-    # breakpoints: 0 and every pairwise distance below 1
-    ds = np.unique(pair.dist)
-    breaks = [0.0] + [float(d) for d in ds if 0.0 < d < 1.0]
-    m = len(breaks)
-
-    flows: dict[int, Fraction] = {}
-
-    def coupling(i: int) -> Fraction:
-        if i not in flows:
-            flows[i] = pair.max_coupling(breaks[i])
-        return flows[i]
-
-    def valid(i: int) -> bool:
-        # minimal feasible eps in [breaks[i], next) exists iff 1-F_i < next
-        nxt = Fraction(breaks[i + 1]) if i + 1 < m else Fraction(1)
-        return 1 - coupling(i) < nxt
-
-    # valid() is monotone in i: find the first valid breakpoint interval
-    if not valid(m - 1):
-        return 1.0
-    lo, hi = 0, m - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if valid(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    value = max(Fraction(breaks[lo]), 1 - coupling(lo))
-    return min(1.0, float(value))
+    eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("negative epsilon")
+    return _distance_upto(_Pair(mu, nu), eps) is not None
 
 
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Exact Levy-Prokhorov distance via the flow engine."""
     if mu == nu:
         return LpResult(0.0, "exact_flow")
-    v = _distance_from_pair(_Pair(mu, nu))
-    return LpResult(v, "exact_flow")
+    return LpResult(float(_distance_upto(_Pair(mu, nu))), "exact_flow")
 
 
 def _subset_tables(points_a, wa, points_b, wb):
@@ -251,8 +245,8 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache: dict):
     """sup over a of inf over b of d_LP(a, b), with witness indices.
 
-    Candidate b's are tried starting at the index paired with a, and pruned
-    with a single feasibility check against the current best.
+    Candidate b's are tried starting at the index paired with a; each sweep
+    stops as soon as it proves d_LP(a, b) above the current best.
     """
     best_val = -1.0
     best_witness = (0, 0)
@@ -266,11 +260,10 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache:
             if key in cache:
                 d = cache[key]
             else:
-                pair = _Pair(a, B[j])
-                if cur < math.inf and not pair.feasible(cur):
+                exact = _distance_upto(_Pair(a, B[j]), cur)
+                if exact is None:
                     continue  # d_LP(a, B[j]) > cur, cannot improve the min
-                d = _distance_from_pair(pair)
-                cache[key] = d
+                d = cache[key] = float(exact)
             if d < cur:
                 cur, cur_j = d, j
             if cur == 0.0:

@@ -213,7 +213,7 @@ def _sup_inf_to_1(A: WeightedOperator) -> float:
     n = A.n
     if n > 20:
         raise UnsupportedNormError("exact (inf,1) enumeration limited to n <= 20")
-    integral = np.allclose(A.matrix, np.round(A.matrix)) and np.max(np.abs(A.matrix)) < 1e6
+    integral = np.array_equal(A.matrix, np.round(A.matrix)) and np.max(np.abs(A.matrix)) < 1e6
     # integer-valued images keep the max exact; divide once at the end
     exact = A.uniform_weights and integral
     m = np.round(A.matrix).T if exact else A.matrix.T

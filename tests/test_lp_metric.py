@@ -1,7 +1,12 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
+from scipy.spatial.distance import cdist
 
 from actionlim import (
     DiscreteMeasure,
@@ -13,7 +18,7 @@ from actionlim import (
     marginal,
     shift,
 )
-from actionlim.lp_metric import _exact_max_flow, _Pair
+from actionlim.lp_metric import _distance_upto, _Pair
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
@@ -143,6 +148,17 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff([dirac(0.0)], [dirac(0.0, 0.0)])
 
+    @given(st.lists(dyadic_measures(1, 3), min_size=1, max_size=4),
+           st.lists(dyadic_measures(1, 3), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_search(self, A, B):
+        d = [[lp_distance(a, b).value for b in B] for a in A]
+        exhaustive = max(max(min(row) for row in d), max(min(col) for col in zip(*d)))
+        res = hausdorff(A, B)
+        assert res.value == exhaustive
+        i, j = res.witness
+        assert lp_distance(A[i], B[j]).value == res.value
+
 
 INT32_MAX = 2**31 - 1
 
@@ -163,7 +179,8 @@ def two_atoms(den, p0, p1):
 
 
 class TestWideScale:
-    """Flow scales beyond int32, where scipy's max-flow truncates capacities."""
+    """Flow scales beyond int32, the width at which scipy's max-flow once
+    truncated capacities; the one engine counts in Python ints at every scale."""
 
     def test_int32_overflow_regression(self):
         # scale 65537 * 65539 > 2^31 - 1; the int32 flow answered 0.99994
@@ -172,8 +189,8 @@ class TestWideScale:
         assert lp_distance(a, b).value == lp_distance(b, a).value == 0.4
 
     @pytest.mark.parametrize("den_a, den_b", [
-        (INT32_MAX, INT32_MAX),  # scale at the cap: scipy
-        (INT32_MAX + 1, INT32_MAX + 1),  # one past it: exact ints
+        (INT32_MAX, INT32_MAX),  # scale at 2^31 - 1
+        (INT32_MAX + 1, INT32_MAX + 1),  # one past it
         (INT32_MAX, 2),
         (3**40, 7),
     ])
@@ -192,10 +209,72 @@ class TestWideScale:
     def test_denominators_near_int32_match_oracle_dim2(self, a, b):
         assert lp_distance(a, b).value == lp_distance_bruteforce(a, b).value
 
+
+def scipy_max_flow(pair, mask):
+    """Reference: scipy's max-flow on the pair's graph with A -> B edges where mask holds."""
+    p, q = mask.shape
+    sink = p + q + 1
+    ii, jj = np.nonzero(mask)
+    rows = np.concatenate([np.zeros(p, dtype=np.int64), 1 + ii, 1 + p + np.arange(q)])
+    cols = np.concatenate([1 + np.arange(p), 1 + p + jj, np.full(q, sink)])
+    caps = np.array([*pair.src, *[pair.scale] * len(ii), *pair.snk], dtype=np.int64)
+    graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
+    return int(maximum_flow(graph, 0, sink).flow_value)
+
+
+def strassen_holds(a, b, eps):
+    """Exact check of mu(S) <= nu(S^eps) + eps over every union S of atoms, both ways."""
+    for x, y in ((a, b), (b, a)):
+        near = [[Fraction(d) <= eps for d in row] for row in cdist(x.points(), y.points())]
+        wx, wy = x.weights(), y.weights()
+        for bits in range(1, 1 << len(wx)):
+            S = [i for i in range(len(wx)) if bits >> i & 1]
+            reach = sum(w for j, w in enumerate(wy) if any(near[i][j] for i in S))
+            if sum(wx[i] for i in S) > reach + eps:
+                return False
+    return True
+
+
+narrow_or_wide = st.one_of(dyadic_measures(2, 5), near_int32_measures(2))
+
+
+class TestFlowEngine:
     @given(dyadic_measures(2, 6), dyadic_measures(2, 6), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
     @settings(max_examples=60, deadline=None)
-    def test_exact_max_flow_matches_scipy(self, a, b, eps):
-        # narrow pairs go through scipy; the exact engine must agree on them
+    def test_flow_matches_scipy_reference(self, a, b, eps):
+        # narrow scales only: scipy is the reference where its capacities fit
         pair = _Pair(a, b)
         mask = pair.dist <= eps
-        assert _exact_max_flow(pair.ca, pair.cb, mask) == pair.max_coupling(eps) * pair.scale
+        expected = scipy_max_flow(pair, mask)
+        pair.open(zip(*np.nonzero(mask)))
+        assert pair.max_flow() == expected
+
+    @given(narrow_or_wide, narrow_or_wide, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_flow_incremental_equals_fresh(self, a, b, rnd):
+        pair = _Pair(a, b)
+        edges = [(i, j) for i in range(a.support_size) for j in range(b.support_size)]
+        rnd.shuffle(edges)
+        opened = []
+        while edges:
+            k = rnd.randint(1, 4)
+            batch, edges = edges[:k], edges[k:]
+            pair.open(batch)
+            opened += batch
+            fresh = _Pair(a, b)
+            fresh.open(opened)
+            assert pair.max_flow() == fresh.max_flow()
+
+    @given(st.one_of(dyadic_measures(1), near_int32_measures()),
+           st.one_of(dyadic_measures(1), near_int32_measures()))
+    @settings(max_examples=60, deadline=None)
+    def test_distance_upto_ceiling(self, a, b):
+        brute = lp_distance_bruteforce(a, b).value
+        d = _distance_upto(_Pair(a, b))
+        breaks = {x for x in _Pair(a, b).dist.ravel().tolist() if x < 1}
+        for c in {0.0, d, math.nextafter(float(d), 0.0), *breaks, 1.0}:
+            got = _distance_upto(_Pair(a, b), c)
+            assert (got is None) == (not strassen_holds(a, b, Fraction(c)))
+            assert got is None or float(got) == brute
+        assert _distance_upto(_Pair(a, b), d) == d
+        assert float(d) == brute

@@ -144,6 +144,15 @@ class TestNorms:
         A = WeightedOperator(np.random.default_rng(20).choice([-1.0, 1.0], size=(20, 20)))
         assert pq_norm(A, math.inf, 1) == pq_norm(adjoint(A), math.inf, 1)
 
+    def test_near_integer_matrix_not_rounded(self):
+        # within np.allclose of an integer matrix, but not integral
+        m = [[1000.001, -1.0], [1.0, 1.0]]
+        exact = max(
+            sum(abs(sum(Fraction(x) * s for x, s in zip(row, f))) for row in m) / 2
+            for f in itertools.product((-1, 1), repeat=2)
+        )
+        assert pq_norm(WeightedOperator(m), math.inf, 1) == float(exact) == 500.5005
+
     def test_unsupported_regime_raises(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(UnsupportedNormError):
