@@ -122,11 +122,12 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _load_measure_dir(path: str) -> list[measures.DiscreteMeasure]:
+def _load_measure_dir(path: str) -> tuple[list[str], list[measures.DiscreteMeasure]]:
+    """The measure files of a directory: their names and their measures, in name order."""
     files = sorted(p for p in Path(path).glob("*.json") if p.name != "manifest.json")
     if not files:
         raise SystemExit(f"no measure files in {path}")
-    return [measures.DiscreteMeasure.from_json(p.read_text()) for p in files]
+    return [p.name for p in files], [measures.DiscreteMeasure.from_json(p.read_text()) for p in files]
 
 
 def _cmd_dist(args) -> int:
@@ -136,8 +137,12 @@ def _cmd_dist(args) -> int:
         res = lp_metric.lp_distance_bruteforce(a, b) if args.brute_force else lp_metric.lp_distance(a, b)
         _emit(args, {"metric": "lp", "value": res.value, "method": res.method}, repr(res.value))
     else:
-        res = lp_metric.hausdorff(_load_measure_dir(args.dir_a), _load_measure_dir(args.dir_b))
-        _emit(args, {"metric": "hausdorff", "value": res.value, "argmax_side": res.argmax_side}, repr(res.value))
+        names_a, set_a = _load_measure_dir(args.dir_a)
+        names_b, set_b = _load_measure_dir(args.dir_b)
+        res = lp_metric.hausdorff(set_a, set_b)
+        i, j = res.witness
+        _emit(args, {"metric": "hausdorff", "value": res.value, "argmax_side": res.argmax_side,
+                     "witness": [names_a[i], names_b[j]]}, repr(res.value))
     return 0
 
 

@@ -48,18 +48,17 @@ class HausdorffResult:
 class _Pair:
     """One (mu, nu) pair as an incremental max-flow in Python ints: source ->
     A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
-    sink (nu's masses), all masses over one common scale."""
+    sink (nu's masses), all masses over one common scale; `dist` is the caller's
+    cdist(mu.points(), nu.points())."""
 
-    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        if mu.dim != nu.dim:
-            raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
         self.src = [m * (self.scale // mu.denom) for m in mu.masses]  # residual source -> A
         self.snk = [m * (self.scale // nu.denom) for m in nu.masses]  # residual B -> sink
         self.out: list[list[int]] = [[] for _ in self.src]  # opened edges A -> B
         self.into: list[dict[int, int]] = [{} for _ in self.snk]  # into[j][i]: flow A_i -> B_j
         self.flow = 0
-        self.dist = cdist(mu.points(), nu.points())
+        self.dist = dist
         self._new_tree()
 
     def _new_tree(self) -> None:
@@ -150,19 +149,27 @@ def _distance_upto(pair: _Pair, ceiling: float | Fraction = math.inf) -> Fractio
     return max(Fraction(b), Fraction(rest, scale)) if rest * cd <= cn * scale else None
 
 
+def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if mu.dim != nu.dim:
+        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+
+
 def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps."""
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("negative epsilon")
-    return _distance_upto(_Pair(mu, nu), eps) is not None
+    _check_dims(mu, nu)
+    return _distance_upto(_Pair(mu, nu, cdist(mu.points(), nu.points())), eps) is not None
 
 
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Exact Levy-Prokhorov distance via the flow engine."""
+    _check_dims(mu, nu)
     if mu == nu:
         return LpResult(0.0, "exact_flow")
-    return LpResult(float(_distance_upto(_Pair(mu, nu))), "exact_flow")
+    dist = cdist(mu.points(), nu.points())
+    return LpResult(float(_distance_upto(_Pair(mu, nu, dist))), "exact_flow")
 
 
 def _subset_tables(points_a, wa, points_b, wb):
@@ -187,8 +194,7 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 
     Guarded to combined supports of at most 10 atoms.
     """
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    _check_dims(mu, nu)
     if mu.support_size + nu.support_size > 10:
         raise ValueError("combined support too large for brute force (max 10 atoms)")
 
@@ -242,11 +248,26 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     return LpResult(value, "brute_force")
 
 
+def _candidate_distance(a: DiscreteMeasure, b: DiscreteMeasure, cur: float) -> Fraction | None:
+    """Exact d_LP(a, b) if it is <= cur (inf or a d_LP <= 1), else None.
+
+    When no atom of a is closer than cur to an atom of b, the pair is dropped
+    from its distance matrix alone, before any flow state exists.  That is
+    exact: for eps < gap = the least distance, no atom of b lies within eps of
+    a's support, so Strassen's condition needs eps >= 1 and d_LP >= min(1, gap)
+    >= cur.
+    """
+    dist = cdist(a.points(), b.points())
+    if dist.min() >= cur:
+        return None
+    return _distance_upto(_Pair(a, b, dist), cur)
+
+
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache: dict):
     """sup over a of inf over b of d_LP(a, b), with witness indices.
 
-    Candidate b's are tried starting at the index paired with a; each sweep
-    stops as soon as it proves d_LP(a, b) above the current best.
+    Candidate b's are tried starting at the index paired with a; each is
+    dropped as soon as it is shown not to lower the current best.
     """
     best_val = -1.0
     best_witness = (0, 0)
@@ -260,9 +281,9 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache:
             if key in cache:
                 d = cache[key]
             else:
-                exact = _distance_upto(_Pair(a, B[j]), cur)
+                exact = _candidate_distance(a, B[j], cur)
                 if exact is None:
-                    continue  # d_LP(a, B[j]) > cur, cannot improve the min
+                    continue  # d_LP(a, B[j]) >= cur, cannot lower the min
                 d = cache[key] = float(exact)
             if d < cur:
                 cur, cur_j = d, j

@@ -47,6 +47,12 @@ class TestProfileAndDist:
         payload = json.loads(out)
         assert payload["metric"] == "hausdorff"
         assert 0.0 <= payload["value"] <= 1.0
+        # the witness names one file of each directory, whose distance is the value
+        file_a, file_b = payload["witness"]
+        assert file_a in manifest["files"]
+        assert file_b in json.loads((dir_b / "manifest.json").read_text())["files"]
+        code, out = run(capsys, "--json", "dist", "lp", str(dir_a / file_a), str(dir_b / file_b))
+        assert json.loads(out)["value"] == payload["value"]
 
     def test_brute_force_flag_agrees(self, capsys, tmp_path):
         f1 = tmp_path / "m1.json"

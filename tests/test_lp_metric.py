@@ -18,7 +18,7 @@ from actionlim import (
     marginal,
     shift,
 )
-from actionlim.lp_metric import _distance_upto, _Pair
+from actionlim.lp_metric import HausdorffResult, _distance_upto, _Pair
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
@@ -34,6 +34,11 @@ def dyadic_measures(draw, dim, max_atoms=4):
 
 def dirac(*coords):
     return empirical([coords])
+
+
+def new_pair(a, b):
+    """A fresh flow pair over the atoms' cdist matrix, as lp_distance builds it."""
+    return _Pair(a, b, cdist(a.points(), b.points()))
 
 
 class TestKnownValues:
@@ -59,6 +64,12 @@ class TestKnownValues:
 
     def test_euclidean_distance_multidim(self):
         assert lp_distance(dirac(0.0, 0.0), dirac(0.3, 0.4)).value == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("call", [lp_distance, lambda a, b: lp_feasible(a, b, 0.5)],
+                             ids=["lp_distance", "lp_feasible"])
+    def test_dimension_mismatch_message(self, call):
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
+            call(dirac(0.0), dirac(0.0, 0.0))
 
 
 class TestFeasibility:
@@ -147,6 +158,14 @@ class TestHausdorff:
     def test_requires_matching_dim(self):
         with pytest.raises(ValueError):
             hausdorff([dirac(0.0)], [dirac(0.0, 0.0)])
+
+    def test_gap_skip_keeps_a_closer_candidate(self):
+        # the left side decides: for A[0] the paired candidate B[0] sets cur = 0.5,
+        # then B[1] has gap 0.375, inside (cur / 2, cur), and is the minimum
+        A = [dirac(0.0), dirac(0.5)]
+        B = [dirac(0.5), dirac(0.375)]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.375, "left", (0, 1))
 
     @given(st.lists(dyadic_measures(1, 3), min_size=1, max_size=4),
            st.lists(dyadic_measures(1, 3), min_size=1, max_size=4))
@@ -243,7 +262,7 @@ class TestFlowEngine:
     @settings(max_examples=60, deadline=None)
     def test_flow_matches_scipy_reference(self, a, b, eps):
         # narrow scales only: scipy is the reference where its capacities fit
-        pair = _Pair(a, b)
+        pair = new_pair(a, b)
         mask = pair.dist <= eps
         expected = scipy_max_flow(pair, mask)
         pair.open(zip(*np.nonzero(mask)))
@@ -252,7 +271,7 @@ class TestFlowEngine:
     @given(narrow_or_wide, narrow_or_wide, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_flow_incremental_equals_fresh(self, a, b, rnd):
-        pair = _Pair(a, b)
+        pair = new_pair(a, b)
         edges = [(i, j) for i in range(a.support_size) for j in range(b.support_size)]
         rnd.shuffle(edges)
         opened = []
@@ -261,7 +280,7 @@ class TestFlowEngine:
             batch, edges = edges[:k], edges[k:]
             pair.open(batch)
             opened += batch
-            fresh = _Pair(a, b)
+            fresh = new_pair(a, b)
             fresh.open(opened)
             assert pair.max_flow() == fresh.max_flow()
 
@@ -270,11 +289,11 @@ class TestFlowEngine:
     @settings(max_examples=60, deadline=None)
     def test_distance_upto_ceiling(self, a, b):
         brute = lp_distance_bruteforce(a, b).value
-        d = _distance_upto(_Pair(a, b))
-        breaks = {x for x in _Pair(a, b).dist.ravel().tolist() if x < 1}
+        d = _distance_upto(new_pair(a, b))
+        breaks = {x for x in new_pair(a, b).dist.ravel().tolist() if x < 1}
         for c in {0.0, d, math.nextafter(float(d), 0.0), *breaks, 1.0}:
-            got = _distance_upto(_Pair(a, b), c)
+            got = _distance_upto(new_pair(a, b), c)
             assert (got is None) == (not strassen_holds(a, b, Fraction(c)))
             assert got is None or float(got) == brute
-        assert _distance_upto(_Pair(a, b), d) == d
+        assert _distance_upto(new_pair(a, b), d) == d
         assert float(d) == brute
