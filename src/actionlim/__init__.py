@@ -5,9 +5,9 @@ from .measures import (
     ShiftVector,
     discretize,
     empirical,
+    integer_masses,
     marginal,
     mean_abs,
-    product_with_dirac,
     shift,
 )
 from .lp_metric import (
@@ -45,9 +45,7 @@ from .profiles import (
     profile_sample,
 )
 from .limits import (
-    StarLimitSet,
     broadcast,
-    distance_to_star_limit,
     non_self_adjoint_witness,
     signed_limit,
 )

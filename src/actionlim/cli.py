@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, lp_metric, measures, profiles
+from . import harness, limits, lp_metric, measures, profiles
 
 __all__ = ["main", "build_parser"]
 
@@ -159,14 +159,10 @@ def _cmd_actiondist(args) -> int:
 
 def _cmd_limit(args) -> int:
     if args.family == "broadcast":
-        from .limits import broadcast
-
-        op = broadcast(args.n, args.i)
+        op = limits.broadcast(args.n, args.i)
     else:
-        from .limits import signed_limit
-
         sign = 1 if args.sign in ("+", "+1") else -1
-        op = signed_limit(harness.parse_operator_spec(args.graph), args.i, sign)
+        op = limits.signed_limit(harness.parse_operator_spec(args.graph), args.i, sign)
     payload = json.dumps(op.to_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload)

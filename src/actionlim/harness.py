@@ -549,8 +549,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         strat_a = _strategy_for(cfg, op_a, cfg.probe_a)
         strat_b = _strategy_for(cfg, op_b, cfg.probe_b)
         report = profiles.action_distance_estimate(op_a, op_b, cfg.K, strat_a, strat_b)
-        norm_a = profiles.norm_from_profile(profiles.profile_sample(op_a, 1, strat_a))
-        norm_b = profiles.norm_from_profile(profiles.profile_sample(op_b, 1, strat_b))
+        norm_a, norm_b = (profiles.norm_from_profile(P) for P in report.profiles_1)
         (outdir / f"report_n{n}.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         rows.append((n, report.value, norm_a, norm_b))
     manifest = {"config": cfg.to_dict(), "files": [f"report_n{n}.json" for n in cfg.sizes] + ["trajectory.csv"]}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,13 +19,34 @@ import numpy as np
 __all__ = [
     "DiscreteMeasure",
     "ShiftVector",
+    "integer_masses",
     "empirical",
     "shift",
     "marginal",
     "mean_abs",
-    "product_with_dirac",
     "discretize",
 ]
+
+
+def integer_masses(weights: Iterable) -> tuple[list[int], int]:
+    """Probability weights as integer masses over one denominator.
+
+    Each weight is taken through Fraction (ints, floats at their exact binary
+    value, Fractions, "num/den" strings).  Returns (masses, denom) with
+    weight i = masses[i] / denom, where the masses are nonnegative and have
+    gcd 1.  Negative weights and weights not summing to exactly 1 are
+    refused.
+    """
+    ws = [Fraction(w) for w in weights]
+    for w in ws:
+        if w.numerator < 0:
+            raise ValueError(f"negative weight {w}: weights must be positive or zero")
+    denom = math.lcm(*(w.denominator for w in ws))
+    masses = [w.numerator * (denom // w.denominator) for w in ws]
+    if sum(masses) != denom:
+        raise ValueError(f"weights sum to {Fraction(sum(masses), denom)}, expected exactly 1")
+    g = math.gcd(*masses)
+    return [m // g for m in masses], denom // g
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,11 +55,12 @@ class DiscreteMeasure:
 
     Row i of `support` carries weight masses[i] / denom, where the masses are
     positive integers with gcd 1 and denom is their sum.  The constructor takes
-    (point, weight) atoms, merges equal points, drops zero weights and sorts
-    the rows lexicographically (-0.0 stored as 0.0), so equal measures have
-    equal fields.  Weights may be ints, floats (taken at their exact binary
-    value), Fractions or "num/den" strings.  Non-finite coordinates are
-    rejected, since NaN atoms would never merge.
+    either (point, weight) atoms, whose weights it turns into integer masses
+    by `integer_masses`, or a points array with nonnegative integer masses
+    summing to denom.  Both then take one canonicalisation path: it merges
+    equal points, drops zero masses and sorts the rows lexicographically
+    (-0.0 stored as 0.0), so equal measures have equal fields.  Non-finite
+    coordinates are rejected, since NaN atoms would never merge.
     """
 
     dim: int
@@ -45,36 +68,49 @@ class DiscreteMeasure:
     masses: tuple[int, ...]
     denom: int
 
-    def __init__(self, dim: int, atoms: Iterable[tuple[Sequence[float], object]]):
+    def __init__(
+        self,
+        dim: int,
+        atoms: Iterable[tuple[Sequence[float], object]] | None = None,
+        *,
+        points=None,
+        masses: Sequence[int] | None = None,
+        denom: int | None = None,
+    ):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        atoms = list(atoms)
-        pts = np.array([p for p, _ in atoms] or np.empty((0, dim)), dtype=float)
-        if pts.shape != (len(atoms), dim):
+        if (points is not None, masses is not None, denom is not None) != (atoms is None,) * 3:
+            raise TypeError("give either atoms or points, masses and denom")
+        if atoms is not None:
+            atoms = list(atoms)
+            points = [p for p, _ in atoms] or np.empty((0, dim))
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != dim:
             raise ValueError(f"points must have {dim} coordinates, got an array of shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("atom coordinates must be finite")
-        ws = [Fraction(w) for _, w in atoms]
-        for w in ws:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-        denom = math.lcm(*(w.denominator for w in ws))
-        scaled = [w.numerator * (denom // w.denominator) for w in ws]
-        keep = [i for i, m in enumerate(scaled) if m]
-        order = [keep[i] for i in np.lexsort(pts[keep].T[::-1])]  # nonzero atoms, lexicographic
+        if atoms is not None:
+            masses, denom = integer_masses([w for _, w in atoms])
+        else:
+            masses = [operator.index(m) for m in masses]
+            if len(masses) != len(pts):
+                raise ValueError(f"{len(masses)} masses for {len(pts)} points")
+            if min(masses, default=0) < 0 or sum(masses) != denom or denom < 1:
+                raise ValueError(f"masses must be nonnegative and sum to denom {denom} >= 1")
+        keep = [i for i, m in enumerate(masses) if m]
+        order = [keep[i] for i in np.lexsort(pts[keep].T[::-1]).tolist()]  # nonzero atoms, lexicographic
         pts = pts[order] + 0.0  # + 0.0 turns -0.0 into 0.0
         first = np.ones(len(order), dtype=bool)
         first[1:] = (pts[1:] != pts[:-1]).any(axis=1)  # rows that start a run of equal points
         starts = np.flatnonzero(first).tolist() + [len(order)]
-        masses = [sum(scaled[i] for i in order[a:b]) for a, b in zip(starts, starts[1:])]
-        if sum(masses) != denom:
-            raise ValueError(f"weights sum to {Fraction(sum(masses), denom)}, expected exactly 1")
-        g = math.gcd(*masses)
+        ordered = [masses[i] for i in order]
+        merged = [sum(ordered[a:b]) for a, b in zip(starts, starts[1:])]
+        g = math.gcd(*merged)
         pts = pts[first]
         pts.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "support", pts)
-        object.__setattr__(self, "masses", tuple(m // g for m in masses))
+        object.__setattr__(self, "masses", tuple(m // g for m in merged))
         object.__setattr__(self, "denom", denom // g)
 
     def __eq__(self, other):
@@ -159,19 +195,16 @@ def empirical(points: Sequence[Sequence[float]], weights: Sequence | None = None
         raise ValueError("empty point list")
     dim = len(pts[0])
     if weights is None:
-        n = len(pts)
-        ws: list = [Fraction(1, n)] * n
-    else:
-        if len(weights) != len(pts):
-            raise ValueError(f"{len(weights)} weights for {len(pts)} points")
-        ws = list(weights)
-    return DiscreteMeasure(dim, zip(pts, ws))
+        return DiscreteMeasure(dim, points=pts, masses=[1] * len(pts), denom=len(pts))
+    if len(weights) != len(pts):
+        raise ValueError(f"{len(weights)} weights for {len(pts)} points")
+    return DiscreteMeasure(dim, zip(pts, weights))
 
 
 def shift(mu: DiscreteMeasure, v) -> DiscreteMeasure:
     """Translate every atom of mu by v; weights unchanged."""
     sv = _coerce_shift(v, mu.dim)
-    return DiscreteMeasure(mu.dim, zip(mu.points() + sv.components, mu.weights()))
+    return DiscreteMeasure(mu.dim, points=mu.points() + sv.components, masses=mu.masses, denom=mu.denom)
 
 
 def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:
@@ -182,7 +215,7 @@ def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:
     for c in cs:
         if not 0 <= c < mu.dim:
             raise ValueError(f"coordinate {c} out of range for dim {mu.dim}")
-    return DiscreteMeasure(len(cs), zip(mu.points()[:, cs], mu.weights()))
+    return DiscreteMeasure(len(cs), points=mu.points()[:, cs], masses=mu.masses, denom=mu.denom)
 
 
 def mean_abs(mu: DiscreteMeasure, coord: int) -> float:
@@ -191,15 +224,6 @@ def mean_abs(mu: DiscreteMeasure, coord: int) -> float:
         raise ValueError(f"coordinate {coord} out of range for dim {mu.dim}")
     total = sum((m * abs(Fraction(x)) for m, x in zip(mu.masses, mu.points()[:, coord].tolist())), Fraction(0))
     return float(total / mu.denom)
-
-
-def product_with_dirac(nu: DiscreteMeasure, z: Sequence[float]) -> DiscreteMeasure:
-    """Product measure nu x delta_z on R^{2k}: each atom (x, w) becomes ((x, z), w)."""
-    zz = np.asarray(z, dtype=float)
-    if zz.shape != (nu.dim,):
-        raise ValueError(f"z has {zz.size} coordinates, nu has dim {nu.dim}")
-    pts = np.hstack([nu.points(), np.broadcast_to(zz, nu.points().shape)])
-    return DiscreteMeasure(2 * nu.dim, zip(pts, nu.weights()))
 
 
 def discretize(
@@ -239,7 +263,7 @@ def discretize(
     pitch = span / counts
     cell = np.minimum(counts - 1, ((pts - lo) / np.where(pitch > 0, pitch, 1.0)).astype(int))
     # the constructor merges the atoms that fall into one cell
-    cells = DiscreteMeasure(d, zip(lo + (cell + 0.5) * pitch, mu.weights()))
+    cells = DiscreteMeasure(d, points=lo + (cell + 0.5) * pitch, masses=mu.masses, denom=mu.denom)
     if n is None:
         return cells
 
@@ -249,4 +273,4 @@ def discretize(
     order = sorted(range(len(floors)), key=lambda i: (-rems[i], i))
     for i in order[: n - sum(floors)]:
         floors[i] += 1
-    return DiscreteMeasure(d, zip(cells.points(), (Fraction(f, n) for f in floors)))
+    return DiscreteMeasure(d, points=cells.points(), masses=floors, denom=n)

@@ -1,9 +1,9 @@
 """Finite weighted operators: graph generators, norms, and structure checks.
 
 An operator is an n x n real matrix together with a probability weight
-vector on coordinates (exact rationals, uniform by default).  Application
-is plain matrix-vector multiplication; norms are taken with respect to the
-weights.
+vector on coordinates, held like a measure's: positive integer masses over
+one denominator (uniform by default).  Application is plain matrix-vector
+multiplication; norms are taken with respect to the weights.
 """
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .measures import integer_masses
 
 __all__ = [
     "WeightedOperator",
@@ -42,9 +44,12 @@ class UnsupportedNormError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedOperator:
+    """Coordinate i carries weight masses[i] / denom (positive masses, gcd 1)."""
+
     n: int
     matrix: np.ndarray
-    weights: tuple[Fraction, ...]
+    masses: tuple[int, ...]
+    denom: int
     name: str = ""
 
     def __init__(self, matrix, weights=None, name: str = ""):
@@ -54,29 +59,25 @@ class WeightedOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         n = m.shape[0]
-        if weights is None:
-            ws = tuple(Fraction(1, n) for _ in range(n))
-        else:
-            ws = tuple(Fraction(w) for w in weights)
-            if len(ws) != n:
-                raise ValueError(f"{len(ws)} weights for n={n}")
-            if any(w <= 0 for w in ws):
-                raise ValueError("weights must be positive")
-            if sum(ws) != 1:
-                raise ValueError("weights must sum to exactly 1")
+        masses, denom = ([1] * n, n) if weights is None else integer_masses(weights)
+        if len(masses) != n:
+            raise ValueError(f"{len(masses)} weights for n={n}")
+        if 0 in masses:
+            raise ValueError("weights must be positive")
         m.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "masses", tuple(masses))
+        object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "name", name)
 
     @property
-    def weights_float(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(m, self.denom) for m in self.masses)
 
     @property
-    def uniform_weights(self) -> bool:
-        return all(w == Fraction(1, self.n) for w in self.weights)
+    def weights_float(self) -> np.ndarray:
+        return np.array([m / self.denom for m in self.masses])  # int / int rounds correctly
 
     def to_dict(self) -> dict:
         return {
@@ -204,26 +205,28 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
 
 
 def _sup_inf_to_1(A: WeightedOperator) -> float:
-    """Exact sup over f in {-1,1}^n of the weighted 1-norm of Af.
+    """Sup over f in {-1,1}^n of the weighted 1-norm of Af.
 
     f and -f give the same norm, so only the sign vectors whose last sign is
     +1 are enumerated, in chunks of _SIGN_CHUNK rows (bit i of the code
-    gives the sign of f_i).
+    gives the sign of f_i).  For an integer-valued matrix with
+    n * max|a_ij| * denom < 2^53 the result is the exact norm, correctly
+    rounded: weighted by the integer masses, every image entry, product and
+    partial sum is an integer below 2^53, which float64 holds exactly in any
+    summation order.  Any other matrix gets a float64 result.
     """
     n = A.n
     if n > 20:
         raise UnsupportedNormError("exact (inf,1) enumeration limited to n <= 20")
-    integral = np.array_equal(A.matrix, np.round(A.matrix)) and np.max(np.abs(A.matrix)) < 1e6
-    # integer-valued images keep the max exact; divide once at the end
-    exact = A.uniform_weights and integral
-    m = np.round(A.matrix).T if exact else A.matrix.T
+    integral = np.array_equal(A.matrix, np.round(A.matrix))
+    exact = integral and n * int(np.max(np.abs(A.matrix))) * A.denom < 2**53
+    w = np.array(A.masses, dtype=float) if exact else A.weights_float
     best = 0.0
     for start in range(1 << (n - 1), 1 << n, _SIGN_CHUNK):
         codes = np.arange(start, min(start + _SIGN_CHUNK, 1 << n))
         signs = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-        images = np.abs(signs @ m)
-        best = max(best, float((images.sum(axis=1) if exact else images @ A.weights_float).max()))
-    return float(Fraction(int(round(best))) / n) if exact else best
+        best = max(best, float((np.abs(signs @ A.matrix.T) @ w).max()))
+    return float(Fraction(int(best), A.denom)) if exact else best
 
 
 def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
@@ -231,8 +234,9 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
 
     Supported: (a) entrywise-nonnegative A with p=inf and any q >= 1,
     where the norm is the weighted q-norm of A applied to the all-ones
-    vector; (b) any A with p=inf, q=1 and n <= 20, by exact enumeration
-    over sign vectors.  Other regimes raise UnsupportedNormError.
+    vector; (b) any A with p=inf, q=1 and n <= 20, by enumeration over
+    sign vectors, exact for integer-valued A with n * max|a_ij| * denom
+    < 2^53 and float64 otherwise.  Other regimes raise UnsupportedNormError.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
@@ -260,9 +264,12 @@ def bilinear(A: WeightedOperator, f: Sequence[float], g: Sequence[float]) -> flo
 
 
 def adjoint(A: WeightedOperator) -> WeightedOperator:
-    """The operator A* with (v,w)_A = (w,v)_{A*}: matrix W^{-1} A^T W."""
-    w = A.weights_float
-    m = (A.matrix.T * w[None, :]) / w[:, None]
+    """The operator A* with (v,w)_A = (w,v)_{A*}: matrix W^{-1} A^T W.
+
+    Scaled by the integer masses, so uniform weights give the exact transpose.
+    """
+    w = np.array(A.masses, dtype=float)
+    m = A.matrix.T * w[None, :] / w[:, None]
     return WeightedOperator(m, A.weights, name=f"adjoint({A.name})" if A.name else "")
 
 

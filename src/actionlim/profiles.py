@@ -144,6 +144,8 @@ class DistanceReport:
     truncation_k: int
     tail_bound: float
     strategy_fingerprint: str
+    # the two operators' sampled 1-profiles, kept for norm readouts; not serialized
+    profiles_1: tuple[ProfileSample, ProfileSample] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -166,8 +168,8 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
     if not np.all(np.abs(F) <= 1 + 1e-9):
         raise ValueError("test vector entries must lie in [-1, 1]")
     Y = F @ A.matrix.T  # row i: A f_i evaluated at each coordinate
-    # atom j: the point (F[:, j], Y[:, j]) with the weight of coordinate j
-    return DiscreteMeasure(2 * k, zip(np.vstack([F, Y]).T, A.weights))
+    # atom j: the point (F[:, j], Y[:, j]) with the mass of coordinate j
+    return DiscreteMeasure(2 * k, points=np.vstack([F, Y]).T, masses=A.masses, denom=A.denom)
 
 
 def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) -> ProfileSample:
@@ -202,11 +204,14 @@ def action_distance_estimate(
     per_k = []
     total = 0.0
     for k in range(1, K + 1):
-        h = profile_hausdorff(profile_sample(A, k, strategy), profile_sample(B, k, sb))
+        P, Q = profile_sample(A, k, strategy), profile_sample(B, k, sb)
+        if k == 1:
+            profiles_1 = (P, Q)
+        h = profile_hausdorff(P, Q)
         per_k.append((k, h))
         total += h / 2.0**k
     fp = strategy.fingerprint() if sb is strategy else f"{strategy.fingerprint()}|{sb.fingerprint()}"
-    return DistanceReport(total, tuple(per_k), K, 2.0**-K, fp)
+    return DistanceReport(total, tuple(per_k), K, 2.0**-K, fp, profiles_1)
 
 
 def norm_from_profile(P: ProfileSample) -> float:

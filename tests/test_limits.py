@@ -1,16 +1,11 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from actionlim import (
-    DiscreteMeasure,
     GraphSpec,
-    StarLimitSet,
     adjacency,
     broadcast,
     c_regularity,
-    distance_to_star_limit,
     non_self_adjoint_witness,
     positivity_defect,
     signed_limit,
@@ -57,35 +52,6 @@ class TestSignedLimit:
     def test_sign_validated(self):
         with pytest.raises(ValueError, match="sign"):
             signed_limit(adjacency(GraphSpec("cycle", 4)), 0, 2)
-
-
-class TestStarLimitSet:
-    def test_contains_product_with_dirac(self):
-        mu = DiscreteMeasure(2, [((0.0, 0.5), Fraction(1, 2)), ((1.0, 0.5), Fraction(1, 2))])
-        assert StarLimitSet(1).contains(mu)
-
-    def test_rejects_varying_y(self):
-        mu = DiscreteMeasure(2, [((0.0, 0.5), Fraction(1, 2)), ((1.0, 0.7), Fraction(1, 2))])
-        assert not StarLimitSet(1).contains(mu)
-
-    def test_rejects_out_of_box(self):
-        mu = DiscreteMeasure(2, [((2.0, 0.5), Fraction(1, 1))])
-        assert not StarLimitSet(1).contains(mu)
-
-    def test_distance_zero_inside(self):
-        mu = DiscreteMeasure(2, [((0.0, 0.5), Fraction(1, 2)), ((1.0, 0.5), Fraction(1, 2))])
-        assert distance_to_star_limit(mu, 1) == 0.0
-
-    def test_distance_known_value(self):
-        # y-block split between 0.3 and 0.7: best Dirac candidate is the
-        # mean 0.5, at distance 0.2
-        mu = DiscreteMeasure(2, [((0.0, 0.3), Fraction(1, 2)), ((0.0, 0.7), Fraction(1, 2))])
-        assert distance_to_star_limit(mu, 1) == pytest.approx(0.2)
-
-    def test_dim_validated(self):
-        mu = DiscreteMeasure(2, [((0.0, 0.0), Fraction(1, 1))])
-        with pytest.raises(ValueError, match="dim"):
-            distance_to_star_limit(mu, 2)
 
 
 class TestWitness:

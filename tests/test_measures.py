@@ -10,9 +10,9 @@ from actionlim import (
     ShiftVector,
     discretize,
     empirical,
+    integer_masses,
     marginal,
     mean_abs,
-    product_with_dirac,
     shift,
 )
 from actionlim import cli
@@ -94,6 +94,14 @@ class TestCanonicalForm:
         assert mu.masses == (1, 1) and mu.denom == 2
         assert mu.points().tolist() == [[0.0, 1.0], [1.0, -1.0]]
         assert mu.to_json() == ref.to_json()
+        masses, denom = integer_masses(w for _, w in SAME_MEASURE[name])
+        assert DiscreteMeasure(2, points=[p for p, _ in SAME_MEASURE[name]], masses=masses, denom=denom) == ref
+
+    def test_atoms_or_array_form_not_both(self):
+        with pytest.raises(TypeError, match="either"):
+            DiscreteMeasure(1, [((0.0,), 1)], points=[[0.0]], masses=[1], denom=1)
+        with pytest.raises(TypeError, match="either"):
+            DiscreteMeasure(1, points=[[0.0]], masses=[1])
 
     def test_spellings_are_one_dict_key(self):
         table = {DiscreteMeasure(2, atoms): name for name, atoms in SAME_MEASURE.items()}
@@ -186,12 +194,6 @@ class TestOperations:
     def test_mean_abs(self):
         mu = DiscreteMeasure(1, [((-0.5,), Fraction(1, 2)), ((1.0,), Fraction(1, 2))])
         assert mean_abs(mu, 0) == 0.75
-
-    def test_product_with_dirac(self):
-        nu = empirical([(0.0,), (1.0,)])
-        prod = product_with_dirac(nu, (0.25,))
-        assert prod.dim == 2
-        assert prod.mass((1.0, 0.25)) == Fraction(1, 2)
 
     @given(dyadic_measures(2), st.tuples(dyadic, dyadic))
     @settings(max_examples=50, deadline=None)

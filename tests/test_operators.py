@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_measures import SAME_MEASURE
 
 from actionlim import (
+    DiscreteMeasure,
     GraphSpec,
     UnsupportedNormError,
     WeightedOperator,
@@ -16,6 +19,7 @@ from actionlim import (
     broadcast,
     c_regularity,
     gplus,
+    integer_masses,
     positivity_defect,
     pq_norm,
     q_norm,
@@ -23,12 +27,34 @@ from actionlim import (
     self_adjoint_defect,
 )
 
+# the weights of each measure spelling, plus denominators near 2^31 whose lcm is 2^62 - 1
+WEIGHT_SPELLINGS = {name: [w for _, w in atoms] for name, atoms in SAME_MEASURE.items()}
+WEIGHT_SPELLINGS["near_2_31"] = [
+    Fraction(1, 2**31 - 1), Fraction(1, 2**31 + 1), 1 - Fraction(1, 2**31 - 1) - Fraction(1, 2**31 + 1),
+]
+
+
+@st.composite
+def integer_matrices_with_rational_weights(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n))
+    raw = [Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 20))) for _ in range(n)]
+    return m, [r / sum(raw) for r in raw]
+
+
+def exact_inf_one_norm(m, weights) -> Fraction:
+    """The (inf,1)-norm of an integer matrix by enumerating every sign vector in exact arithmetic."""
+    return max(
+        sum(w * abs(sum(a * s for a, s in zip(row, f))) for row, w in zip(m, weights))
+        for f in itertools.product((-1, 1), repeat=len(m))
+    )
+
 
 class TestWeightedOperator:
     def test_uniform_weights_default(self):
         A = WeightedOperator(np.eye(3))
         assert A.weights == (Fraction(1, 3),) * 3
-        assert A.uniform_weights
+        assert (A.masses, A.denom) == ((1, 1, 1), 3)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="sum"):
@@ -44,6 +70,21 @@ class TestWeightedOperator:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             WeightedOperator(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_SPELLINGS))
+    def test_operator_and_measure_share_weight_form(self, name):
+        ws = WEIGHT_SPELLINGS[name]
+        masses, denom = integer_masses(ws)
+        mu = DiscreteMeasure(1, [((float(i),), w) for i, w in enumerate(ws)])
+        assert (mu.masses, mu.denom) == (tuple(m for m in masses if m), denom)
+        if 0 in masses:
+            # a measure drops a zero weight, an operator refuses it
+            with pytest.raises(ValueError, match="positive"):
+                WeightedOperator(np.eye(len(ws)), ws)
+        else:
+            A = WeightedOperator(np.eye(len(ws)), ws)
+            assert (A.masses, A.denom) == (mu.masses, mu.denom)
+            assert A.weights == mu.weights()
 
     def test_dict_round_trip(self):
         A = WeightedOperator([[0.0, 1.0], [1.0, 0.0]], [Fraction(1, 4), Fraction(3, 4)], name="x")
@@ -140,6 +181,25 @@ class TestNorms:
         best = max(np.abs(m @ np.array(f)) @ wf for f in itertools.product((-1.0, 1.0), repeat=7))
         assert pq_norm(WeightedOperator(m, w), math.inf, 1) == pytest.approx(best, rel=1e-12)
 
+    # n * max|a_ij| * denom = 6d for this matrix and weights over d; the example sits just below 2^53
+    @given(integer_matrices_with_rational_weights())
+    @example(([[3, -1], [1, 2]], [Fraction(1, 2**53 // 6), 1 - Fraction(1, 2**53 // 6)]))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_enumeration_exact_for_integer_matrices(self, case):
+        m, w = case
+        assert pq_norm(WeightedOperator(m, w), math.inf, 1) == float(exact_inf_one_norm(m, w))
+
+    def test_sign_enumeration_float_past_exact_bound(self):
+        # 6d passes 2^53 here, so the float path runs, and for these weights it misses the
+        # correctly rounded norm 3 - 7/d in the last bit
+        m, d = [[3, -1], [1, 2]], 2**53 // 6 + 1
+        w = [Fraction(7, d), 1 - Fraction(7, d)]
+        norm = float(exact_inf_one_norm(m, w))
+        assert norm == float(3 - Fraction(7, d))
+        got = pq_norm(WeightedOperator(m, w), math.inf, 1)
+        assert got != norm
+        assert got == pytest.approx(norm, rel=1e-15)
+
     def test_adjoint_duality_exact_at_n20(self):
         A = WeightedOperator(np.random.default_rng(20).choice([-1.0, 1.0], size=(20, 20)))
         assert pq_norm(A, math.inf, 1) == pq_norm(adjoint(A), math.inf, 1)
@@ -174,6 +234,10 @@ class TestStructure:
 
     def test_adjoint_transposes_under_uniform_weights(self):
         A = WeightedOperator([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(adjoint(A).matrix, A.matrix.T)
+
+    def test_adjoint_is_exact_transpose_for_float_entries(self):
+        A = WeightedOperator(np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 6)))
         assert np.array_equal(adjoint(A).matrix, A.matrix.T)
 
     def test_adjoint_respects_weights(self):
