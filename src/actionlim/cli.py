@@ -142,7 +142,7 @@ def _cmd_dist(args) -> int:
         res = lp_metric.hausdorff(set_a, set_b)
         i, j = res.witness
         _emit(args, {"metric": "hausdorff", "value": res.value, "argmax_side": res.argmax_side,
-                     "witness": [names_a[i], names_b[j]]}, repr(res.value))
+                     "witness": [names_a[i], names_b[j]], "counts": res.counts}, repr(res.value))
     return 0
 
 

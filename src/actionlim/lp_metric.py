@@ -13,7 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,6 +43,9 @@ class HausdorffResult:
     value: float
     argmax_side: str  # "left" or "right"
     witness: tuple[int, int]
+    # candidates = bound_skips + gap_skips + pairs, pairs = prunes + exact; a candidate
+    # is a visited (i, j) whose distance was not yet known
+    counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
 class _Pair:
@@ -248,43 +251,74 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     return LpResult(value, "brute_force")
 
 
-def _candidate_distance(a: DiscreteMeasure, b: DiscreteMeasure, cur: float) -> Fraction | None:
-    """Exact d_LP(a, b) if it is <= cur (inf or a d_LP <= 1), else None.
+_SHRINK = 1.0 - 2.0**-40  # keeps a box bound below cdist's own float gap, whatever its summation order
 
-    When no atom of a is closer than cur to an atom of b, the pair is dropped
-    from its distance matrix alone, before any flow state exists.  That is
-    exact: for eps < gap = the least distance, no atom of b lies within eps of
-    a's support, so Strassen's condition needs eps >= 1 and d_LP >= min(1, gap)
-    >= cur.
+
+def _box_bounds(a: DiscreteMeasure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lower bounds on the gap from a's support to each candidate's, in one pass.
+
+    Candidate j's atoms lie in the box [lo[j], hi[j]]; the distance from an
+    atom of a to that box is at most its distance to any atom inside, so the
+    least such distance over a's atoms bounds the least cdist entry from below.
+    Accumulated one coordinate at a time into an (atoms, candidates) array.
     """
-    dist = cdist(a.points(), b.points())
-    if dist.min() >= cur:
-        return None
-    return _distance_upto(_Pair(a, b, dist), cur)
+    sq = np.zeros((a.support_size, len(lo)))
+    for k, x in enumerate(a.points().T):
+        x = x[:, None]
+        sq += np.square(np.maximum(np.maximum(lo[:, k] - x, x - hi[:, k]), 0.0))
+    return np.sqrt(sq.min(axis=0)) * _SHRINK
 
 
-def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache: dict):
+def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
+              known: np.ndarray, lower: np.ndarray, counts: dict):
     """sup over a of inf over b of d_LP(a, b), with witness indices.
 
     Candidate b's are tried starting at the index paired with a; each is
-    dropped as soon as it is shown not to lower the current best.
+    dropped as soon as it is shown not to lower the current best cur.
+    known[i, j] holds d_LP(A[i], B[j]) once computed (NaN before), lower[i, j]
+    a proven lower bound on it; both are read and written.  A candidate is
+    settled, cheapest first, by its known value; by its bound when that is
+    >= cur (bound skip); by its cdist matrix when no atom pair is closer than
+    cur (gap skip: for eps < gap no atom of b lies within eps of a's support,
+    so Strassen's condition needs eps >= 1 and d_LP >= min(1, gap) >= cur);
+    or by a flow pair, which returns the exact distance or proves it above cur
+    (prune).  A skip or prune leaves the min unchanged, since only d < cur
+    lowers it.
     """
+    lo = np.array([b.points().min(axis=0) for b in B])
+    hi = np.array([b.points().max(axis=0) for b in B])
     best_val = -1.0
     best_witness = (0, 0)
     for i, a in enumerate(A):
         order = [i] if i < len(B) else []
         order += [j for j in range(len(B)) if j != i]
+        bound = np.maximum(np.minimum(_box_bounds(a, lo, hi), 1.0), lower[i]).tolist()
+        row = known[i].tolist()
         cur = math.inf
         cur_j = order[0]
         for j in order:
-            key = (i, j)
-            if key in cache:
-                d = cache[key]
-            else:
-                exact = _candidate_distance(a, B[j], cur)
+            d = row[j]
+            if d != d:  # NaN: not yet computed
+                counts["candidates"] += 1
+                if bound[j] >= cur:
+                    counts["bound_skips"] += 1
+                    lower[i, j] = bound[j]
+                    continue
+                b = B[j]
+                dist = cdist(a.points(), b.points())
+                gap = dist.min()
+                if gap >= cur:
+                    counts["gap_skips"] += 1
+                    lower[i, j] = min(1.0, gap)
+                    continue
+                counts["pairs"] += 1
+                exact = _distance_upto(_Pair(a, b, dist), cur)
                 if exact is None:
-                    continue  # d_LP(a, B[j]) >= cur, cannot lower the min
-                d = cache[key] = float(exact)
+                    counts["prunes"] += 1
+                    lower[i, j] = cur
+                    continue
+                counts["exact"] += 1
+                d = known[i, j] = float(exact)
             if d < cur:
                 cur, cur_j = d, j
             if cur == 0.0:
@@ -296,17 +330,23 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure], cache:
 
 
 def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> HausdorffResult:
-    """Hausdorff distance between two finite sets of measures under d_LP."""
+    """Hausdorff distance between two finite sets of measures under d_LP.
+
+    The two directed passes share one (len(A), len(B)) array of exact
+    distances and one of lower bounds; the reverse pass reads their
+    transposes, so a pair settled in one pass is not recomputed in the other.
+    """
     A, B = list(A), list(B)
     if not A or not B:
         raise ValueError("hausdorff requires nonempty measure sets")
     dims = {m.dim for m in A} | {m.dim for m in B}
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions {sorted(dims)}")
-    cache_ab: dict = {}
-    left, w_left = _directed(A, B, cache_ab)
-    cache_ba = {(j, i): d for (i, j), d in cache_ab.items()}
-    right, w_right = _directed(B, A, cache_ba)
+    known = np.full((len(A), len(B)), np.nan)
+    lower = np.zeros((len(A), len(B)))
+    counts = dict.fromkeys(("candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact"), 0)
+    left, w_left = _directed(A, B, known, lower, counts)
+    right, w_right = _directed(B, A, known.T, lower.T, counts)
     if left >= right:
-        return HausdorffResult(left, "left", w_left)
-    return HausdorffResult(right, "right", (w_right[1], w_right[0]))
+        return HausdorffResult(left, "left", w_left, counts)
+    return HausdorffResult(right, "right", (w_right[1], w_right[0]), counts)

@@ -222,8 +222,11 @@ def mean_abs(mu: DiscreteMeasure, coord: int) -> float:
     """Exact weighted mean of |x_coord|, returned as the nearest float."""
     if not 0 <= coord < mu.dim:
         raise ValueError(f"coordinate {coord} out of range for dim {mu.dim}")
-    total = sum((m * abs(Fraction(x)) for m, x in zip(mu.masses, mu.points()[:, coord].tolist())), Fraction(0))
-    return float(total / mu.denom)
+    # each |x| is n / d with d a power of two, so the largest d is a common denominator
+    ratios = [abs(x).as_integer_ratio() for x in mu.points()[:, coord].tolist()]
+    den = max(d for _, d in ratios)
+    total = sum(m * n * (den // d) for m, (n, d) in zip(mu.masses, ratios))
+    return float(Fraction(total, den * mu.denom))
 
 
 def discretize(

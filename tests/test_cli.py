@@ -53,6 +53,11 @@ class TestProfileAndDist:
         assert file_b in json.loads((dir_b / "manifest.json").read_text())["files"]
         code, out = run(capsys, "--json", "dist", "lp", str(dir_a / file_a), str(dir_b / file_b))
         assert json.loads(out)["value"] == payload["value"]
+        # deterministic counters of the Hausdorff loop, no timings
+        counts = payload["counts"]
+        assert set(counts) == {"candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact"}
+        assert counts["candidates"] == counts["bound_skips"] + counts["gap_skips"] + counts["pairs"]
+        assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
 
     def test_brute_force_flag_agrees(self, capsys, tmp_path):
         f1 = tmp_path / "m1.json"

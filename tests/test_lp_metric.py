@@ -18,15 +18,15 @@ from actionlim import (
     marginal,
     shift,
 )
-from actionlim.lp_metric import HausdorffResult, _distance_upto, _Pair
+from actionlim.lp_metric import _SHRINK, HausdorffResult, _box_bounds, _distance_upto, _Pair
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
 
 @st.composite
-def dyadic_measures(draw, dim, max_atoms=4):
+def dyadic_measures(draw, dim, max_atoms=4, coords=dyadic):
     m = draw(st.integers(1, max_atoms))
-    pts = [tuple(draw(dyadic) for _ in range(dim)) for _ in range(m)]
+    pts = [tuple(draw(coords) for _ in range(dim)) for _ in range(m)]
     raw = [draw(st.integers(1, 8)) for _ in range(m)]
     total = sum(raw)
     return DiscreteMeasure(dim, zip(pts, (Fraction(r, total) for r in raw)))
@@ -130,6 +130,46 @@ class TestMetricAxioms:
         assert d_marg <= d_full + 1e-12
 
 
+def unpruned_hausdorff(A, B):
+    """Reference: lp_distance on every pair, in hausdorff's order, with its strict-< rule."""
+    def directed(X, Y, d):
+        best, witness = -1.0, (0, 0)
+        for i in range(len(X)):
+            order = ([i] if i < len(Y) else []) + [j for j in range(len(Y)) if j != i]
+            cur, cur_j = math.inf, order[0]
+            for j in order:
+                if d(i, j) < cur:
+                    cur, cur_j = d(i, j), j
+            if cur > best:
+                best, witness = cur, (i, cur_j)
+        return best, witness
+
+    left, w_left = directed(A, B, lambda i, j: lp_distance(A[i], B[j]).value)
+    right, w_right = directed(B, A, lambda i, j: lp_distance(B[i], A[j]).value)
+    if left >= right:
+        return HausdorffResult(left, "left", w_left)
+    return HausdorffResult(right, "right", (w_right[1], w_right[0]))
+
+
+# dyadic grid points, plus coordinates whose squared differences underflow
+tiny_or_dyadic = st.one_of(dyadic, st.sampled_from([1e-160, -1e-160, 3e-160, 0.0]),
+                           st.floats(-1e-160, 1e-160))
+
+
+@st.composite
+def measure_set_pair(draw):
+    """Two measure sets drawn from one small pool, so sets repeat measures and distances tie."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(dyadic_measures(dim, 3, tiny_or_dyadic), min_size=1, max_size=4))
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+    return draw(pick), draw(pick)
+
+
+def assert_counts_add_up(c):
+    assert c["candidates"] == c["bound_skips"] + c["gap_skips"] + c["pairs"]
+    assert c["pairs"] == c["prunes"] + c["exact"]
+
+
 class TestHausdorff:
     def test_zero_for_identical_sets(self):
         ms = [dirac(0.0), dirac(1.0)]
@@ -177,6 +217,57 @@ class TestHausdorff:
         assert res.value == exhaustive
         i, j = res.witness
         assert lp_distance(A[i], B[j]).value == res.value
+
+    @given(measure_set_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_same_result_as_unpruned_loop(self, sets):
+        A, B = sets
+        res = hausdorff(A, B)
+        assert res == unpruned_hausdorff(A, B)  # value, side and witness; counts do not compare
+        assert_counts_add_up(res.counts)
+
+    def test_box_corner_bound_equals_gap_and_is_still_computed(self):
+        # row A[0] = a: B[0] sets cur = 0.75; B[1]'s nearest atom is its box's corner
+        # (0.375, 0.5), at distance 0.625 from a, so the box bound is the gap itself
+        # (shrunk); it is below cur, and B[1] must be computed: its distance 0.625 is
+        # the row's minimum and the Hausdorff value
+        a = dirac(0.0, 0.0)
+        far = dirac(0.75, 0.0)
+        corner = empirical([(0.375, 0.5), (0.5, 0.625)])
+        gap = cdist(a.points(), corner.points()).min()
+        lo, hi = corner.points().min(axis=0)[None], corner.points().max(axis=0)[None]
+        assert gap == 0.625
+        assert _box_bounds(a, lo, hi).tolist() == [0.625 * _SHRINK]
+        A, B = [a, far], [far, corner]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.625, "left", (0, 1))
+        assert res.counts["bound_skips"] == 0
+        assert res == unpruned_hausdorff(A, B)
+
+    def test_forward_prune_bounds_only_by_cur(self):
+        # forward row A[0]: B[0] sets cur = 0.125, then B[1] builds a pair and is pruned
+        # at d_LP 0.5; in the reverse pass B[1] -> A[0] is that row's minimum (0.5, below
+        # A[1]'s 0.75), so the lower bound the prune records must be cur = 0.125, not more
+        A = [dirac(0.0), dirac(-0.25)]
+        B = [dirac(0.125), DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))])]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.5, "right", (0, 1))
+        assert res.counts["prunes"] == 1
+        assert res == unpruned_hausdorff(A, B)
+
+    def test_counts_on_a_hand_sized_example(self):
+        # forward row A[0] = dirac(0): B[0] is exact (0.25) and sets cur; B[1] straddles 0, so
+        # its box bound is 0 but its gap 0.5 >= cur (gap skip); B[2] sits 0.75 away, past
+        # cur by its box alone (bound skip); B[3] has an atom 0.125 away but d_LP 0.75
+        # (pair built, then pruned).  The reverse pass computes B[1..3] against A[0]
+        # (B[0] is known), each first in its row with cur = inf.
+        B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
+             DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
+        res = hausdorff([dirac(0.0)], B)
+        assert res == HausdorffResult(0.75, "right", (0, 2))
+        assert res.counts == {"candidates": 7, "bound_skips": 1, "gap_skips": 1,
+                              "pairs": 5, "prunes": 1, "exact": 4}
+        assert_counts_add_up(res.counts)
 
 
 INT32_MAX = 2**31 - 1

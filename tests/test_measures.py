@@ -195,6 +195,16 @@ class TestOperations:
         mu = DiscreteMeasure(1, [((-0.5,), Fraction(1, 2)), ((1.0,), Fraction(1, 2))])
         assert mean_abs(mu, 0) == 0.75
 
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 2**40)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_mean_abs_is_the_rounded_exact_mean(self, atoms):
+        # reference: one Fraction per atom, summed exactly and rounded once
+        mu = DiscreteMeasure(1, points=[[x] for x, _ in atoms], masses=[m for _, m in atoms],
+                             denom=sum(m for _, m in atoms))
+        exact = sum((m * abs(Fraction(x)) for m, x in zip(mu.masses, mu.points()[:, 0].tolist())), Fraction(0))
+        assert mean_abs(mu, 0) == float(exact / mu.denom)
+
     @given(dyadic_measures(2), st.tuples(dyadic, dyadic))
     @settings(max_examples=50, deadline=None)
     def test_shift_round_trip_exact(self, mu, v):
