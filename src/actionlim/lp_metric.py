@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +44,8 @@ class HausdorffResult:
     argmax_side: str  # "left" or "right"
     witness: tuple[int, int]
     # candidates = bound_skips + gap_skips + pairs, pairs = prunes + exact; a candidate
-    # is a visited (i, j) whose distance was not yet known
+    # is a visited (i, j) whose distance was not yet known; augmentations and rebuilds
+    # (breadth-first trees grown) are summed over the pairs' flow engines
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -52,7 +53,8 @@ class _Pair:
     """One (mu, nu) pair as an incremental max-flow in Python ints: source ->
     A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
     sink (nu's masses), all masses over one common scale; `dist` is the caller's
-    cdist(mu.points(), nu.points())."""
+    cdist(mu.points(), nu.points()).  It counts its augmenting paths and the
+    breadth-first trees it builds."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -62,11 +64,13 @@ class _Pair:
         self.into: list[dict[int, int]] = [{} for _ in self.snk]  # into[j][i]: flow A_i -> B_j
         self.flow = 0
         self.dist = dist
+        self.augmentations = self.rebuilds = 0
         self._new_tree()
 
     def _new_tree(self) -> None:
         # breadth-first tree from the source: reach_a[i] is -1 (the source) or the B-atom
         # that reached A_i, reach_b[j] the A-atom that reached B_j
+        self.rebuilds += 1
         self.reach_a = [-1 if c else None for c in self.src]
         self.reach_b: list[int | None] = [None] * len(self.snk)
         self.scanned = [0] * len(self.src)  # out-edges of each A-atom searched
@@ -115,6 +119,7 @@ class _Pair:
                 if not self.into[b][i]:
                     del self.into[b][i]
             self.flow += push
+            self.augmentations += 1
             self._new_tree()
         return self.flow
 
@@ -175,80 +180,49 @@ def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     return LpResult(float(_distance_upto(_Pair(mu, nu, dist))), "exact_flow")
 
 
-def _subset_tables(points_a, wa, points_b, wb):
-    """Per subset of A-atoms: mass, plus sorted reach distances into B with
-    prefix B-masses, enabling O(log) evaluation of mass(B within eps)."""
-    dist = cdist(points_a, points_b)
-    p = len(wa)
-    tables = []
-    for bits in range(1, 1 << p):
-        members = [i for i in range(p) if bits >> i & 1]
-        mass = sum((wa[i] for i in members), Fraction(0))
-        mind = dist[members].min(axis=0)
-        order = np.argsort(mind, kind="stable")
-        sorted_d = mind[order]
-        prefix = list(itertools.accumulate((wb[j] for j in order), initial=Fraction(0)))
-        tables.append((mass, sorted_d, prefix))
-    return tables
-
-
 def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Oracle: evaluate the Borel-set definition over all unions of atoms.
 
-    Guarded to combined supports of at most 10 atoms.
+    Guarded to combined supports of at most 10 atoms.  Masses and the exact
+    values of the (dyadic) pairwise distances sit on one integer scale, so
+    every candidate eps and every test of mu(T) <= nu(N_eps(T)) + eps, both
+    ways, compares ints.
     """
     _check_dims(mu, nu)
     if mu.support_size + nu.support_size > 10:
         raise ValueError("combined support too large for brute force (max 10 atoms)")
 
-    pa, pb = mu.points(), nu.points()
-    wa, wb = mu.weights(), nu.weights()
-    tab_ab = _subset_tables(pa, wa, pb, wb)
-    tab_ba = _subset_tables(pb, wb, pa, wa)
+    ratios = [[d.as_integer_ratio() for d in row] for row in cdist(mu.points(), nu.points()).tolist()]
+    scale = math.lcm(mu.denom, nu.denom, *(den for row in ratios for _, den in row))
+    dist = [[num * (scale // den) for num, den in row] for row in ratios]
 
-    def reach_mass(table_entry, eps: Fraction) -> Fraction:
-        _, sorted_d, prefix = table_entry
-        ds = sorted_d.tolist()
-        idx = bisect_right(ds, float(eps))
-        # float cutoff may be off by one ulp; correct with exact comparisons
-        while idx < len(ds) and Fraction(ds[idx]) <= eps:
-            idx += 1
-        while idx > 0 and Fraction(ds[idx - 1]) > eps:
-            idx -= 1
-        return prefix[idx]
+    def subset_masses(m: DiscreteMeasure) -> list[int]:
+        table = [0]  # table[T]: mass of the atoms whose bits are set in T
+        for x in m.masses:
+            table += [t + x * (scale // m.denom) for t in table]
+        return table
 
-    def feasible(eps: Fraction) -> bool:
-        for tables in (tab_ab, tab_ba):
-            for entry in tables:
-                mass = entry[0]
-                if mass > reach_mass(entry, eps) + eps:
-                    return False
-        return True
+    ma, mb = subset_masses(mu), subset_masses(nu)
+    sides = ((ma, mb, dist), (mb, ma, list(zip(*dist))))
 
-    candidates: set[Fraction] = {Fraction(0), Fraction(1)}
-    for d in np.unique(cdist(pa, pb)):
-        candidates.add(Fraction(float(d)))
-    for tables in (tab_ab, tab_ba):
-        for mass, sorted_d, prefix in tables:
-            for idx in range(len(sorted_d) + 1):
-                deficit = mass - prefix[idx]
-                if 0 <= deficit <= 1:
-                    candidates.add(deficit)
+    def deficits(eps: int):
+        """mass(T) - mass(N_eps(T)) for every nonempty union T of atoms, both ways."""
+        for own, other, rows in sides:
+            near = [sum(1 << j for j, d in enumerate(row) if d <= eps) for row in rows]
+            reach = [0] * len(own)  # reach[T]: bitmask of N_eps(T), from T less its lowest atom
+            for t in range(1, len(own)):
+                low = t & -t
+                reach[t] = reach[t ^ low] | near[low.bit_length() - 1]
+                yield own[t] - other[reach[t]]
 
-    ordered = sorted(c for c in candidates if 0 <= c <= 1)
+    # N_eps(T) changes only at a distance, so the least feasible eps is 1, a distance
+    # below 1 or 0, or a deficit at one of those
+    levels = {d for row in dist for d in row if d < scale} | {0}
+    candidates = levels | {scale} | {x for eps in levels for x in deficits(eps) if x >= 0}
     # feasibility is monotone in eps: binary search the first feasible candidate
-    lo, hi = 0, len(ordered) - 1
-    if not feasible(ordered[hi]):
-        value = 1.0
-    else:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(ordered[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        value = float(ordered[lo])
-    return LpResult(value, "brute_force")
+    ordered = sorted(candidates)
+    first = bisect_left(ordered, True, key=lambda eps: all(x <= eps for x in deficits(eps)))
+    return LpResult(float(Fraction(ordered[first], scale)), "brute_force")
 
 
 _SHRINK = 1.0 - 2.0**-40  # keeps a box bound below cdist's own float gap, whatever its summation order
@@ -312,7 +286,10 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                     lower[i, j] = min(1.0, gap)
                     continue
                 counts["pairs"] += 1
-                exact = _distance_upto(_Pair(a, b, dist), cur)
+                pair = _Pair(a, b, dist)
+                exact = _distance_upto(pair, cur)
+                counts["augmentations"] += pair.augmentations
+                counts["rebuilds"] += pair.rebuilds
                 if exact is None:
                     counts["prunes"] += 1
                     lower[i, j] = cur
@@ -344,7 +321,8 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
         raise ValueError(f"mixed dimensions {sorted(dims)}")
     known = np.full((len(A), len(B)), np.nan)
     lower = np.zeros((len(A), len(B)))
-    counts = dict.fromkeys(("candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact"), 0)
+    counts = dict.fromkeys(("candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact",
+                            "augmentations", "rebuilds"), 0)
     left, w_left = _directed(A, B, known, lower, counts)
     right, w_right = _directed(B, A, known.T, lower.T, counts)
     if left >= right:

@@ -55,9 +55,11 @@ class TestProfileAndDist:
         assert json.loads(out)["value"] == payload["value"]
         # deterministic counters of the Hausdorff loop, no timings
         counts = payload["counts"]
-        assert set(counts) == {"candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact"}
+        assert set(counts) == {"candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact",
+                               "augmentations", "rebuilds"}
         assert counts["candidates"] == counts["bound_skips"] + counts["gap_skips"] + counts["pairs"]
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
+        assert counts["rebuilds"] >= counts["pairs"]  # each pair builds its first tree
 
     def test_brute_force_flag_agrees(self, capsys, tmp_path):
         f1 = tmp_path / "m1.json"

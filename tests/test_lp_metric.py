@@ -1,4 +1,6 @@
+import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from actionlim import (
     marginal,
     shift,
 )
-from actionlim.lp_metric import _SHRINK, HausdorffResult, _box_bounds, _distance_upto, _Pair
+from actionlim.lp_metric import _SHRINK, HausdorffResult, LpResult, _box_bounds, _distance_upto, _Pair
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
@@ -95,6 +97,99 @@ class TestOracleAgreement:
     @settings(max_examples=60, deadline=None)
     def test_dim3(self, a, b):
         assert lp_distance(a, b).value == pytest.approx(lp_distance_bruteforce(a, b).value, abs=1e-9)
+
+
+def fraction_reference(mu, nu):
+    """Reference oracle in Fractions: per union T of atoms, its mass, the sorted
+    least distances from T to the other side's atoms and their prefix masses;
+    Strassen's condition both ways at every candidate, binary searched."""
+    def tables(x, y):
+        dist, wx, wy = cdist(x.points(), y.points()), x.weights(), y.weights()
+        out = []
+        for bits in range(1, 1 << len(wx)):
+            members = [i for i in range(len(wx)) if bits >> i & 1]
+            mind = dist[members].min(axis=0)
+            order = np.argsort(mind, kind="stable")
+            prefix = list(itertools.accumulate((wy[j] for j in order), initial=Fraction(0)))
+            out.append((sum(wx[i] for i in members), mind[order].tolist(), prefix))
+        return out
+
+    both = tables(mu, nu) + tables(nu, mu)
+
+    def reach_mass(ds, prefix, eps):
+        idx = bisect_right(ds, float(eps))
+        # the float cutoff may be off by one ulp; correct with exact comparisons
+        while idx < len(ds) and Fraction(ds[idx]) <= eps:
+            idx += 1
+        while idx > 0 and Fraction(ds[idx - 1]) > eps:
+            idx -= 1
+        return prefix[idx]
+
+    def feasible(eps):
+        return all(mass <= reach_mass(ds, prefix, eps) + eps for mass, ds, prefix in both)
+
+    candidates = {Fraction(0), Fraction(1)}
+    candidates.update(Fraction(d) for d in np.unique(cdist(mu.points(), nu.points())).tolist())
+    candidates.update(mass - x for mass, _, prefix in both for x in prefix)
+    ordered = sorted(c for c in candidates if 0 <= c <= 1)
+    lo, hi = 0, len(ordered) - 1  # eps = 1 is always feasible
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(ordered[lo])
+
+
+# 5-point grid coordinates, so distances tie and reach 0
+grid5 = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+
+
+@st.composite
+def grid_measure(draw, dim, atoms):
+    """A measure on exactly `atoms` distinct grid points, with masses over a
+    small denominator, one near 2^31 or one of at least 10^30."""
+    pts = draw(st.lists(st.tuples(*[grid5] * dim), min_size=atoms, max_size=atoms, unique=True))
+    den = draw(st.one_of(st.integers(atoms, 16), st.integers(2**31 - 8, 2**31 + 8),
+                         st.integers(10**30, 10**30 + 64)))
+    cuts = sorted(draw(st.lists(st.integers(1, max(den - 1, 1)), min_size=atoms - 1, max_size=atoms - 1, unique=True)))
+    masses = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, den])]
+    return DiscreteMeasure(dim, points=pts, masses=masses, denom=den)
+
+
+@st.composite
+def oracle_pair(draw):
+    """Two grid measures in dims 1-3 with combined support 2-10, often exactly 10."""
+    dim = draw(st.integers(1, 3))
+    room = min(5**dim, 9)  # at most 5 distinct grid points in dim 1
+    total = draw(st.one_of(st.just(10), st.integers(2, 10)))
+    p = draw(st.integers(max(1, total - room), min(total - 1, room)))
+    return draw(grid_measure(dim, p)), draw(grid_measure(dim, total - p))
+
+
+class TestOracle:
+    @given(oracle_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_reference(self, pair):
+        a, b = pair
+        assert a.support_size + b.support_size <= 10
+        assert lp_distance_bruteforce(a, b).value == fraction_reference(a, b)
+
+    def test_guard_boundary(self):
+        five = empirical([(x,) for x in (0.0, 0.25, 0.5, 0.75, 1.0)])
+        shifted = shift(five, (0.25,))
+        # four atoms coincide, so 4/5 of the mass couples at distance 0
+        assert lp_distance_bruteforce(five, shifted) == LpResult(0.2, "brute_force")
+        six = empirical([(x,) for x in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25)])
+        with pytest.raises(ValueError, match="^combined support too large"):
+            lp_distance_bruteforce(six, shifted)
+
+    @pytest.mark.parametrize("den", [7, 2**31 - 1, 10**30 + 7])
+    def test_identical_measures_zero(self, den):
+        mu = DiscreteMeasure(2, points=[(0.0, 0.0), (0.25, 0.0), (0.0, 0.25), (-0.5, 0.5), (0.5, 0.5)],
+                             masses=[1, 1, 1, 2, den - 5], denom=den)
+        assert lp_distance_bruteforce(mu, mu).value == 0.0
 
 
 class TestMetricAxioms:
@@ -260,13 +355,16 @@ class TestHausdorff:
         # its box bound is 0 but its gap 0.5 >= cur (gap skip); B[2] sits 0.75 away, past
         # cur by its box alone (bound skip); B[3] has an atom 0.125 away but d_LP 0.75
         # (pair built, then pruned).  The reverse pass computes B[1..3] against A[0]
-        # (B[0] is known), each first in its row with cur = inf.
+        # (B[0] is known), each first in its row with cur = inf.  Every pair's flow
+        # takes one augmenting path, but B[1]'s two half atoms take two; each pair
+        # builds one tree up front and one after each augmentation.
         B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
         assert res.counts == {"candidates": 7, "bound_skips": 1, "gap_skips": 1,
-                              "pairs": 5, "prunes": 1, "exact": 4}
+                              "pairs": 5, "prunes": 1, "exact": 4,
+                              "augmentations": 6, "rebuilds": 11}
         assert_counts_add_up(res.counts)
 
 
