@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--kind", default="mixed", choices=profiles.STRATEGY_KINDS)
     p_profile.add_argument("--count", type=int, default=64)
     p_profile.add_argument("--seed", type=int, default=0)
-    p_profile.add_argument("--probe-vertex", type=int, default=None)
+    p_profile.add_argument("--probe-vertex", type=int, default=None, help="probe vertex (switches to vertex_probe)")
     p_profile.add_argument("--out", required=True, help="output directory for measure JSON files")
 
     p_dist = sub.add_parser("dist", help="distances between measures or measure sets")
@@ -93,16 +93,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _strategy_from_args(args, probe) -> profiles.TestFunctionStrategy:
-    kind = args.kind
-    if probe is not None and kind != "vertex_probe":
-        kind = "vertex_probe"
-    return profiles.TestFunctionStrategy(kind, count=args.count, seed=args.seed, probe_vertex=probe)
-
-
 def _cmd_profile(args) -> int:
     op = harness.parse_operator_spec(args.graph)
-    strat = _strategy_from_args(args, args.probe_vertex)
+    cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
+    strat = harness._strategy_for(cfg, op, args.probe_vertex)
     sample = profiles.profile_sample(op, args.k, strat)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -149,8 +143,9 @@ def _cmd_dist(args) -> int:
 def _cmd_actiondist(args) -> int:
     op_a = harness.parse_operator_spec(args.a)
     op_b = harness.parse_operator_spec(args.b)
-    strat_a = _strategy_from_args(args, args.probe_a)
-    strat_b = _strategy_from_args(args, args.probe_b) if args.probe_b is not None else None
+    cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
+    strat_a = harness._strategy_for(cfg, op_a, args.probe_a)
+    strat_b = harness._strategy_for(cfg, op_b, args.probe_b) if args.probe_b is not None else None
     report = profiles.action_distance_estimate(op_a, op_b, args.K, strat_a, strat_b)
     text = f"estimate {report.value!r} (truncated at K={report.truncation_k}, tail bound {report.tail_bound})"
     _emit(args, report.to_dict(), text)

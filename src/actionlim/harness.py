@@ -13,8 +13,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "Claim",
     "CLAIMS",
     "ExperimentConfig",
+    "STAR",
+    "APEX",
     "run_verify",
     "run_experiment",
     "parse_operator_spec",
@@ -68,11 +71,16 @@ def parse_operator_spec(spec: str) -> operators.WeightedOperator:
         return operators.gplus(_parse_graph_spec(rest))
     if head == "broadcast":
         parts = rest.split(":")
+        if len(parts) > 2:
+            raise ValueError(f"operator spec {spec!r} is not broadcast:N[:I]")
         n = int(parts[0])
         i_star = int(parts[1]) if len(parts) > 1 else 0
         return limits.broadcast(n, i_star)
     if head == "signed":
-        sign_s, i_s, inner = rest.split(":", 2)
+        parts = rest.split(":", 2)
+        if len(parts) != 3:
+            raise ValueError(f"operator spec {spec!r} is not signed:SIGN:I:<graph spec>")
+        sign_s, i_s, inner = parts
         sign = 1 if sign_s in ("+", "+1") else -1 if sign_s in ("-", "-1") else None
         if sign is None:
             raise ValueError(f"bad sign {sign_s!r} in spec {spec!r}")
@@ -86,6 +94,8 @@ def _parse_graph_spec(spec: str) -> operators.GraphSpec:
         return load_edge_list(rest)
     if head == "er":
         parts = rest.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"graph spec {spec!r} is not er:N:P[:SEED]")
         n, prob = int(parts[0]), float(parts[1])
         seed = int(parts[2]) if len(parts) > 2 else 0
         return operators.GraphSpec("erdos_renyi", n, p=prob, seed=seed)
@@ -296,50 +306,6 @@ def _gplus_shift(n: int = 50, graphs: int = 50, k: int = 2, seed: int = 11) -> l
     ]
 
 
-_TRAJECTORY_SIZES = (8, 32, 128)
-
-
-def _nonincreasing(vals: Sequence[float]) -> bool:
-    return all(b <= a for a, b in zip(vals, vals[1:]))
-
-
-def _trajectory(vals: Sequence[float]) -> str:
-    return "trajectory " + ", ".join(f"{v:.5f}" for v in vals)
-
-
-def _star_convergence(K: int = 3, count: int = 64, seed: int = 7) -> list[VerificationRecord]:
-    t0 = time.perf_counter()
-    vals = []
-    for n in _TRAJECTORY_SIZES:
-        strat = profiles.TestFunctionStrategy("mixed", count=count, seed=seed)
-        star = operators.adjacency(operators.GraphSpec("star", n))
-        vals.append(profiles.action_distance_estimate(star, limits.broadcast(n, 0), K, strat).value)
-    return [
-        _record(
-            "star_convergence", ANCHORS["star_limit"],
-            "estimate nonincreasing over n in (8,32,128) and final <= first/2",
-            _trajectory(vals), _nonincreasing(vals) and vals[-1] <= vals[0] / 2, t0,
-        )
-    ]
-
-
-def _gplus_limit(K: int = 3, count: int = 64, seed: int = 7) -> list[VerificationRecord]:
-    t0 = time.perf_counter()
-    vals = []
-    for n in _TRAJECTORY_SIZES:
-        aug = operators.gplus(operators.GraphSpec("cycle", n))
-        signed = limits.signed_limit(operators.adjacency(operators.GraphSpec("cycle", n + 1)), 0, 1)
-        strat_a = profiles.TestFunctionStrategy("vertex_probe", count=count, seed=seed, probe_vertex=n)
-        strat_b = profiles.TestFunctionStrategy("vertex_probe", count=count, seed=seed, probe_vertex=0)
-        vals.append(profiles.action_distance_estimate(aug, signed, K, strat_a, strat_b).value)
-    return [
-        _record(
-            "gplus_limit", ANCHORS["gplus_limit"], "estimate nonincreasing over n in (8,32,128)",
-            _trajectory(vals), _nonincreasing(vals), t0,
-        )
-    ]
-
-
 def _self_adjoint() -> list[VerificationRecord]:
     records = []
     for n in (8, 64):
@@ -437,50 +403,10 @@ def _adjoint_duality(cases: int = 50, seed: int = 42) -> list[VerificationRecord
 
 
 # ---------------------------------------------------------------------------
-# claim registry, read by `actionlim verify` and the acceptance gate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Claim:
-    """One paper claim: its acceptance criterion, its verify suite, its checks."""
-
-    number: int  # acceptance criterion number
-    name: str  # acceptance criterion name
-    suite: str  # `actionlim verify --suite` name
-    run: Callable[[], list[VerificationRecord]]
-
-
-CLAIMS: tuple[Claim, ...] = (
-    Claim(1, "lp-oracle-equivalence", "lp_oracle", _lp_oracle),
-    Claim(2, "lp-metric-properties", "lp_properties", _lp_properties),
-    Claim(3, "star-norms-exact", "norms", _norms),
-    Claim(4, "discretization-bound", "discretization", _discretization),
-    Claim(5, "apex-shift-bound", "gplus_shift", _gplus_shift),
-    Claim(6, "star-convergence", "star_convergence", _star_convergence),
-    Claim(7, "apex-limit-convergence", "gplus_limit", _gplus_limit),
-    Claim(8, "non-self-adjointness", "self_adjoint", _self_adjoint),
-    Claim(9, "regularity-shift", "regularity", _regularity),
-    Claim(10, "norm-discontinuity", "norm_gap", _norm_gap),
-    Claim(11, "adjoint-norm-duality", "adjoint_duality", _adjoint_duality),
-)
-
-
-def run_verify(suite: str = "all", out: Optional[str | Path] = None) -> list[VerificationRecord]:
-    """Run one claim's suite, or all of them; returns records sorted by id."""
-    claims = [c for c in CLAIMS if suite in ("all", c.suite)]
-    if not claims:
-        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(c.suite for c in CLAIMS)} or 'all'")
-    records = sorted((r for c in claims for r in c.run()), key=lambda r: r.id)
-    if out is not None:
-        Path(out).write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records))
-    return records
-
-
-# ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Fully determines an experiment's outputs (replay-stable).
 
@@ -531,11 +457,26 @@ class ExperimentConfig:
         return dict(asdict(self), sizes=list(self.sizes))
 
 
-def _strategy_for(cfg: ExperimentConfig, op: operators.WeightedOperator, probe: Optional[str]) -> profiles.TestFunctionStrategy:
+def _strategy_for(
+    cfg: ExperimentConfig, op: operators.WeightedOperator, probe: str | int | None
+) -> profiles.TestFunctionStrategy:
+    """Test functions for one operator: vertex_probe at `probe` ("last" or None: the last vertex) when a
+    probe is given or the strategy is vertex_probe, otherwise `cfg.strategy`."""
     if cfg.strategy == "vertex_probe" or probe is not None:
         vertex = op.n - 1 if probe in (None, "last") else int(probe)
         return profiles.TestFunctionStrategy("vertex_probe", count=cfg.count, seed=cfg.seed, probe_vertex=vertex)
     return profiles.TestFunctionStrategy(cfg.strategy, count=cfg.count, seed=cfg.seed)
+
+
+def _run_size(cfg: ExperimentConfig, n: int) -> tuple[profiles.DistanceReport, float, float]:
+    """One size of an experiment: its distance report and the two operators' norm readouts."""
+    op_a = parse_operator_spec(cfg.graph_a.format(n=n, n1=n + 1))
+    op_b = parse_operator_spec(cfg.graph_b.format(n=n, n1=n + 1))
+    strat_a = _strategy_for(cfg, op_a, cfg.probe_a)
+    strat_b = _strategy_for(cfg, op_b, cfg.probe_b)
+    report = profiles.action_distance_estimate(op_a, op_b, cfg.K, strat_a, strat_b)
+    norm_a, norm_b = (profiles.norm_from_profile(P) for P in report.profiles_1)
+    return report, norm_a, norm_b
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -544,12 +485,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in cfg.sizes:
-        op_a = parse_operator_spec(cfg.graph_a.format(n=n, n1=n + 1))
-        op_b = parse_operator_spec(cfg.graph_b.format(n=n, n1=n + 1))
-        strat_a = _strategy_for(cfg, op_a, cfg.probe_a)
-        strat_b = _strategy_for(cfg, op_b, cfg.probe_b)
-        report = profiles.action_distance_estimate(op_a, op_b, cfg.K, strat_a, strat_b)
-        norm_a, norm_b = (profiles.norm_from_profile(P) for P in report.profiles_1)
+        report, norm_a, norm_b = _run_size(cfg, n)
         (outdir / f"report_n{n}.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         rows.append((n, report.value, norm_a, norm_b))
     manifest = {"config": cfg.to_dict(), "files": [f"report_n{n}.json" for n in cfg.sizes] + ["trajectory.csv"]}
@@ -558,3 +494,68 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     csv_lines += [f"{n},{v!r},{na!r},{nb!r}" for n, v, na, nb in rows]
     (outdir / "trajectory.csv").write_text("\n".join(csv_lines) + "\n")
     return outdir
+
+
+# ---------------------------------------------------------------------------
+# criteria 06 and 07: two experiments, checked as claims
+# ---------------------------------------------------------------------------
+
+# the defaults are the star experiment
+STAR = ExperimentConfig()
+APEX = ExperimentConfig(
+    graph_a="gplus:cycle:{n}", graph_b="signed:+1:0:cycle:{n1}", strategy="vertex_probe", probe_a="last", probe_b="0"
+)
+
+
+def _convergence(cfg: ExperimentConfig, check_id: str, anchor: str, halves: bool = False) -> list[VerificationRecord]:
+    """The experiment's estimates are nonincreasing in n; with `halves`, the last is at most half the first."""
+    t0 = time.perf_counter()
+    vals = [_run_size(cfg, n)[0].value for n in cfg.sizes]
+    ok = all(b <= a for a, b in zip(vals, vals[1:]))
+    expected = f"estimate nonincreasing over n in ({','.join(map(str, cfg.sizes))})"
+    if halves:
+        ok = ok and vals[-1] <= vals[0] / 2
+        expected += " and final <= first/2"
+    measured = "trajectory " + ", ".join(f"{v:.5f}" for v in vals)
+    return [_record(check_id, ANCHORS[anchor], expected, measured, ok, t0)]
+
+
+# ---------------------------------------------------------------------------
+# claim registry, read by `actionlim verify` and the acceptance gate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim: its acceptance criterion, its verify suite, its checks."""
+
+    number: int  # acceptance criterion number
+    name: str  # acceptance criterion name
+    suite: str  # `actionlim verify --suite` name
+    run: Callable[[], list[VerificationRecord]]
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim(1, "lp-oracle-equivalence", "lp_oracle", _lp_oracle),
+    Claim(2, "lp-metric-properties", "lp_properties", _lp_properties),
+    Claim(3, "star-norms-exact", "norms", _norms),
+    Claim(4, "discretization-bound", "discretization", _discretization),
+    Claim(5, "apex-shift-bound", "gplus_shift", _gplus_shift),
+    Claim(6, "star-convergence", "star_convergence",
+          partial(_convergence, STAR, "star_convergence", "star_limit", halves=True)),
+    Claim(7, "apex-limit-convergence", "gplus_limit", partial(_convergence, APEX, "gplus_limit", "gplus_limit")),
+    Claim(8, "non-self-adjointness", "self_adjoint", _self_adjoint),
+    Claim(9, "regularity-shift", "regularity", _regularity),
+    Claim(10, "norm-discontinuity", "norm_gap", _norm_gap),
+    Claim(11, "adjoint-norm-duality", "adjoint_duality", _adjoint_duality),
+)
+
+
+def run_verify(suite: str = "all", out: Optional[str | Path] = None) -> list[VerificationRecord]:
+    """Run one claim's suite, or all of them; returns records sorted by id."""
+    claims = [c for c in CLAIMS if suite in ("all", c.suite)]
+    if not claims:
+        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(c.suite for c in CLAIMS)} or 'all'")
+    records = sorted((r for c in claims for r in c.run()), key=lambda r: r.id)
+    if out is not None:
+        Path(out).write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records))
+    return records

@@ -59,6 +59,8 @@ class WeightedOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         n = m.shape[0]
+        if n == 0:
+            raise ValueError("operator needs at least one coordinate, got a 0 x 0 matrix")
         masses, denom = ([1] * n, n) if weights is None else integer_masses(weights)
         if len(masses) != n:
             raise ValueError(f"{len(masses)} weights for n={n}")
@@ -277,7 +279,7 @@ def self_adjoint_defect(A: WeightedOperator) -> float:
     """Max-abs entry of A^T W - W A; zero iff the bilinear form is symmetric."""
     w = A.weights_float
     d = A.matrix.T * w[None, :] - w[:, None] * A.matrix
-    return float(np.max(np.abs(d))) if A.n else 0.0
+    return float(np.max(np.abs(d)))
 
 
 def c_regularity(A: WeightedOperator, tol: float = 1e-9) -> Optional[float]:

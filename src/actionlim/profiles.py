@@ -41,7 +41,8 @@ STRATEGY_KINDS = (
     "vertex_probe",
 )
 
-_DEFAULT_PROBE_GRID = tuple(np.linspace(-1.0, 1.0, 9))
+# values a vertex_probe tuple puts on its probe vertex, in turn
+PROBE_VALUES = tuple(float(v) for v in np.linspace(-1.0, 1.0, 9))
 
 
 def _derived_rng(seed: int, k: int, index: int, n: int, tag: bytes = b"") -> np.random.Generator:
@@ -61,26 +62,19 @@ class TestFunctionStrategy:
     count: int = 64
     seed: int = 0
     probe_vertex: Optional[int] = None
-    probe_values: tuple[float, ...] = field(default=_DEFAULT_PROBE_GRID)
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {STRATEGY_KINDS}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if self.kind == "vertex_probe":
-            if self.probe_vertex is None:
-                raise ValueError("vertex_probe requires probe_vertex")
-            if not self.probe_values:
-                raise ValueError("vertex_probe requires a nonempty probe value grid")
-            if any(abs(v) > 1 for v in self.probe_values):
-                raise ValueError("probe values must lie in [-1, 1]")
-        object.__setattr__(self, "probe_values", tuple(float(v) for v in self.probe_values))
+        if self.kind == "vertex_probe" and self.probe_vertex is None:
+            raise ValueError("vertex_probe requires probe_vertex")
 
     def fingerprint(self) -> str:
         s = f"{self.kind}:{self.count}:{self.seed}"
         if self.kind == "vertex_probe":
-            s += f":v{self.probe_vertex}:g{len(self.probe_values)}"
+            s += f":v{self.probe_vertex}:g{len(PROBE_VALUES)}"
         return s
 
     def _draw(self, kind: str, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -111,12 +105,11 @@ class TestFunctionStrategy:
         mixed_cycle = ("iid_uniform", "rademacher", "block_step", "indicator")
         for i in range(self.count):
             if self.kind == "vertex_probe":
-                grid = self.probe_values
                 base = self._draw(
-                    "iid_uniform", _derived_rng(self.seed, k, i // len(grid), n, b"base"), n, k
+                    "iid_uniform", _derived_rng(self.seed, k, i // len(PROBE_VALUES), n, b"base"), n, k
                 )
                 fs = base.copy()
-                fs[:, self.probe_vertex] = grid[i % len(grid)]
+                fs[:, self.probe_vertex] = PROBE_VALUES[i % len(PROBE_VALUES)]
             else:
                 kind = mixed_cycle[i % 4] if self.kind == "mixed" else self.kind
                 fs = self._draw(kind, _derived_rng(self.seed, k, i, n), n, k)
@@ -128,7 +121,6 @@ class TestFunctionStrategy:
 class ProfileSample:
     k: int
     measures: tuple[DiscreteMeasure, ...]
-    strategy: TestFunctionStrategy
     operator_id: str
 
     def __post_init__(self):
@@ -176,7 +168,7 @@ def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) 
     if k < 1:
         raise ValueError("k must be >= 1")
     measures = tuple(measure_of(A, fs) for fs in strategy.tuples(A.n, k))
-    return ProfileSample(k, measures, strategy, A.name or f"operator:{A.n}")
+    return ProfileSample(k, measures, A.name or f"operator:{A.n}")
 
 
 def profile_hausdorff(P: ProfileSample, Q: ProfileSample) -> float:

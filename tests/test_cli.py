@@ -61,6 +61,13 @@ class TestProfileAndDist:
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
         assert counts["rebuilds"] >= counts["pairs"]  # each pair builds its first tree
 
+    def test_vertex_probe_defaults_to_last_vertex(self, capsys, tmp_path):
+        code, _ = run(capsys, "profile", "--graph", "gplus:cycle:4", "--kind", "vertex_probe", "--count", "2",
+                      "--out", str(tmp_path))
+        assert code == 0
+        # gplus:cycle:4 has 5 vertices; the apex, vertex 4, is probed, as in `experiment`
+        assert json.loads((tmp_path / "manifest.json").read_text())["strategy"].endswith(":v4:g9")
+
     def test_brute_force_flag_agrees(self, capsys, tmp_path):
         f1 = tmp_path / "m1.json"
         f2 = tmp_path / "m2.json"

@@ -1,5 +1,7 @@
 import json
-from dataclasses import replace
+import re
+import shutil
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -45,9 +47,10 @@ class TestOperatorSpecs:
         base = adjacency(GraphSpec("cycle", 4))
         assert np.array_equal(got.matrix, base.matrix - broadcast(4, 1).matrix)
 
-    def test_bad_spec_raises(self):
-        with pytest.raises(ValueError):
-            parse_operator_spec("hypercube:8")
+    @pytest.mark.parametrize("spec", ["hypercube:8", "er:10", "broadcast:5:2:9", "signed:+:0"])
+    def test_bad_spec_raises(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_operator_spec(spec)
 
     def test_operator_json_round_trip(self, tmp_path):
         path = tmp_path / "op.json"
@@ -110,6 +113,10 @@ class TestExperiment:
         assert cfg.count == 3
         assert cfg.seed == 5
 
+    def test_shared_configs_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            harness.STAR.sizes = (4,)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             ExperimentConfig.from_mapping({"wat": "1"})
@@ -117,12 +124,14 @@ class TestExperiment:
     def test_run_and_replay_identical(self, tmp_path):
         cfg = ExperimentConfig(sizes=(4, 8), K=2, count=2, seed=1, out=str(tmp_path / "a"))
         outdir = run_experiment(cfg)
-        csv1 = (outdir / "trajectory.csv").read_text()
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["config"]["sizes"] == [4, 8]
-        assert (outdir / "report_n4.json").exists()
+        files = ["manifest.json"] + manifest["files"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(files)
+        first = {name: (outdir / name).read_bytes() for name in files}
+        shutil.rmtree(outdir)
         run_experiment(cfg)
-        assert (outdir / "trajectory.csv").read_text() == csv1
+        assert {name: (outdir / name).read_bytes() for name in files} == first
 
     def test_probe_template_experiment(self, tmp_path):
         cfg = ExperimentConfig(

@@ -71,6 +71,10 @@ class TestWeightedOperator:
         with pytest.raises(ValueError, match="square"):
             WeightedOperator(np.ones((2, 3)))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            WeightedOperator(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("name", sorted(WEIGHT_SPELLINGS))
     def test_operator_and_measure_share_weight_form(self, name):
         ws = WEIGHT_SPELLINGS[name]

@@ -15,6 +15,7 @@ from actionlim import (
     profile_hausdorff,
     profile_sample,
 )
+from actionlim.profiles import PROBE_VALUES
 
 
 class TestStrategy:
@@ -25,10 +26,6 @@ class TestStrategy:
     def test_vertex_probe_requires_vertex(self):
         with pytest.raises(ValueError, match="probe_vertex"):
             TestFunctionStrategy("vertex_probe")
-
-    def test_probe_values_bounded(self):
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            TestFunctionStrategy("vertex_probe", probe_vertex=0, probe_values=(2.0,))
 
     def test_tuples_start_with_ones_and_zeros(self):
         ts = TestFunctionStrategy("mixed", count=2, seed=1).tuples(5, 2)
@@ -53,9 +50,8 @@ class TestStrategy:
 
     def test_vertex_probe_pins_probe_column(self):
         strat = TestFunctionStrategy("vertex_probe", count=18, seed=4, probe_vertex=3)
-        grid = strat.probe_values
         for i, fs in enumerate(strat.tuples(6, 2)[2:]):
-            assert np.all(fs[:, 3] == grid[i % len(grid)])
+            assert np.all(fs[:, 3] == PROBE_VALUES[i % len(PROBE_VALUES)])
 
     def test_vertex_probe_shares_bases_across_targets(self):
         # same seed, different probe vertex: the non-probed columns agree
