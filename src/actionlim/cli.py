@@ -145,7 +145,7 @@ def _cmd_actiondist(args) -> int:
     op_b = harness.parse_operator_spec(args.b)
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
     strat_a = harness._strategy_for(cfg, op_a, args.probe_a)
-    strat_b = harness._strategy_for(cfg, op_b, args.probe_b) if args.probe_b is not None else None
+    strat_b = harness._strategy_for(cfg, op_b, args.probe_b)
     report = profiles.action_distance_estimate(op_a, op_b, args.K, strat_a, strat_b)
     text = f"estimate {report.value!r} (truncated at K={report.truncation_k}, tail bound {report.tail_bound})"
     _emit(args, report.to_dict(), text)

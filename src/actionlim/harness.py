@@ -73,8 +73,8 @@ def parse_operator_spec(spec: str) -> operators.WeightedOperator:
         parts = rest.split(":")
         if len(parts) > 2:
             raise ValueError(f"operator spec {spec!r} is not broadcast:N[:I]")
-        n = int(parts[0])
-        i_star = int(parts[1]) if len(parts) > 1 else 0
+        n = _int_field(spec, parts[0], "vertex count", least=1)
+        i_star = _int_field(spec, parts[1], "index") if len(parts) > 1 else 0
         return limits.broadcast(n, i_star)
     if head == "signed":
         parts = rest.split(":", 2)
@@ -84,8 +84,20 @@ def parse_operator_spec(spec: str) -> operators.WeightedOperator:
         sign = 1 if sign_s in ("+", "+1") else -1 if sign_s in ("-", "-1") else None
         if sign is None:
             raise ValueError(f"bad sign {sign_s!r} in spec {spec!r}")
-        return limits.signed_limit(operators.adjacency(_parse_graph_spec(inner)), int(i_s), sign)
+        i_star = _int_field(spec, i_s, "index")
+        return limits.signed_limit(operators.adjacency(_parse_graph_spec(inner)), i_star, sign)
     return operators.adjacency(_parse_graph_spec(spec))
+
+
+def _int_field(spec: str, text: str, what: str, least: int | None = None) -> int:
+    """One integer field of a spec, or a ValueError that names the spec."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} in spec {spec!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} {value} in spec {spec!r} is below {least}")
+    return value
 
 
 def _parse_graph_spec(spec: str) -> operators.GraphSpec:
@@ -96,11 +108,11 @@ def _parse_graph_spec(spec: str) -> operators.GraphSpec:
         parts = rest.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"graph spec {spec!r} is not er:N:P[:SEED]")
-        n, prob = int(parts[0]), float(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else 0
+        n, prob = _int_field(spec, parts[0], "vertex count", least=1), float(parts[1])
+        seed = _int_field(spec, parts[2], "seed") if len(parts) > 2 else 0
         return operators.GraphSpec("erdos_renyi", n, p=prob, seed=seed)
     if head in operators.GRAPH_KINDS:
-        return operators.GraphSpec(head, int(rest))
+        return operators.GraphSpec(head, _int_field(spec, rest, "vertex count", least=1))
     raise ValueError(f"cannot parse graph spec {spec!r}")
 
 

@@ -44,8 +44,9 @@ class HausdorffResult:
     argmax_side: str  # "left" or "right"
     witness: tuple[int, int]
     # candidates = bound_skips + gap_skips + pairs, pairs = prunes + exact; a candidate
-    # is a visited (i, j) whose distance was not yet known; augmentations and rebuilds
-    # (breadth-first trees grown) are summed over the pairs' flow engines
+    # is a visited (i, j) whose distance was not yet known; pushes (along single opened
+    # edges), augmentations (along longer tree paths), rebuilds (breadth-first trees grown)
+    # and breakpoints (sweep steps whose flow was tested) are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -53,8 +54,9 @@ class _Pair:
     """One (mu, nu) pair as an incremental max-flow in Python ints: source ->
     A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
     sink (nu's masses), all masses over one common scale; `dist` is the caller's
-    cdist(mu.points(), nu.points()).  It counts its augmenting paths and the
-    breadth-first trees it builds."""
+    cdist(mu.points(), nu.points()).  It counts its direct pushes, its tree-path
+    augmentations, the breadth-first trees it builds and the breakpoints
+    `_distance_upto` tests on it."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -64,7 +66,7 @@ class _Pair:
         self.into: list[dict[int, int]] = [{} for _ in self.snk]  # into[j][i]: flow A_i -> B_j
         self.flow = 0
         self.dist = dist
-        self.augmentations = self.rebuilds = 0
+        self.pushes = self.augmentations = self.rebuilds = self.breakpoints = 0
         self._new_tree()
 
     def _new_tree(self) -> None:
@@ -77,12 +79,24 @@ class _Pair:
         self.queue = deque([i for i, c in enumerate(self.src) if c and self.out[i]])
 
     def open(self, edges) -> None:
-        """Add A -> B edges; a reached A-atom resumes its search from them (the
+        """Add A -> B edges, pushing min(src[i], snk[j]) straight along each one
+        (source -> A_i -> B_j -> sink is an augmenting path).  A push changes
+        residuals the tree was built on, so a batch with one ends in a new tree;
+        otherwise a reached A-atom resumes its search from its new edges (the
         queue holds only reached A-atoms with edges left to scan)."""
+        src, snk, before = self.src, self.snk, self.pushes
         for i, j in edges:
             self.out[i].append(j)
-            if self.reach_a[i] is not None:
+            if push := min(src[i], snk[j]):
+                src[i] -= push
+                snk[j] -= push
+                self.into[j][i] = push
+                self.flow += push
+                self.pushes += 1
+            elif self.reach_a[i] is not None:
                 self.queue.append(i)
+        if self.pushes > before:
+            self._new_tree()
 
     def _search(self) -> int | None:
         """Grow the tree until it reaches a B-atom with residual sink capacity."""
@@ -147,12 +161,14 @@ def _distance_upto(pair: _Pair, ceiling: float | Fraction = math.inf) -> Fractio
         if nxt > ceiling:  # a non-float ceiling whose float rounded up
             break
         if nxt > b:  # edges at distance 0 open at breakpoint 0
+            pair.breakpoints += 1
             rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
             n, d = nxt.as_integer_ratio()
             if rest * d < n * scale:
                 return max(Fraction(b), Fraction(rest, scale))
             b = nxt
         pair.open((i, j) for _, i, j in group)
+    pair.breakpoints += 1
     rest = scale - pair.max_flow()
     return max(Fraction(b), Fraction(rest, scale)) if rest * cd <= cn * scale else None
 
@@ -288,8 +304,8 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                 counts["pairs"] += 1
                 pair = _Pair(a, b, dist)
                 exact = _distance_upto(pair, cur)
-                counts["augmentations"] += pair.augmentations
-                counts["rebuilds"] += pair.rebuilds
+                for key in ("pushes", "augmentations", "rebuilds", "breakpoints"):
+                    counts[key] += getattr(pair, key)
                 if exact is None:
                     counts["prunes"] += 1
                     lower[i, j] = cur
@@ -322,7 +338,7 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     known = np.full((len(A), len(B)), np.nan)
     lower = np.zeros((len(A), len(B)))
     counts = dict.fromkeys(("candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact",
-                            "augmentations", "rebuilds"), 0)
+                            "pushes", "augmentations", "rebuilds", "breakpoints"), 0)
     left, w_left = _directed(A, B, known, lower, counts)
     right, w_right = _directed(B, A, known.T, lower.T, counts)
     if left >= right:

@@ -56,7 +56,7 @@ class TestProfileAndDist:
         # deterministic counters of the Hausdorff loop, no timings
         counts = payload["counts"]
         assert set(counts) == {"candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact",
-                               "augmentations", "rebuilds"}
+                               "pushes", "augmentations", "rebuilds", "breakpoints"}
         assert counts["candidates"] == counts["bound_skips"] + counts["gap_skips"] + counts["pairs"]
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
         assert counts["rebuilds"] >= counts["pairs"]  # each pair builds its first tree
@@ -93,6 +93,14 @@ class TestActionDist:
         )
         assert code == 0
         assert "vertex_probe" in json.loads(out)["strategy"]
+
+    def test_vertex_probe_defaults_to_each_operators_last_vertex(self, capsys):
+        # gplus:cycle:4 has 5 vertices and cycle:4 has 4: each operator is probed at its own
+        # last vertex, as in `experiment`, not at operator a's
+        code, out = run(capsys, "--json", "actiondist", "--a", "gplus:cycle:4", "--b", "cycle:4",
+                        "--kind", "vertex_probe", "-K", "1", "--count", "2")
+        assert code == 0
+        assert json.loads(out)["strategy"] == "vertex_probe:2:0:v4:g9|vertex_probe:2:0:v3:g9"
 
 
 class TestLimit:

@@ -47,7 +47,8 @@ class TestOperatorSpecs:
         base = adjacency(GraphSpec("cycle", 4))
         assert np.array_equal(got.matrix, base.matrix - broadcast(4, 1).matrix)
 
-    @pytest.mark.parametrize("spec", ["hypercube:8", "er:10", "broadcast:5:2:9", "signed:+:0"])
+    @pytest.mark.parametrize("spec", ["hypercube:8", "er:10", "broadcast:5:2:9", "signed:+:0",
+                                      "star:5:3", "star:", "broadcast:0"])
     def test_bad_spec_raises(self, spec):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             parse_operator_spec(spec)

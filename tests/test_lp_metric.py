@@ -355,16 +355,18 @@ class TestHausdorff:
         # its box bound is 0 but its gap 0.5 >= cur (gap skip); B[2] sits 0.75 away, past
         # cur by its box alone (bound skip); B[3] has an atom 0.125 away but d_LP 0.75
         # (pair built, then pruned).  The reverse pass computes B[1..3] against A[0]
-        # (B[0] is known), each first in its row with cur = inf.  Every pair's flow
-        # takes one augmenting path, but B[1]'s two half atoms take two; each pair
-        # builds one tree up front and one after each augmentation.
+        # (B[0] is known), each first in its row with cur = inf.  Every pair opens its
+        # edges in one batch and pushes along each of them directly: one push per pair,
+        # but two for B[1]'s two half atoms, and no longer tree path is left to augment.
+        # Each pair builds one tree up front and one after its batch of pushes, and
+        # tests two breakpoints: 0 and the one distance at which its edges open.
         B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
         assert res.counts == {"candidates": 7, "bound_skips": 1, "gap_skips": 1,
                               "pairs": 5, "prunes": 1, "exact": 4,
-                              "augmentations": 6, "rebuilds": 11}
+                              "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10}
         assert_counts_add_up(res.counts)
 
 
@@ -486,3 +488,36 @@ class TestFlowEngine:
             assert got is None or float(got) == brute
         assert _distance_upto(new_pair(a, b), d) == d
         assert float(d) == brute
+
+    @staticmethod
+    def flows_after_batches(a_masses, b_masses, batches):
+        """max_flow() after each opened batch, over atoms at 0, 1, 2, ... with these masses."""
+        def line(masses):
+            return DiscreteMeasure(1, [((float(k),), m) for k, m in enumerate(masses)])
+
+        pair = new_pair(line(a_masses), line(b_masses))
+        flows = []
+        for batch in batches:
+            pair.open(batch)
+            flows.append(pair.max_flow())
+        return pair, flows
+
+    def test_push_then_reroute_through_a_pushed_edge(self):
+        # scale 21: src (7, 14), snk (3, 6, 12).  Batch 1 pushes 7 along A0 -> B2; batch 2
+        # pushes 5 along A1 -> B2, which fills B2, and the last 3 need the longer path
+        # A1 -> B2 -> A0 -> B0 through the pushed edge, found only in a tree rebuilt after
+        # the push
+        pair, flows = self.flows_after_batches(
+            [Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)],
+            [[(0, 2), (0, 0)], [(1, 2)]])
+        assert pair.scale == 21
+        assert flows == [7, 15]
+        assert (pair.pushes, pair.augmentations) == (2, 1)
+
+    def test_push_is_capped_by_both_ends(self):
+        # scale 4: src (3, 1), snk (2, 2); A0 -> B0 carries only B0's 2, leaving 1 of A0
+        # for B1
+        pair, flows = self.flows_after_batches(
+            [Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 2)], [[(0, 0)], [(0, 1)]])
+        assert pair.scale == 4
+        assert flows == [2, 3]
