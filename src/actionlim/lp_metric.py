@@ -180,11 +180,14 @@ def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
 
 def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps."""
-    eps = Fraction(eps)
+    if eps != eps:
+        raise ValueError(f"epsilon is not a number: eps={eps!r}")
     if eps < 0:
         raise ValueError("negative epsilon")
     _check_dims(mu, nu)
-    return _distance_upto(_Pair(mu, nu, cdist(mu.points(), nu.points())), eps) is not None
+    if eps >= 1:  # d_LP <= 1 always; also keeps inf away from Fraction
+        return True
+    return _distance_upto(_Pair(mu, nu, cdist(mu.points(), nu.points())), Fraction(eps)) is not None
 
 
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
@@ -241,24 +244,6 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     return LpResult(float(Fraction(ordered[first], scale)), "brute_force")
 
 
-_SHRINK = 1.0 - 2.0**-40  # keeps a box bound below cdist's own float gap, whatever its summation order
-
-
-def _box_bounds(a: DiscreteMeasure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Lower bounds on the gap from a's support to each candidate's, in one pass.
-
-    Candidate j's atoms lie in the box [lo[j], hi[j]]; the distance from an
-    atom of a to that box is at most its distance to any atom inside, so the
-    least such distance over a's atoms bounds the least cdist entry from below.
-    Accumulated one coordinate at a time into an (atoms, candidates) array.
-    """
-    sq = np.zeros((a.support_size, len(lo)))
-    for k, x in enumerate(a.points().T):
-        x = x[:, None]
-        sq += np.square(np.maximum(np.maximum(lo[:, k] - x, x - hi[:, k]), 0.0))
-    return np.sqrt(sq.min(axis=0)) * _SHRINK
-
-
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
               known: np.ndarray, lower: np.ndarray, counts: dict):
     """sup over a of inf over b of d_LP(a, b), with witness indices.
@@ -273,17 +258,17 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
     so Strassen's condition needs eps >= 1 and d_LP >= min(1, gap) >= cur);
     or by a flow pair, which returns the exact distance or proves it above cur
     (prune).  A skip or prune leaves the min unchanged, since only d < cur
-    lowers it.
+    lowers it.  A row ends as soon as cur <= the running sup (early break,
+    Taha & Hanbury, TPAMI 2015): its inf is at most cur, and the sup moves
+    only on a strictly larger row, so value and witness are those of the
+    full loop.
     """
-    lo = np.array([b.points().min(axis=0) for b in B])
-    hi = np.array([b.points().max(axis=0) for b in B])
     best_val = -1.0
     best_witness = (0, 0)
     for i, a in enumerate(A):
         order = [i] if i < len(B) else []
         order += [j for j in range(len(B)) if j != i]
-        bound = np.maximum(np.minimum(_box_bounds(a, lo, hi), 1.0), lower[i]).tolist()
-        row = known[i].tolist()
+        row, bound = known[i].tolist(), lower[i].tolist()
         cur = math.inf
         cur_j = order[0]
         for j in order:
@@ -292,7 +277,6 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                 counts["candidates"] += 1
                 if bound[j] >= cur:
                     counts["bound_skips"] += 1
-                    lower[i, j] = bound[j]
                     continue
                 b = B[j]
                 dist = cdist(a.points(), b.points())
@@ -314,7 +298,7 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                 d = known[i, j] = float(exact)
             if d < cur:
                 cur, cur_j = d, j
-            if cur == 0.0:
+            if cur <= best_val or cur == 0.0:
                 break
         if cur > best_val:
             best_val = cur

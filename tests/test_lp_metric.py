@@ -20,7 +20,7 @@ from actionlim import (
     marginal,
     shift,
 )
-from actionlim.lp_metric import _SHRINK, HausdorffResult, LpResult, _box_bounds, _distance_upto, _Pair
+from actionlim.lp_metric import HausdorffResult, LpResult, _distance_upto, _Pair
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
@@ -85,6 +85,16 @@ class TestFeasibility:
         mu = DiscreteMeasure(1, [((0.0,), Fraction(2, 3)), ((10.0,), Fraction(1, 3))])
         assert lp_feasible(mu, dirac(0.0), Fraction(1, 3))
         assert not lp_feasible(mu, dirac(0.0), Fraction(1, 3) - Fraction(1, 10**9))
+
+    @pytest.mark.parametrize("eps", [1.0, math.inf, math.nan], ids=["one", "inf", "nan"])
+    def test_eps_one_inf_nan(self, eps):
+        # the diracs sit 5 apart, so d_LP = 1: every eps >= 1 is feasible, NaN is refused
+        a, b = dirac(0.0), dirac(5.0)
+        if math.isnan(eps):
+            with pytest.raises(ValueError, match="^epsilon is not a number: eps=nan$"):
+                lp_feasible(a, b, eps)
+        else:
+            assert lp_feasible(a, b, eps)
 
 
 class TestOracleAgreement:
@@ -321,18 +331,15 @@ class TestHausdorff:
         assert res == unpruned_hausdorff(A, B)  # value, side and witness; counts do not compare
         assert_counts_add_up(res.counts)
 
-    def test_box_corner_bound_equals_gap_and_is_still_computed(self):
-        # row A[0] = a: B[0] sets cur = 0.75; B[1]'s nearest atom is its box's corner
-        # (0.375, 0.5), at distance 0.625 from a, so the box bound is the gap itself
-        # (shrunk); it is below cur, and B[1] must be computed: its distance 0.625 is
-        # the row's minimum and the Hausdorff value
+    def test_candidate_with_gap_below_cur_is_computed(self):
+        # row A[0] = a: B[0] sets cur = 0.75; B[1]'s nearest atom (0.375, 0.5) is 0.625
+        # from a, below cur, so B[1] must be computed: its distance 0.625 is the row's
+        # minimum and the Hausdorff value
         a = dirac(0.0, 0.0)
         far = dirac(0.75, 0.0)
         corner = empirical([(0.375, 0.5), (0.5, 0.625)])
         gap = cdist(a.points(), corner.points()).min()
-        lo, hi = corner.points().min(axis=0)[None], corner.points().max(axis=0)[None]
         assert gap == 0.625
-        assert _box_bounds(a, lo, hi).tolist() == [0.625 * _SHRINK]
         A, B = [a, far], [far, corner]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.625, "left", (0, 1))
@@ -351,11 +358,11 @@ class TestHausdorff:
         assert res == unpruned_hausdorff(A, B)
 
     def test_counts_on_a_hand_sized_example(self):
-        # forward row A[0] = dirac(0): B[0] is exact (0.25) and sets cur; B[1] straddles 0, so
-        # its box bound is 0 but its gap 0.5 >= cur (gap skip); B[2] sits 0.75 away, past
-        # cur by its box alone (bound skip); B[3] has an atom 0.125 away but d_LP 0.75
-        # (pair built, then pruned).  The reverse pass computes B[1..3] against A[0]
-        # (B[0] is known), each first in its row with cur = inf.  Every pair opens its
+        # forward row A[0] = dirac(0): B[0] is exact (0.25) and sets cur; B[1] straddles 0,
+        # and its gap 0.5 >= cur (gap skip); B[2] sits 0.75 away, so its gap is past cur too
+        # (gap skip: with no bound recorded for it yet, a gap is what settles it); B[3] has
+        # an atom 0.125 away but d_LP 0.75 (pair built, then pruned).  The reverse pass
+        # computes B[1..3] against A[0] (B[0] is known), each first in its row with cur = inf.  Every pair opens its
         # edges in one batch and pushes along each of them directly: one push per pair,
         # but two for B[1]'s two half atoms, and no longer tree path is left to augment.
         # Each pair builds one tree up front and one after its batch of pushes, and
@@ -364,9 +371,31 @@ class TestHausdorff:
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
-        assert res.counts == {"candidates": 7, "bound_skips": 1, "gap_skips": 1,
+        assert res.counts == {"candidates": 7, "bound_skips": 0, "gap_skips": 2,
                               "pairs": 5, "prunes": 1, "exact": 4,
                               "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10}
+        assert_counts_add_up(res.counts)
+
+    def test_early_break_ends_a_row_at_the_running_sup(self):
+        # A = diracs at 0, 0.3125, 0.5; B = diracs at 0.3125, 0.125, 0.375.  Forward: row 0
+        # computes B[0] (0.3125) and B[1] (0.125) and gap-skips B[2]: sup 0.125.  Row 1's
+        # first candidate B[1] is 0.1875, above the sup, so the row goes on to B[0] (0);
+        # a break on cur <= 1.5 * sup would stop it at 0.1875.  Row 2's first candidate
+        # B[2] is 0.125, a tie with the sup, so the row breaks after it; a break on
+        # cur < sup would go on and gap-skip B[0] and B[1].  Reverse: row B[0] breaks at
+        # its known A[1] (0) by the cur == 0 clause, as the pass has no sup yet, so A[2]
+        # is never visited; row B[1] has A[1] and A[0] known and gap-skips A[2] (gap
+        # 0.375 >= 0.125): sup 0.125, a tie the left side wins; row B[2] breaks at its
+        # known first candidate A[2] (0.125).  Every pair is two diracs: one push, two
+        # trees, two breakpoints, but one at distance 0.
+        A = [dirac(0.0), dirac(0.3125), dirac(0.5)]
+        B = [dirac(0.3125), dirac(0.125), dirac(0.375)]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.125, "left", (0, 1))
+        assert res == unpruned_hausdorff(A, B)
+        assert res.counts == {"candidates": 7, "bound_skips": 0, "gap_skips": 2,
+                              "pairs": 5, "prunes": 0, "exact": 5,
+                              "pushes": 5, "augmentations": 0, "rebuilds": 10, "breakpoints": 9}
         assert_counts_add_up(res.counts)
 
 
