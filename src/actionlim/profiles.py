@@ -9,6 +9,7 @@ evaluation order nor the operator identity affects the draws.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -68,6 +69,8 @@ class TestFunctionStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {STRATEGY_KINDS}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed {self.seed} is outside the signed 64-bit range")
         if self.kind == "vertex_probe" and self.probe_vertex is None:
             raise ValueError("vertex_probe requires probe_vertex")
 
@@ -97,24 +100,31 @@ class TestFunctionStrategy:
             return np.ones((k, n))
         raise AssertionError(kind)
 
-    def tuples(self, n: int, k: int) -> list[np.ndarray]:
-        """Deterministic tuples (ones, zeros) followed by `count` drawn tuples."""
+    # The memo holds the last draw, keyed by value: two equal strategies sampling
+    # two operators of the same size at the same k share one draw.
+    @functools.lru_cache(maxsize=1)
+    def tuples(self, n: int, k: int) -> tuple[np.ndarray, ...]:
+        """Deterministic tuples (ones, zeros) followed by `count` drawn tuples, read-only."""
         if self.kind == "vertex_probe" and not 0 <= (self.probe_vertex or 0) < n:
             raise ValueError(f"probe vertex {self.probe_vertex} out of range for n={n}")
         out = [np.ones((k, n)), np.zeros((k, n))]
-        mixed_cycle = ("iid_uniform", "rademacher", "block_step", "indicator")
-        for i in range(self.count):
-            if self.kind == "vertex_probe":
-                base = self._draw(
-                    "iid_uniform", _derived_rng(self.seed, k, i // len(PROBE_VALUES), n, b"base"), n, k
-                )
-                fs = base.copy()
-                fs[:, self.probe_vertex] = PROBE_VALUES[i % len(PROBE_VALUES)]
-            else:
+        if self.kind == "vertex_probe":
+            # each base is drawn once and carries every probe value in turn
+            g = len(PROBE_VALUES)
+            for b in range(-(-self.count // g)):
+                base = self._draw("iid_uniform", _derived_rng(self.seed, k, b, n, b"base"), n, k)
+                for value in PROBE_VALUES[: self.count - b * g]:
+                    fs = base.copy()
+                    fs[:, self.probe_vertex] = value
+                    out.append(fs)
+        else:
+            mixed_cycle = ("iid_uniform", "rademacher", "block_step", "indicator")
+            for i in range(self.count):
                 kind = mixed_cycle[i % 4] if self.kind == "mixed" else self.kind
-                fs = self._draw(kind, _derived_rng(self.seed, k, i, n), n, k)
-            out.append(fs)
-        return out
+                out.append(self._draw(kind, _derived_rng(self.seed, k, i, n), n, k))
+        for fs in out:
+            fs.setflags(write=False)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -154,14 +164,16 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
     F = np.asarray(fs, dtype=float)
     if F.ndim == 1:
         F = F[None, :]
+    if F.ndim != 2:
+        raise ValueError(f"test vectors must form a vector or a (k, n) array, got an array of shape {F.shape}")
     k, n = F.shape
     if n != A.n:
         raise ValueError(f"test vectors have length {n}, operator has n={A.n}")
-    if not np.all(np.abs(F) <= 1 + 1e-9):
+    if not (np.abs(F) <= 1 + 1e-9).all():  # NaN fails the comparison too
         raise ValueError("test vector entries must lie in [-1, 1]")
     Y = F @ A.matrix.T  # row i: A f_i evaluated at each coordinate
     # atom j: the point (F[:, j], Y[:, j]) with the mass of coordinate j
-    return DiscreteMeasure(2 * k, points=np.vstack([F, Y]).T, masses=A.masses, denom=A.denom)
+    return DiscreteMeasure(2 * k, points=np.concatenate((F, Y)).T, masses=A.masses, denom=A.denom)
 
 
 def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) -> ProfileSample:

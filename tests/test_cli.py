@@ -102,6 +102,10 @@ class TestActionDist:
         assert code == 0
         assert json.loads(out)["strategy"] == "vertex_probe:2:0:v4:g9|vertex_probe:2:0:v3:g9"
 
+    def test_seed_outside_int64_refused_before_sampling(self, capsys):
+        with pytest.raises(ValueError, match="seed 9223372036854775808 "):
+            main(["actiondist", "--a", "star:4", "--b", "broadcast:4:0", "--seed", str(2**63)])
+
 
 class TestLimit:
     def test_broadcast_stdout(self, capsys):

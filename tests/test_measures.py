@@ -137,6 +137,63 @@ class TestCanonicalForm:
         assert mu.weights() == (tiny, 1 - tiny)
 
 
+def list_canonical(dim, points, masses, denom):
+    """Reference canonicalisation with per-atom lists, as the constructor merged
+    before its numpy merge: (support bytes, masses, denom)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, dim)
+    keep = [i for i, m in enumerate(masses) if m]
+    order = [keep[i] for i in np.lexsort(pts[keep].T[::-1]).tolist()]
+    pts = pts[order] + 0.0
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    starts = np.flatnonzero(first).tolist() + [len(order)]
+    ordered = [masses[i] for i in order]
+    merged = [sum(ordered[a:b]) for a, b in zip(starts, starts[1:])]
+    g = math.gcd(*merged)
+    return pts[first].tobytes(), tuple(m // g for m in merged), denom // g
+
+
+# few distinct coordinates, so atoms often coincide; -0.0 must merge with 0.0
+coordinate = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+mass = st.one_of(st.just(0), st.integers(1, 6), st.integers(2**64, 2**70))
+
+
+@st.composite
+def raw_atoms(draw):
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    points = [[draw(coordinate) for _ in range(dim)] for _ in range(m)]
+    masses = [draw(mass) for _ in range(m)]
+    if not any(masses):
+        masses[draw(st.integers(0, m - 1))] = 1
+    return dim, points, masses
+
+
+class TestMergeReference:
+    @given(raw_atoms())
+    @settings(max_examples=150, deadline=None)
+    def test_points_form_matches_list_reference(self, atoms):
+        dim, points, masses = atoms
+        mu = DiscreteMeasure(dim, points=points, masses=masses, denom=sum(masses))
+        assert (mu.support.tobytes(), mu.masses, mu.denom) == list_canonical(dim, points, masses, sum(masses))
+        assert all(type(m) is int for m in mu.masses)
+
+    @given(raw_atoms())
+    @settings(max_examples=150, deadline=None)
+    def test_atoms_form_matches_list_reference(self, atoms):
+        dim, points, masses = atoms
+        weights = [Fraction(m, sum(masses)) for m in masses]
+        mu = DiscreteMeasure(dim, zip(points, weights))
+        assert (mu.support.tobytes(), mu.masses, mu.denom) == list_canonical(dim, points, *integer_masses(weights))
+        assert all(type(m) is int for m in mu.masses)
+
+    def test_huge_masses_merge_exactly(self):
+        big = 2**64 + 1
+        mu = DiscreteMeasure(1, points=[[0.0], [-0.0], [1.0]], masses=[big, big, 2], denom=2 * big + 2)
+        # 2 * (2^64 + 1) overflows int64; the merged mass keeps every digit
+        assert mu.masses == (big, 1) and mu.denom == big + 1
+
+
 # files written by `actionlim profile --graph star:5 -k 1 --count 4 --seed 1`,
 # recorded so that a change of representation keeps the serialized form
 GOLDEN_PROFILE = {

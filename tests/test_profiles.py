@@ -15,7 +15,25 @@ from actionlim import (
     profile_hausdorff,
     profile_sample,
 )
+from actionlim import profiles
 from actionlim.profiles import PROBE_VALUES
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Arguments of every `_derived_rng` call, made with the draw memo emptied first."""
+    calls = []
+    real = profiles._derived_rng
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    memo = TestFunctionStrategy.tuples
+    monkeypatch.setattr(profiles, "_derived_rng", counting)
+    memo.cache_clear()
+    yield calls
+    memo.cache_clear()
 
 
 class TestStrategy:
@@ -40,7 +58,9 @@ class TestStrategy:
 
     def test_deterministic_and_order_free(self):
         a = TestFunctionStrategy("mixed", count=6, seed=9).tuples(7, 2)
+        TestFunctionStrategy.tuples.cache_clear()  # draw again rather than reuse the memo
         b = TestFunctionStrategy("mixed", count=6, seed=9).tuples(7, 2)
+        assert a is not b
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_seed_changes_draws(self):
@@ -59,6 +79,34 @@ class TestStrategy:
         b = TestFunctionStrategy("vertex_probe", count=9, seed=4, probe_vertex=5).tuples(6, 2)
         for fa, fb in zip(a[2:], b[2:]):
             assert np.array_equal(fa[:, 1:5], fb[:, 1:5])
+
+    def test_vertex_probe_draws_each_base_once(self, draws):
+        strat = TestFunctionStrategy("vertex_probe", count=64, seed=4, probe_vertex=2)
+        got = strat.tuples(6, 2)[2:]
+        # 64 probe tuples over 9 probe values: bases 0..7, one draw each
+        assert draws == [(4, 2, b, 6, b"base") for b in range(8)]
+        for i, fs in enumerate(got):
+            want = strat._draw("iid_uniform", profiles._derived_rng(4, 2, i // 9, 6, b"base"), 6, 2)
+            want[:, 2] = PROBE_VALUES[i % 9]
+            assert np.array_equal(fs, want)
+
+    @pytest.mark.parametrize("kind", ["mixed", "vertex_probe"])
+    def test_tuples_are_read_only(self, kind):
+        ts = TestFunctionStrategy(kind, count=10, seed=1, probe_vertex=0).tuples(4, 2)
+        assert isinstance(ts, tuple)
+        for fs in ts:
+            assert not fs.flags.writeable
+            with pytest.raises(ValueError):
+                fs[0, 0] = 0.5
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_seed_outside_int64_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            TestFunctionStrategy("mixed", count=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+    def test_int64_seed_bounds_draw(self, seed):
+        assert len(TestFunctionStrategy("mixed", count=1, seed=seed).tuples(3, 1)) == 3
 
     def test_probe_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -95,6 +143,11 @@ class TestMeasureOf:
         A = adjacency(GraphSpec("star", 3))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             measure_of(A, [[np.nan, 0.5, 0.5]])
+
+    def test_rejects_three_dimensional_input(self):
+        A = adjacency(GraphSpec("star", 5))
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 5\)"):
+            measure_of(A, np.zeros((2, 2, 5)))
 
     def test_rejects_length_mismatch(self):
         A = adjacency(GraphSpec("star", 3))
@@ -141,3 +194,21 @@ class TestSampling:
         strat = TestFunctionStrategy("mixed", count=2, seed=0)
         with pytest.raises(ValueError, match="1-profile"):
             norm_from_profile(profile_sample(adjacency(GraphSpec("cycle", 4)), 2, strat))
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize(
+        "seed_b, n_b, draws_per_k",
+        [(7, 8, 64), (8, 8, 128), (7, 9, 128)],
+        ids=["equal", "unequal_strategy", "unequal_n"],
+    )
+    def test_one_draw_per_k_only_when_both_sides_match(self, monkeypatch, draws, seed_b, n_b, draws_per_k):
+        A, B = adjacency(GraphSpec("star", 8)), broadcast(n_b, 0)
+        # separately built, so equal only by value, as the experiment runner builds them
+        strat_a, strat_b = TestFunctionStrategy("mixed", 64, 7), TestFunctionStrategy("mixed", 64, seed_b)
+        report = action_distance_estimate(A, B, 3, strat_a, strat_b)
+        assert len(draws) == 3 * draws_per_k
+        monkeypatch.setattr(TestFunctionStrategy, "tuples", TestFunctionStrategy.tuples.__wrapped__)
+        unshared = action_distance_estimate(A, B, 3, strat_a, strat_b)
+        assert report.to_dict() == unshared.to_dict()
+        assert report.to_dict()["strategy"] == f"mixed:64:7|mixed:64:{seed_b}"
