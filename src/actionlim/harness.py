@@ -437,6 +437,10 @@ class ExperimentConfig:
     probe_b: Optional[str] = None
     out: str = "experiment_out"
 
+    def __post_init__(self):
+        if not self.sizes:
+            raise ValueError("config key 'sizes' is empty: an experiment needs at least one size")
+
     @classmethod
     def from_file(cls, path: str | Path, overrides: Optional[dict] = None) -> "ExperimentConfig":
         """Flat key=value config file; CLI overrides win."""
@@ -457,12 +461,13 @@ class ExperimentConfig:
         for key, value in kv.items():
             if key not in valid:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "sizes":
-                kwargs[key] = tuple(int(x) for x in str(value).replace(",", " ").split())
-            elif key in ("K", "count", "seed"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
+            if key in ("sizes", "K", "count", "seed"):
+                try:
+                    value = (tuple(int(x) for x in str(value).replace(",", " ").split()) if key == "sizes"
+                             else int(value))
+                except ValueError:
+                    raise ValueError(f"config key {key!r} needs integers, got {value!r}") from None
+            kwargs[key] = value
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -475,7 +480,10 @@ def _strategy_for(
     """Test functions for one operator: vertex_probe at `probe` ("last" or None: the last vertex) when a
     probe is given or the strategy is vertex_probe, otherwise `cfg.strategy`."""
     if cfg.strategy == "vertex_probe" or probe is not None:
-        vertex = op.n - 1 if probe in (None, "last") else int(probe)
+        try:
+            vertex = op.n - 1 if probe in (None, "last") else int(probe)
+        except ValueError:
+            raise ValueError(f"probe {probe!r} must be a vertex index or 'last'") from None
         return profiles.TestFunctionStrategy("vertex_probe", count=cfg.count, seed=cfg.seed, probe_vertex=vertex)
     return profiles.TestFunctionStrategy(cfg.strategy, count=cfg.count, seed=cfg.seed)
 

@@ -43,10 +43,10 @@ class HausdorffResult:
     value: float
     argmax_side: str  # "left" or "right"
     witness: tuple[int, int]
-    # candidates = bound_skips + gap_skips + pairs, pairs = prunes + exact; a candidate
-    # is a visited (i, j) whose distance was not yet known; pushes (along single opened
-    # edges), augmentations (along longer tree paths), rebuilds (breadth-first trees grown)
-    # and breakpoints (sweep steps whose flow was tested) are summed over the pairs
+    # candidates = gap_skips + pairs, pairs = prunes + exact; a candidate is a visited
+    # (i, j) whose distance was not yet known; pushes (along single opened edges),
+    # augmentations (along longer tree paths), rebuilds (breadth-first trees grown) and
+    # breakpoints (sweep steps whose flow was tested) are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -245,45 +245,38 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 
 
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
-              known: np.ndarray, lower: np.ndarray, counts: dict):
+              known: np.ndarray, counts: dict):
     """sup over a of inf over b of d_LP(a, b), with witness indices.
 
     Candidate b's are tried starting at the index paired with a; each is
     dropped as soon as it is shown not to lower the current best cur.
-    known[i, j] holds d_LP(A[i], B[j]) once computed (NaN before), lower[i, j]
-    a proven lower bound on it; both are read and written.  A candidate is
-    settled, cheapest first, by its known value; by its bound when that is
-    >= cur (bound skip); by its cdist matrix when no atom pair is closer than
-    cur (gap skip: for eps < gap no atom of b lies within eps of a's support,
-    so Strassen's condition needs eps >= 1 and d_LP >= min(1, gap) >= cur);
-    or by a flow pair, which returns the exact distance or proves it above cur
-    (prune).  A skip or prune leaves the min unchanged, since only d < cur
-    lowers it.  A row ends as soon as cur <= the running sup (early break,
-    Taha & Hanbury, TPAMI 2015): its inf is at most cur, and the sup moves
-    only on a strictly larger row, so value and witness are those of the
-    full loop.
+    known[i, j] holds d_LP(A[i], B[j]) once computed (NaN before); it is read
+    and written.  A candidate is settled by its known value; by its cdist
+    matrix when no atom pair is closer than cur (gap skip: for eps < gap no
+    atom of b lies within eps of a's support, so Strassen's condition needs
+    eps >= 1 and d_LP >= min(1, gap) >= cur); or by a flow pair, which
+    returns the exact distance or proves it above cur (prune).  A skip or
+    prune leaves the min unchanged, since only d < cur lowers it.  A row ends
+    as soon as cur <= the running sup (early break, Taha & Hanbury, TPAMI
+    2015): its inf is at most cur, and the sup moves only on a strictly larger
+    row, so value and witness are those of the full loop.
     """
     best_val = -1.0
     best_witness = (0, 0)
     for i, a in enumerate(A):
         order = [i] if i < len(B) else []
         order += [j for j in range(len(B)) if j != i]
-        row, bound = known[i].tolist(), lower[i].tolist()
+        row = known[i].tolist()
         cur = math.inf
         cur_j = order[0]
         for j in order:
             d = row[j]
             if d != d:  # NaN: not yet computed
                 counts["candidates"] += 1
-                if bound[j] >= cur:
-                    counts["bound_skips"] += 1
-                    continue
                 b = B[j]
                 dist = cdist(a.points(), b.points())
-                gap = dist.min()
-                if gap >= cur:
+                if dist.min() >= cur:
                     counts["gap_skips"] += 1
-                    lower[i, j] = min(1.0, gap)
                     continue
                 counts["pairs"] += 1
                 pair = _Pair(a, b, dist)
@@ -292,7 +285,6 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                     counts[key] += getattr(pair, key)
                 if exact is None:
                     counts["prunes"] += 1
-                    lower[i, j] = cur
                     continue
                 counts["exact"] += 1
                 d = known[i, j] = float(exact)
@@ -310,8 +302,9 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     """Hausdorff distance between two finite sets of measures under d_LP.
 
     The two directed passes share one (len(A), len(B)) array of exact
-    distances and one of lower bounds; the reverse pass reads their
-    transposes, so a pair settled in one pass is not recomputed in the other.
+    distances; the reverse pass reads its transpose, so a distance computed in
+    one pass is not recomputed in the other.  A pair skipped or pruned in one
+    pass is settled afresh, by its gap or a flow, if the other visits it.
     """
     A, B = list(A), list(B)
     if not A or not B:
@@ -320,11 +313,10 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions {sorted(dims)}")
     known = np.full((len(A), len(B)), np.nan)
-    lower = np.zeros((len(A), len(B)))
-    counts = dict.fromkeys(("candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact",
+    counts = dict.fromkeys(("candidates", "gap_skips", "pairs", "prunes", "exact",
                             "pushes", "augmentations", "rebuilds", "breakpoints"), 0)
-    left, w_left = _directed(A, B, known, lower, counts)
-    right, w_right = _directed(B, A, known.T, lower.T, counts)
+    left, w_left = _directed(A, B, known, counts)
+    right, w_right = _directed(B, A, known.T, counts)
     if left >= right:
         return HausdorffResult(left, "left", w_left, counts)
     return HausdorffResult(right, "right", (w_right[1], w_right[0]), counts)

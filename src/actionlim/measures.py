@@ -138,7 +138,9 @@ class DiscreteMeasure:
 
     def mass(self, point: Sequence[float]) -> Fraction:
         p = np.asarray(point, dtype=float)
-        hit = np.flatnonzero((self.support == p).all(axis=1)) if p.shape == (self.dim,) else []
+        if p.shape != (self.dim,):
+            raise ValueError(f"point of shape {p.shape} for a measure of dim {self.dim}")
+        hit = np.flatnonzero((self.support == p).all(axis=1))
         return Fraction(self.masses[hit[0]], self.denom) if len(hit) else Fraction(0)
 
     # -- serialization -------------------------------------------------

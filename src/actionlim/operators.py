@@ -188,8 +188,8 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
 
     For integer q the power sum is evaluated in exact rational arithmetic.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not q >= 1:  # NaN fails it too
+        raise ValueError(f"q must be >= 1, got q={q!r}")
     v = [float(x) for x in f]
     ws = [Fraction(w) for w in weights]
     if len(v) != len(ws):
@@ -240,8 +240,9 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
     sign vectors, exact for integer-valued A with n * max|a_ij| * denom
     < 2^53 and float64 otherwise.  Other regimes raise UnsupportedNormError.
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
+    for name, value in (("p", p), ("q", q)):
+        if not value >= 1:  # NaN fails it too
+            raise ValueError(f"{name} must be >= 1, got {name}={value!r}")
     if math.isinf(p) and np.all(A.matrix >= 0):
         return q_norm(apply(A, np.ones(A.n)), A.weights, q)
     if math.isinf(p) and q == 1:

@@ -55,9 +55,9 @@ class TestProfileAndDist:
         assert json.loads(out)["value"] == payload["value"]
         # deterministic counters of the Hausdorff loop, no timings
         counts = payload["counts"]
-        assert set(counts) == {"candidates", "bound_skips", "gap_skips", "pairs", "prunes", "exact",
+        assert set(counts) == {"candidates", "gap_skips", "pairs", "prunes", "exact",
                                "pushes", "augmentations", "rebuilds", "breakpoints"}
-        assert counts["candidates"] == counts["bound_skips"] + counts["gap_skips"] + counts["pairs"]
+        assert counts["candidates"] == counts["gap_skips"] + counts["pairs"]
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
         assert counts["rebuilds"] >= counts["pairs"]  # each pair builds its first tree
 
@@ -149,6 +149,12 @@ class TestExperiment:
         # the apex of gplus:cycle:4 is vertex 4; both operators act on 5 coordinates
         assert report["strategy"] == "vertex_probe:2:7:v4:g9|vertex_probe:2:7:v0:g9"
         assert (outdir / "trajectory.csv").read_text().splitlines()[1].startswith("4,")
+
+    def test_empty_sizes_refused(self, capsys, tmp_path):
+        # an empty sweep used to exit 0 with a header-only trajectory.csv
+        with pytest.raises(ValueError, match="'sizes' is empty"):
+            main(["experiment", "--set", "sizes=", "--out", str(tmp_path / "none")])
+        assert not (tmp_path / "none").exists()
 
     def test_bad_set_syntax(self, capsys):
         with pytest.raises(SystemExit):

@@ -122,6 +122,16 @@ class TestExperiment:
         with pytest.raises(ValueError, match="unknown config key"):
             ExperimentConfig.from_mapping({"wat": "1"})
 
+    @pytest.mark.parametrize("key, value", [("sizes", "4 x"), ("K", "x"), ("count", "2.5"), ("seed", "")])
+    def test_non_integer_value_named(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' needs integers, got '{value}'"):
+            ExperimentConfig.from_mapping({key: value})
+
+    def test_bad_probe_named(self, tmp_path):
+        cfg = ExperimentConfig(sizes=(4,), K=1, count=2, probe_a="x", out=str(tmp_path / "p"))
+        with pytest.raises(ValueError, match="probe 'x' must be a vertex index or 'last'"):
+            run_experiment(cfg)
+
     def test_run_and_replay_identical(self, tmp_path):
         cfg = ExperimentConfig(sizes=(4, 8), K=2, count=2, seed=1, out=str(tmp_path / "a"))
         outdir = run_experiment(cfg)

@@ -271,7 +271,7 @@ def measure_set_pair(draw):
 
 
 def assert_counts_add_up(c):
-    assert c["candidates"] == c["bound_skips"] + c["gap_skips"] + c["pairs"]
+    assert c["candidates"] == c["gap_skips"] + c["pairs"]
     assert c["pairs"] == c["prunes"] + c["exact"]
 
 
@@ -343,13 +343,12 @@ class TestHausdorff:
         A, B = [a, far], [far, corner]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.625, "left", (0, 1))
-        assert res.counts["bound_skips"] == 0
         assert res == unpruned_hausdorff(A, B)
 
-    def test_forward_prune_bounds_only_by_cur(self):
+    def test_forward_prune_is_computed_exactly_in_reverse(self):
         # forward row A[0]: B[0] sets cur = 0.125, then B[1] builds a pair and is pruned
         # at d_LP 0.5; in the reverse pass B[1] -> A[0] is that row's minimum (0.5, below
-        # A[1]'s 0.75), so the lower bound the prune records must be cur = 0.125, not more
+        # A[1]'s 0.75), so the pair pruned forward must be computed exactly there
         A = [dirac(0.0), dirac(-0.25)]
         B = [dirac(0.125), DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))])]
         res = hausdorff(A, B)
@@ -357,22 +356,42 @@ class TestHausdorff:
         assert res.counts["prunes"] == 1
         assert res == unpruned_hausdorff(A, B)
 
+    def test_reverse_pass_settles_forward_skips_afresh(self):
+        # A[0] = 1/4 at 0.0625 + 3/4 at 0.5625, A[1] = dirac(0.0625); B[0] = 1/4 at 0.0625
+        # + 3/4 at 0.5, B[1] = dirac(0.25).  Forward: row 0 computes B[0] (0.0625) and
+        # gap-skips B[1] (gap 0.1875); row 1 computes B[1] (0.1875), then B[0] shares an
+        # atom with A[1] (gap 0) but sits at d_LP 0.4375, so it is pruned.  Reverse: row
+        # B[0] has A[0] known (cur = 0.0625) and meets the forward prune A[1] with cur
+        # finite: gap 0 < cur, so a pair is built and pruned again; row B[1] has A[1] known
+        # (0.1875) and gap-skips A[0] again (gap 0.1875 >= cur).  Sup 0.1875 both ways, a
+        # tie the left side wins.  Pair (0, 0) pushes at breakpoints 0 and 0.0625 and stops
+        # at 0.4375 (two pushes, three trees, two breakpoints tested); the exact dirac pair
+        # pushes once (two trees, two breakpoints); each prune opens only the distance-0 edge,
+        # pushes 1/4 along it and fails the one test at its ceiling (two trees, one breakpoint).
+        A = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5625,), Fraction(3, 4))]), dirac(0.0625)]
+        B = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))]), dirac(0.25)]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.1875, "left", (1, 1))
+        assert res == unpruned_hausdorff(A, B)
+        assert res.counts == {"candidates": 6, "gap_skips": 2, "pairs": 4, "prunes": 2, "exact": 2,
+                              "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 6}
+        assert_counts_add_up(res.counts)
+
     def test_counts_on_a_hand_sized_example(self):
         # forward row A[0] = dirac(0): B[0] is exact (0.25) and sets cur; B[1] straddles 0,
         # and its gap 0.5 >= cur (gap skip); B[2] sits 0.75 away, so its gap is past cur too
-        # (gap skip: with no bound recorded for it yet, a gap is what settles it); B[3] has
-        # an atom 0.125 away but d_LP 0.75 (pair built, then pruned).  The reverse pass
-        # computes B[1..3] against A[0] (B[0] is known), each first in its row with cur = inf.  Every pair opens its
-        # edges in one batch and pushes along each of them directly: one push per pair,
-        # but two for B[1]'s two half atoms, and no longer tree path is left to augment.
+        # (gap skip); B[3] has an atom 0.125 away but d_LP 0.75 (pair built, then pruned).
+        # The reverse pass computes B[1..3] against A[0] (B[0] is known), each first in its
+        # row with cur = inf, so the forward prune of B[3] is settled afresh.  Every pair
+        # opens its edges in one batch and pushes along each of them directly: one push per
+        # pair, but two for B[1]'s two half atoms, and no longer tree path is left to augment.
         # Each pair builds one tree up front and one after its batch of pushes, and
         # tests two breakpoints: 0 and the one distance at which its edges open.
         B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
-        assert res.counts == {"candidates": 7, "bound_skips": 0, "gap_skips": 2,
-                              "pairs": 5, "prunes": 1, "exact": 4,
+        assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 1, "exact": 4,
                               "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10}
         assert_counts_add_up(res.counts)
 
@@ -393,8 +412,7 @@ class TestHausdorff:
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.125, "left", (0, 1))
         assert res == unpruned_hausdorff(A, B)
-        assert res.counts == {"candidates": 7, "bound_skips": 0, "gap_skips": 2,
-                              "pairs": 5, "prunes": 0, "exact": 5,
+        assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 0, "exact": 5,
                               "pushes": 5, "augmentations": 0, "rebuilds": 10, "breakpoints": 9}
         assert_counts_add_up(res.counts)
 

@@ -239,6 +239,13 @@ class TestOperations:
         assert nu.mass((1.0, -1.0)) == Fraction(1, 2)
         assert nu.mass((2.0, 1.0)) == Fraction(1, 2)
 
+    def test_mass_of_a_point(self):
+        mu = empirical([(0.0, 1.0), (1.0, 0.0)])
+        assert mu.mass((1.0, 0.0)) == Fraction(1, 2)
+        assert mu.mass((1.0, 1.0)) == Fraction(0)  # right dimension, off the support
+        with pytest.raises(ValueError, match=r"shape \(1,\) for a measure of dim 2"):
+            mu.mass((0.0,))
+
     def test_shift_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             shift(empirical([(0.0,)]), (1.0, 2.0))

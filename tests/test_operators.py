@@ -228,6 +228,16 @@ class TestNorms:
         with pytest.raises(ValueError):
             pq_norm(adjacency(GraphSpec("star", 3)), 0.5, 1)
 
+    @pytest.mark.parametrize("p, q, bad", [(math.nan, 1, "p"), (math.inf, math.nan, "q"), (math.nan, math.nan, "p")])
+    def test_nan_exponent_refused(self, p, q, bad):
+        # `p < 1` is False for NaN; the first exponent that fails the check is named
+        with pytest.raises(ValueError, match=f"{bad} must be >= 1, got {bad}=nan"):
+            pq_norm(adjacency(GraphSpec("star", 4)), p, q)
+
+    def test_q_norm_refuses_nan(self):
+        with pytest.raises(ValueError, match="q must be >= 1, got q=nan"):
+            q_norm([1.0, 2.0], [Fraction(1, 2), Fraction(1, 2)], math.nan)
+
 
 class TestStructure:
     def test_bilinear_symmetric_for_adjacency(self):
