@@ -26,13 +26,16 @@ from .operators import (
     adjoint,
     apply,
     bilinear,
+    broadcast,
     c_regularity,
     gplus,
+    non_self_adjoint_witness,
     positivity_defect,
     pq_norm,
     q_norm,
     scale,
     self_adjoint_defect,
+    signed_limit,
 )
 from .profiles import (
     DistanceReport,
@@ -43,11 +46,6 @@ from .profiles import (
     norm_from_profile,
     profile_hausdorff,
     profile_sample,
-)
-from .limits import (
-    broadcast,
-    non_self_adjoint_witness,
-    signed_limit,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Subcommands: verify (claim checks as JSON lines), profile (sample and save
 profile measures), dist (Levy-Prokhorov or Hausdorff distances), actiondist
-(truncated action-metric estimate), limit (emit limit-approximant operator
-JSON), experiment (config-driven runs with manifest and CSV output).
+(truncated action-metric estimate), limit (emit the operator a spec names,
+e.g. a limit approximant, as JSON), experiment (config-driven runs with
+manifest and CSV output).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, limits, lp_metric, measures, profiles
+from . import harness, lp_metric, measures, operators, profiles
 
 __all__ = ["main", "build_parser"]
 
@@ -55,17 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ad.add_argument("--probe-a", type=int, default=None, help="probe vertex on operator a (switches to vertex_probe)")
     p_ad.add_argument("--probe-b", type=int, default=None, help="probe vertex on operator b (switches to vertex_probe)")
 
-    p_limit = sub.add_parser("limit", help="emit a limit-approximant operator as JSON")
-    limit_sub = p_limit.add_subparsers(dest="family", required=True)
-    p_bc = limit_sub.add_parser("broadcast", help="rank-one broadcast matrix")
-    p_bc.add_argument("--n", type=int, required=True)
-    p_bc.add_argument("--i", type=int, default=0, help="distinguished column")
-    p_bc.add_argument("--out", help="write operator JSON here instead of stdout")
-    p_sg = limit_sub.add_parser("signed", help="base operator plus or minus the broadcast matrix")
-    p_sg.add_argument("--graph", required=True, help="base operator spec")
-    p_sg.add_argument("--i", type=int, default=0, help="distinguished column")
-    p_sg.add_argument("--sign", choices=["+", "-", "+1", "-1"], required=True)
-    p_sg.add_argument("--out", help="write operator JSON here instead of stdout")
+    p_limit = sub.add_parser("limit", help="emit an operator, e.g. a limit approximant, as JSON")
+    p_limit.add_argument("spec", help="operator spec, e.g. broadcast:16:0 or signed:-:0:cycle:16")
+    p_limit.add_argument("--out", help="write operator JSON here instead of stdout")
 
     p_exp = sub.add_parser("experiment", help="run a config-driven experiment")
     p_exp.add_argument("--config", help="flat key=value config file")
@@ -94,7 +87,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    op = harness.parse_operator_spec(args.graph)
+    op = operators.parse_operator_spec(args.graph)
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
     strat = harness._strategy_for(cfg, op, args.probe_vertex)
     sample = profiles.profile_sample(op, args.k, strat)
@@ -141,8 +134,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_actiondist(args) -> int:
-    op_a = harness.parse_operator_spec(args.a)
-    op_b = harness.parse_operator_spec(args.b)
+    op_a = operators.parse_operator_spec(args.a)
+    op_b = operators.parse_operator_spec(args.b)
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
     strat_a = harness._strategy_for(cfg, op_a, args.probe_a)
     strat_b = harness._strategy_for(cfg, op_b, args.probe_b)
@@ -153,11 +146,7 @@ def _cmd_actiondist(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    if args.family == "broadcast":
-        op = limits.broadcast(args.n, args.i)
-    else:
-        sign = 1 if args.sign in ("+", "+1") else -1
-        op = limits.signed_limit(harness.parse_operator_spec(args.graph), args.i, sign)
+    op = operators.parse_operator_spec(args.spec)
     payload = json.dumps(op.to_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload)

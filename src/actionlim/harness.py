@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import limits, lp_metric, measures, operators, profiles
+from . import lp_metric, measures, operators, profiles
+from .operators import parse_operator_spec
 
 __all__ = [
     "VerificationRecord",
@@ -30,90 +31,7 @@ __all__ = [
     "APEX",
     "run_verify",
     "run_experiment",
-    "parse_operator_spec",
-    "load_edge_list",
 ]
-
-
-# ---------------------------------------------------------------------------
-# operator spec parsing (shared with the CLI)
-# ---------------------------------------------------------------------------
-
-def load_edge_list(path: str | Path) -> operators.GraphSpec:
-    """Edge-list file: one `u v` pair per line, 0-based, `#` comments."""
-    edges = []
-    max_v = -1
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        max_v = max(max_v, u, v)
-    return operators.GraphSpec("edge_list", max_v + 1, edges=tuple(edges))
-
-
-def parse_operator_spec(spec: str) -> operators.WeightedOperator:
-    """Build an operator from a compact spec string.
-
-    Grammar: star:N | empty:N | cycle:N | path:N | complete:N |
-    er:N:P[:SEED] | edgelist:PATH | gplus:<graph spec> |
-    broadcast:N[:I] | signed:SIGN:I:<graph spec> | a path to operator JSON.
-    """
-    p = Path(spec)
-    if p.suffix == ".json" and p.exists():
-        return operators.WeightedOperator.from_dict(json.loads(p.read_text()))
-    head, _, rest = spec.partition(":")
-    if head == "gplus":
-        return operators.gplus(_parse_graph_spec(rest))
-    if head == "broadcast":
-        parts = rest.split(":")
-        if len(parts) > 2:
-            raise ValueError(f"operator spec {spec!r} is not broadcast:N[:I]")
-        n = _int_field(spec, parts[0], "vertex count", least=1)
-        i_star = _int_field(spec, parts[1], "index") if len(parts) > 1 else 0
-        return limits.broadcast(n, i_star)
-    if head == "signed":
-        parts = rest.split(":", 2)
-        if len(parts) != 3:
-            raise ValueError(f"operator spec {spec!r} is not signed:SIGN:I:<graph spec>")
-        sign_s, i_s, inner = parts
-        sign = 1 if sign_s in ("+", "+1") else -1 if sign_s in ("-", "-1") else None
-        if sign is None:
-            raise ValueError(f"bad sign {sign_s!r} in spec {spec!r}")
-        i_star = _int_field(spec, i_s, "index")
-        return limits.signed_limit(operators.adjacency(_parse_graph_spec(inner)), i_star, sign)
-    return operators.adjacency(_parse_graph_spec(spec))
-
-
-def _int_field(spec: str, text: str, what: str, least: int | None = None) -> int:
-    """One integer field of a spec, or a ValueError that names the spec."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{what} {text!r} in spec {spec!r} is not an integer") from None
-    if least is not None and value < least:
-        raise ValueError(f"{what} {value} in spec {spec!r} is below {least}")
-    return value
-
-
-def _parse_graph_spec(spec: str) -> operators.GraphSpec:
-    head, _, rest = spec.partition(":")
-    if head == "edgelist":
-        return load_edge_list(rest)
-    if head == "er":
-        parts = rest.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"graph spec {spec!r} is not er:N:P[:SEED]")
-        n, prob = _int_field(spec, parts[0], "vertex count", least=1), float(parts[1])
-        seed = _int_field(spec, parts[2], "seed") if len(parts) > 2 else 0
-        return operators.GraphSpec("erdos_renyi", n, p=prob, seed=seed)
-    if head in operators.GRAPH_KINDS:
-        return operators.GraphSpec(head, _int_field(spec, rest, "vertex count", least=1))
-    raise ValueError(f"cannot parse graph spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +240,7 @@ def _self_adjoint() -> list[VerificationRecord]:
     records = []
     for n in (8, 64):
         t0 = time.perf_counter()
-        got = limits.non_self_adjoint_witness(limits.broadcast(n, 0), 0)
+        got = operators.non_self_adjoint_witness(operators.broadcast(n, 0), 0)
         want = 1.0 - 1.0 / n
         records.append(
             _record(
@@ -354,7 +272,7 @@ def _regularity() -> list[VerificationRecord]:
         cyc = operators.adjacency(operators.GraphSpec("cycle", n))
         for sign, want in ((1, 3.0), (-1, 1.0)):
             t0 = time.perf_counter()
-            got = operators.c_regularity(limits.signed_limit(cyc, 0, sign))
+            got = operators.c_regularity(operators.signed_limit(cyc, 0, sign))
             records.append(
                 _record(
                     f"regularity.c.n{n}.sign{sign:+d}", ANCHORS["regularity_shift"], f"{want!r} exactly",
@@ -362,8 +280,8 @@ def _regularity() -> list[VerificationRecord]:
                 )
             )
         t0 = time.perf_counter()
-        neg = operators.positivity_defect(limits.signed_limit(cyc, 0, -1))
-        pos = operators.positivity_defect(limits.signed_limit(cyc, 0, 1))
+        neg = operators.positivity_defect(operators.signed_limit(cyc, 0, -1))
+        pos = operators.positivity_defect(operators.signed_limit(cyc, 0, 1))
         records.append(
             _record(
                 f"regularity.positivity.n{n}", ANCHORS["positivity_shift"], "defect > 0 for -, = 0 for +",
@@ -381,7 +299,7 @@ def _norm_gap() -> list[VerificationRecord]:
         star_norm = profiles.norm_from_profile(
             profiles.profile_sample(operators.adjacency(operators.GraphSpec("star", n)), 1, strat)
         )
-        bcast_norm = profiles.norm_from_profile(profiles.profile_sample(limits.broadcast(n, 0), 1, strat))
+        bcast_norm = profiles.norm_from_profile(profiles.profile_sample(operators.broadcast(n, 0), 1, strat))
         want = float(Fraction(2 * n - 2, n))
         ok = star_norm == want and bcast_norm == 1.0
         records.append(
@@ -440,6 +358,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.sizes:
             raise ValueError("config key 'sizes' is empty: an experiment needs at least one size")
+        repeat = next((n for i, n in enumerate(self.sizes) if n in self.sizes[:i]), None)
+        if repeat is not None:
+            raise ValueError(f"config key 'sizes' repeats size {repeat}: each size writes one report")
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: Optional[dict] = None) -> "ExperimentConfig":

@@ -138,7 +138,7 @@ class _Pair:
         return self.flow
 
 
-def _distance_upto(pair: _Pair, ceiling: float | Fraction = math.inf) -> Fraction | None:
+def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
     """Exact d_LP of a fresh pair if it is <= ceiling (>= 0), else None.
 
     Sweeps the breakpoints 0 and each pairwise distance below min(ceiling, 1)
@@ -149,7 +149,7 @@ def _distance_upto(pair: _Pair, ceiling: float | Fraction = math.inf) -> Fractio
     """
     if ceiling < 1:
         cn, cd = ceiling.as_integer_ratio()
-        ii, jj = np.nonzero(pair.dist <= float(ceiling))
+        ii, jj = np.nonzero(pair.dist <= ceiling)
     else:
         cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
         ii, jj = np.nonzero(pair.dist < 1.0)
@@ -158,8 +158,6 @@ def _distance_upto(pair: _Pair, ceiling: float | Fraction = math.inf) -> Fractio
     edges = zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
     scale, b = pair.scale, 0.0
     for nxt, group in itertools.groupby(edges, key=lambda e: e[0]):
-        if nxt > ceiling:  # a non-float ceiling whose float rounded up
-            break
         if nxt > b:  # edges at distance 0 open at breakpoint 0
             pair.breakpoints += 1
             rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
@@ -185,9 +183,9 @@ def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     if eps < 0:
         raise ValueError("negative epsilon")
     _check_dims(mu, nu)
-    if eps >= 1:  # d_LP <= 1 always; also keeps inf away from Fraction
+    if eps >= 1:  # d_LP <= 1 always
         return True
-    return _distance_upto(_Pair(mu, nu, cdist(mu.points(), nu.points())), Fraction(eps)) is not None
+    return _distance_upto(_Pair(mu, nu, cdist(mu.points(), nu.points())), eps) is not None
 
 
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:

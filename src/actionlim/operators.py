@@ -1,15 +1,22 @@
-"""Finite weighted operators: graph generators, norms, and structure checks.
+"""Finite weighted operators: graph generators, limit approximants, the
+operator-spec grammar, norms, and structure checks.
 
 An operator is an n x n real matrix together with a probability weight
 vector on coordinates, held like a measure's: positive integer masses over
 one denominator (uniform by default).  Application is plain matrix-vector
 multiplication; norms are taken with respect to the weights.
+
+The broadcast matrix (every row has a single 1 in a distinguished column)
+models evaluation at a distinguished coordinate; adding it to or
+subtracting it from a base operator gives the two signed limit approximants.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,12 +29,17 @@ __all__ = [
     "UnsupportedNormError",
     "adjacency",
     "gplus",
+    "broadcast",
+    "signed_limit",
+    "parse_operator_spec",
+    "load_edge_list",
     "apply",
     "q_norm",
     "pq_norm",
     "bilinear",
     "adjoint",
     "self_adjoint_defect",
+    "non_self_adjoint_witness",
     "c_regularity",
     "positivity_defect",
     "scale",
@@ -176,6 +188,109 @@ def gplus(spec: GraphSpec) -> WeightedOperator:
     return WeightedOperator(m, name=f"gplus:{spec.label()}")
 
 
+def broadcast(n: int, i_star: int = 0) -> WeightedOperator:
+    """Rank-one matrix sending f to f[i_star] times the all-ones vector."""
+    if not 0 <= i_star < n:
+        raise ValueError(f"distinguished index {i_star} out of range for n={n}")
+    m = np.zeros((n, n))
+    m[:, i_star] = 1.0
+    return WeightedOperator(m, name=f"broadcast:{n}:{i_star}")
+
+
+def signed_limit(A: WeightedOperator, i_star: int, sign: int) -> WeightedOperator:
+    """A plus or minus the broadcast matrix on A's coordinates."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not 0 <= i_star < A.n:
+        raise ValueError(f"distinguished index {i_star} out of range for n={A.n}")
+    m = A.matrix.copy()
+    m[:, i_star] += float(sign)
+    tag = "+" if sign == 1 else "-"
+    return WeightedOperator(m, A.weights, name=f"signed:{tag}:{i_star}:{A.name}")
+
+
+# ---------------------------------------------------------------------------
+# operator specs: the one grammar that names an operator, read by the CLI and
+# by experiment configs
+# ---------------------------------------------------------------------------
+
+def load_edge_list(path: str | Path) -> GraphSpec:
+    """Edge-list file: one `u v` pair per line, 0-based, `#` comments."""
+    edges = []
+    max_v = -1
+    for raw in Path(path).read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line: {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
+        edges.append((u, v))
+        max_v = max(max_v, u, v)
+    return GraphSpec("edge_list", max_v + 1, edges=tuple(edges))
+
+
+def parse_operator_spec(spec: str) -> WeightedOperator:
+    """Build an operator from a compact spec string.
+
+    Grammar: star:N | empty:N | cycle:N | path:N | complete:N |
+    er:N:P[:SEED] | edgelist:PATH | gplus:<graph spec> |
+    broadcast:N[:I] | signed:SIGN:I:<graph spec> | a path to operator JSON.
+    """
+    p = Path(spec)
+    if p.suffix == ".json" and p.exists():
+        return WeightedOperator.from_dict(json.loads(p.read_text()))
+    head, _, rest = spec.partition(":")
+    if head == "gplus":
+        return gplus(_parse_graph_spec(rest))
+    if head == "broadcast":
+        parts = rest.split(":")
+        if len(parts) > 2:
+            raise ValueError(f"operator spec {spec!r} is not broadcast:N[:I]")
+        n = _int_field(spec, parts[0], "vertex count", least=1)
+        i_star = _int_field(spec, parts[1], "index") if len(parts) > 1 else 0
+        return broadcast(n, i_star)
+    if head == "signed":
+        parts = rest.split(":", 2)
+        if len(parts) != 3:
+            raise ValueError(f"operator spec {spec!r} is not signed:SIGN:I:<graph spec>")
+        sign_s, i_s, inner = parts
+        sign = 1 if sign_s in ("+", "+1") else -1 if sign_s in ("-", "-1") else None
+        if sign is None:
+            raise ValueError(f"bad sign {sign_s!r} in spec {spec!r}")
+        i_star = _int_field(spec, i_s, "index")
+        return signed_limit(adjacency(_parse_graph_spec(inner)), i_star, sign)
+    return adjacency(_parse_graph_spec(spec))
+
+
+def _int_field(spec: str, text: str, what: str, least: int | None = None) -> int:
+    """One integer field of a spec, or a ValueError that names the spec."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} in spec {spec!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} {value} in spec {spec!r} is below {least}")
+    return value
+
+
+def _parse_graph_spec(spec: str) -> GraphSpec:
+    head, _, rest = spec.partition(":")
+    if head == "edgelist":
+        return load_edge_list(rest)
+    if head == "er":
+        parts = rest.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"graph spec {spec!r} is not er:N:P[:SEED]")
+        n, prob = _int_field(spec, parts[0], "vertex count", least=1), float(parts[1])
+        seed = _int_field(spec, parts[2], "seed") if len(parts) > 2 else 0
+        return GraphSpec("erdos_renyi", n, p=prob, seed=seed)
+    if head in GRAPH_KINDS:
+        return GraphSpec(head, _int_field(spec, rest, "vertex count", least=1))
+    raise ValueError(f"cannot parse graph spec {spec!r}")
+
+
 def apply(A: WeightedOperator, f: Sequence[float]) -> np.ndarray:
     v = np.asarray(f, dtype=float)
     if v.shape != (A.n,):
@@ -281,6 +396,16 @@ def self_adjoint_defect(A: WeightedOperator) -> float:
     w = A.weights_float
     d = A.matrix.T * w[None, :] - w[:, None] * A.matrix
     return float(np.max(np.abs(d)))
+
+
+def non_self_adjoint_witness(B: WeightedOperator, i_star: int) -> float:
+    """Asymmetry of the bilinear form on (indicator of i_star, all-ones)."""
+    if not 0 <= i_star < B.n:
+        raise ValueError(f"index {i_star} out of range for n={B.n}")
+    f = np.zeros(B.n)
+    f[i_star] = 1.0
+    ones = np.ones(B.n)
+    return abs(bilinear(B, f, ones) - bilinear(B, ones, f))
 
 
 def c_regularity(A: WeightedOperator, tol: float = 1e-9) -> Optional[float]:

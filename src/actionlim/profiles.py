@@ -200,7 +200,8 @@ def action_distance_estimate(
 
     `strategy_b` lets the two operators use differently targeted probes
     (e.g. one probing an apex vertex, the other a distinguished coordinate)
-    while sharing seeds and hence base tuples.
+    while sharing seeds and hence base tuples.  The report's fingerprint
+    names both strategies, `a|b`, even when they are the same.
     """
     if K < 1:
         raise ValueError("truncation K must be >= 1")
@@ -214,7 +215,7 @@ def action_distance_estimate(
         h = profile_hausdorff(P, Q)
         per_k.append((k, h))
         total += h / 2.0**k
-    fp = strategy.fingerprint() if sb is strategy else f"{strategy.fingerprint()}|{sb.fingerprint()}"
+    fp = f"{strategy.fingerprint()}|{sb.fingerprint()}"
     return DistanceReport(total, tuple(per_k), K, 2.0**-K, fp, profiles_1)
 
 

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from actionlim import DiscreteMeasure
-from actionlim.cli import main
+from actionlim.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -109,14 +114,14 @@ class TestActionDist:
 
 class TestLimit:
     def test_broadcast_stdout(self, capsys):
-        code, out = run(capsys, "limit", "broadcast", "--n", "3", "--i", "1")
+        code, out = run(capsys, "limit", "broadcast:3:1")
         assert code == 0
         d = json.loads(out)
         assert d["matrix"] == [[0.0, 1.0, 0.0]] * 3
 
     def test_signed_to_file(self, capsys, tmp_path):
         path = tmp_path / "op.json"
-        code, _ = run(capsys, "limit", "signed", "--graph", "cycle:5", "--i", "0", "--sign", "-", "--out", str(path))
+        code, _ = run(capsys, "limit", "signed:-:0:cycle:5", "--out", str(path))
         assert code == 0
         d = json.loads(path.read_text())
         assert d["n"] == 5
@@ -159,3 +164,17 @@ class TestExperiment:
     def test_bad_set_syntax(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "--set", "sizes"])
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+        lines = [line.strip() for b in blocks for line in b.replace("\\\n", " ").splitlines()]
+        examples = [line for line in lines if line.startswith("actionlim ")]
+        assert examples
+        parser = build_parser()
+        for line in examples:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")

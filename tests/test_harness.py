@@ -7,15 +7,8 @@ import numpy as np
 import pytest
 
 from actionlim import GraphSpec, adjacency, broadcast, harness
-from actionlim.harness import (
-    CLAIMS,
-    ExperimentConfig,
-    VerificationRecord,
-    load_edge_list,
-    parse_operator_spec,
-    run_experiment,
-    run_verify,
-)
+from actionlim.harness import CLAIMS, ExperimentConfig, VerificationRecord, run_experiment, run_verify
+from actionlim.operators import load_edge_list, parse_operator_spec
 
 
 class TestOperatorSpecs:
@@ -113,6 +106,11 @@ class TestExperiment:
         assert cfg.sizes == (4, 6)
         assert cfg.count == 3
         assert cfg.seed == 5
+
+    def test_repeated_size_refused(self):
+        # each size writes its own report_n{size}.json and trajectory row
+        with pytest.raises(ValueError, match="'sizes' repeats size 4"):
+            ExperimentConfig.from_mapping({"sizes": "4 8 4"})
 
     def test_shared_configs_frozen(self):
         with pytest.raises(FrozenInstanceError):

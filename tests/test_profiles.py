@@ -178,7 +178,8 @@ class TestSampling:
         assert rep.value == sum(h / 2.0**k for k, h in rep.per_k)
         assert rep.value > 0.0
         d = rep.to_dict()
-        assert d["strategy"] == strat.fingerprint()
+        # the fingerprint records both operators' strategies, here the same one twice
+        assert d["strategy"] == f"{strat.fingerprint()}|{strat.fingerprint()}"
 
     def test_action_distance_zero_for_equal_operators(self):
         strat = TestFunctionStrategy("mixed", count=4, seed=0)
