@@ -87,7 +87,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    op = operators.parse_operator_spec(args.graph)
+    op = args.graph
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
     strat = harness._strategy_for(cfg, op, args.probe_vertex)
     sample = profiles.profile_sample(op, args.k, strat)
@@ -134,8 +134,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_actiondist(args) -> int:
-    op_a = operators.parse_operator_spec(args.a)
-    op_b = operators.parse_operator_spec(args.b)
+    op_a, op_b = args.a, args.b
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
     strat_a = harness._strategy_for(cfg, op_a, args.probe_a)
     strat_b = harness._strategy_for(cfg, op_b, args.probe_b)
@@ -146,7 +145,7 @@ def _cmd_actiondist(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    op = operators.parse_operator_spec(args.spec)
+    op = args.spec
     payload = json.dumps(op.to_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload)
@@ -176,8 +175,20 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# the operator-spec arguments of each subcommand; main replaces each with the operator
+# it names, so that a malformed spec is a usage error (exit 2) before any work
+_SPEC_ARGS = {"profile": ("graph",), "actiondist": ("a", "b"), "limit": ("spec",)}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest in _SPEC_ARGS.get(args.command, ()):
+        spec = getattr(args, dest)
+        try:
+            setattr(args, dest, operators.parse_operator_spec(spec))
+        except (ValueError, OSError) as exc:  # OSError: an edge-list or operator file it names
+            parser.error(f"operator spec {spec!r}: {exc}")
     handlers = {
         "verify": _cmd_verify,
         "profile": _cmd_profile,

@@ -3,9 +3,14 @@
 The main engine sweeps the pairwise-distance breakpoints upward and grows one
 integer max-flow (Strassen's theorem) over the measures' masses scaled to one
 common denominator, in Python ints at every scale, until the minimum feasible
-epsilon is located (Garel & Masse, AStA 2009).  A subset-enumeration oracle
-covers small supports, and the Hausdorff distance between finite measure sets
-is built on top.
+epsilon is located (Garel & Masse, AStA 2009).  The sweep takes its edges in
+the order of one stable sort by distance, but puts them in order a chunk at a
+time: a pair with more than 2(|A| + |B|) candidate edges sorts only the edges
+up to the 2(|A| + |B|)-th smallest distance, then twice as many, and so on, so
+a sweep that stops early (a basic coupling has at most |A| + |B| - 1 edges)
+leaves most of its m^2 distances unsorted.  A subset-enumeration oracle covers
+small supports, and the Hausdorff distance between finite measure sets is
+built on top.
 """
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ class HausdorffResult:
     # candidates = gap_skips + pairs, pairs = prunes + exact; a candidate is a visited
     # (i, j) whose distance was not yet known; pushes (along single opened edges),
     # augmentations (along longer tree paths), rebuilds (breadth-first trees grown) and
-    # breakpoints (sweep steps whose flow was tested) are summed over the pairs
+    # breakpoints (sweep steps whose flow was tested) and edges_sorted (candidate edges
+    # the sweep put in order) are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -55,8 +61,8 @@ class _Pair:
     A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
     sink (nu's masses), all masses over one common scale; `dist` is the caller's
     cdist(mu.points(), nu.points()).  It counts its direct pushes, its tree-path
-    augmentations, the breadth-first trees it builds and the breakpoints
-    `_distance_upto` tests on it."""
+    augmentations, the breadth-first trees it builds, and the breakpoints
+    `_distance_upto` tests on it and the edges it puts in order."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -66,7 +72,7 @@ class _Pair:
         self.into: list[dict[int, int]] = [{} for _ in self.snk]  # into[j][i]: flow A_i -> B_j
         self.flow = 0
         self.dist = dist
-        self.pushes = self.augmentations = self.rebuilds = self.breakpoints = 0
+        self.pushes = self.augmentations = self.rebuilds = self.breakpoints = self.edges_sorted = 0
         self._new_tree()
 
     def _new_tree(self) -> None:
@@ -138,6 +144,42 @@ class _Pair:
         return self.flow
 
 
+def _sorted_edges(pair: _Pair, mask: np.ndarray):
+    """The edges (distance, i, j) where mask holds, in the order of one stable
+    argsort by distance over np.nonzero(mask): by distance, then row-major.
+
+    A list of at most size = 2(|A| + |B|) edges is sorted at once: a basic
+    coupling has at most |A| + |B| - 1 edges, so the first chunk is sized by
+    the pair, not by a tuning constant.  A longer list is sorted a chunk at a
+    time, each chunk only when the sweep reaches it: the edges at or below the
+    size-th smallest distance, whole tie runs included (the sweep opens a
+    distance's edges together and pushes along them in this order), then the
+    size doubles for the rest.  pair.edges_sorted counts the edges sorted.
+    """
+    ii, jj = np.nonzero(mask)
+    dists = pair.dist[ii, jj]
+    size = 2 * sum(mask.shape)
+    if len(dists) <= size:
+        return _in_order(pair, dists, ii, jj)
+    return itertools.chain.from_iterable(_chunks(pair, dists, ii, jj, size))
+
+
+def _chunks(pair: _Pair, dists: np.ndarray, ii: np.ndarray, jj: np.ndarray, size: int):
+    while len(dists) > size:
+        take = dists <= np.partition(dists, size - 1)[size - 1]
+        yield _in_order(pair, dists[take], ii[take], jj[take])
+        rest = ~take
+        dists, ii, jj, size = dists[rest], ii[rest], jj[rest], 2 * size
+    yield _in_order(pair, dists, ii, jj)
+
+
+def _in_order(pair: _Pair, dists: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """One chunk's edges sorted stably by distance, counted in pair.edges_sorted."""
+    order = np.argsort(dists, kind="stable")
+    pair.edges_sorted += len(order)
+    return zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
+
+
 def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
     """Exact d_LP of a fresh pair if it is <= ceiling (>= 0), else None.
 
@@ -145,19 +187,18 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
     upward, opening that distance's edges and growing the flow F: the least
     feasible eps in [b, next breakpoint) exists iff 1 - F < next, and is then
     max(b, 1 - F).  Past the last breakpoint under a ceiling below 1, d_LP <=
-    ceiling iff 1 - F <= ceiling.
+    ceiling iff 1 - F <= ceiling.  `_sorted_edges` puts the edges in order a
+    chunk at a time, so a sweep that stops early leaves the later chunks
+    unsorted.
     """
     if ceiling < 1:
         cn, cd = ceiling.as_integer_ratio()
-        ii, jj = np.nonzero(pair.dist <= ceiling)
+        mask = pair.dist <= ceiling
     else:
         cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
-        ii, jj = np.nonzero(pair.dist < 1.0)
-    dists = pair.dist[ii, jj]
-    order = np.argsort(dists, kind="stable")
-    edges = zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
+        mask = pair.dist < 1.0
     scale, b = pair.scale, 0.0
-    for nxt, group in itertools.groupby(edges, key=lambda e: e[0]):
+    for nxt, group in itertools.groupby(_sorted_edges(pair, mask), key=lambda e: e[0]):
         if nxt > b:  # edges at distance 0 open at breakpoint 0
             pair.breakpoints += 1
             rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
@@ -279,7 +320,7 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                 counts["pairs"] += 1
                 pair = _Pair(a, b, dist)
                 exact = _distance_upto(pair, cur)
-                for key in ("pushes", "augmentations", "rebuilds", "breakpoints"):
+                for key in ("pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"):
                     counts[key] += getattr(pair, key)
                 if exact is None:
                     counts["prunes"] += 1
@@ -312,7 +353,7 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
         raise ValueError(f"mixed dimensions {sorted(dims)}")
     known = np.full((len(A), len(B)), np.nan)
     counts = dict.fromkeys(("candidates", "gap_skips", "pairs", "prunes", "exact",
-                            "pushes", "augmentations", "rebuilds", "breakpoints"), 0)
+                            "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"), 0)
     left, w_left = _directed(A, B, known, counts)
     right, w_right = _directed(B, A, known.T, counts)
     if left >= right:

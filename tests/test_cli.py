@@ -61,7 +61,7 @@ class TestProfileAndDist:
         # deterministic counters of the Hausdorff loop, no timings
         counts = payload["counts"]
         assert set(counts) == {"candidates", "gap_skips", "pairs", "prunes", "exact",
-                               "pushes", "augmentations", "rebuilds", "breakpoints"}
+                               "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"}
         assert counts["candidates"] == counts["gap_skips"] + counts["pairs"]
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
         assert counts["rebuilds"] >= counts["pairs"]  # each pair builds its first tree
@@ -110,6 +110,24 @@ class TestActionDist:
     def test_seed_outside_int64_refused_before_sampling(self, capsys):
         with pytest.raises(ValueError, match="seed 9223372036854775808 "):
             main(["actiondist", "--a", "star:4", "--b", "broadcast:4:0", "--seed", str(2**63)])
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("argv", [
+        ["limit", "star:x"],
+        ["profile", "--graph", "star:x", "--out", "OUT"],
+        ["actiondist", "--a", "star:x", "--b", "broadcast:4:0"],
+        ["actiondist", "--a", "star:4", "--b", "star:x"],
+    ])
+    def test_usage_error_names_the_spec(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([str(out) if arg == "OUT" else arg for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "actionlim: error: operator spec 'star:x': vertex count 'x' in spec 'star:x' is not an integer")
+        assert not out.exists()
 
 
 class TestLimit:

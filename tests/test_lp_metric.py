@@ -20,14 +20,14 @@ from actionlim import (
     marginal,
     shift,
 )
-from actionlim.lp_metric import HausdorffResult, LpResult, _distance_upto, _Pair
+from actionlim.lp_metric import HausdorffResult, LpResult, _distance_upto, _Pair, _sorted_edges
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
 
 
 @st.composite
-def dyadic_measures(draw, dim, max_atoms=4, coords=dyadic):
-    m = draw(st.integers(1, max_atoms))
+def dyadic_measures(draw, dim, max_atoms=4, coords=dyadic, min_atoms=1):
+    m = draw(st.integers(min_atoms, max_atoms))
     pts = [tuple(draw(coords) for _ in range(dim)) for _ in range(m)]
     raw = [draw(st.integers(1, 8)) for _ in range(m)]
     total = sum(raw)
@@ -368,13 +368,16 @@ class TestHausdorff:
         # at 0.4375 (two pushes, three trees, two breakpoints tested); the exact dirac pair
         # pushes once (two trees, two breakpoints); each prune opens only the distance-0 edge,
         # pushes 1/4 along it and fails the one test at its ceiling (two trees, one breakpoint).
+        # Edges sorted: all 4 of pair (0, 0), the dirac pair's 1, and the one edge at or
+        # below each prune's ceiling.
         A = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5625,), Fraction(3, 4))]), dirac(0.0625)]
         B = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))]), dirac(0.25)]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.1875, "left", (1, 1))
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == {"candidates": 6, "gap_skips": 2, "pairs": 4, "prunes": 2, "exact": 2,
-                              "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 6}
+                              "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 6,
+                              "edges_sorted": 7}
         assert_counts_add_up(res.counts)
 
     def test_counts_on_a_hand_sized_example(self):
@@ -386,13 +389,16 @@ class TestHausdorff:
         # opens its edges in one batch and pushes along each of them directly: one push per
         # pair, but two for B[1]'s two half atoms, and no longer tree path is left to augment.
         # Each pair builds one tree up front and one after its batch of pushes, and
-        # tests two breakpoints: 0 and the one distance at which its edges open.
+        # tests two breakpoints: 0 and the one distance at which its edges open.  Each sorts
+        # its edges below 1 (at or below cur for the prune): one, but two for B[1]; B[3]'s
+        # edge at distance 1.0 is never a candidate.
         B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
         assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 1, "exact": 4,
-                              "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10}
+                              "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10,
+                              "edges_sorted": 6}
         assert_counts_add_up(res.counts)
 
     def test_early_break_ends_a_row_at_the_running_sup(self):
@@ -406,14 +412,15 @@ class TestHausdorff:
         # is never visited; row B[1] has A[1] and A[0] known and gap-skips A[2] (gap
         # 0.375 >= 0.125): sup 0.125, a tie the left side wins; row B[2] breaks at its
         # known first candidate A[2] (0.125).  Every pair is two diracs: one push, two
-        # trees, two breakpoints, but one at distance 0.
+        # trees, two breakpoints, but one at distance 0, and one edge sorted.
         A = [dirac(0.0), dirac(0.3125), dirac(0.5)]
         B = [dirac(0.3125), dirac(0.125), dirac(0.375)]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.125, "left", (0, 1))
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 0, "exact": 5,
-                              "pushes": 5, "augmentations": 0, "rebuilds": 10, "breakpoints": 9}
+                              "pushes": 5, "augmentations": 0, "rebuilds": 10, "breakpoints": 9,
+                              "edges_sorted": 5}
         assert_counts_add_up(res.counts)
 
 
@@ -568,3 +575,110 @@ class TestFlowEngine:
             [Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 2)], [[(0, 0)], [(0, 1)]])
         assert pair.scale == 4
         assert flows == [2, 3]
+
+
+def one_sort_distance_upto(pair, ceiling=math.inf):
+    """Reference: `_distance_upto` with every candidate edge put in order by one
+    stable argsort over np.nonzero, before the sweep starts."""
+    if ceiling < 1:
+        cn, cd = ceiling.as_integer_ratio()
+        ii, jj = np.nonzero(pair.dist <= ceiling)
+    else:
+        cn, cd = 1, 0
+        ii, jj = np.nonzero(pair.dist < 1.0)
+    dists = pair.dist[ii, jj]
+    order = np.argsort(dists, kind="stable")
+    edges = zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
+    scale, b = pair.scale, 0.0
+    for nxt, group in itertools.groupby(edges, key=lambda e: e[0]):
+        if nxt > b:
+            pair.breakpoints += 1
+            rest = scale - pair.max_flow()
+            n, d = nxt.as_integer_ratio()
+            if rest * d < n * scale:
+                return max(Fraction(b), Fraction(rest, scale))
+            b = nxt
+        pair.open((i, j) for _, i, j in group)
+    pair.breakpoints += 1
+    rest = scale - pair.max_flow()
+    return max(Fraction(b), Fraction(rest, scale)) if rest * cd <= cn * scale else None
+
+
+def candidate_mask(dist, ceiling):
+    """The edges `_distance_upto` sweeps under a ceiling."""
+    return dist <= ceiling if ceiling < 1 else dist < 1.0
+
+
+def flow_state(pair):
+    """Each A-atom's opened edges in the order they opened, the flow on each edge
+    and the pair's counters: the sweep's order of equal distances decides where
+    the greedy push sends mass."""
+    return pair.out, pair.into, pair.pushes, pair.augmentations, pair.rebuilds, pair.breakpoints
+
+
+def line_measure(m):
+    """m atoms of equal mass; a stand-in where only the support sizes matter."""
+    return empirical([(float(i),) for i in range(m)])
+
+
+@st.composite
+def tied_distance_matrices(draw):
+    """A (p, q) matrix over a few multiples of 1/8 in [0, 2): long tie runs, and
+    entries >= 1 that no sweep opens."""
+    p, q = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice(np.arange(16) / 8, size=draw(st.integers(1, 6)), replace=False)
+    return rng.choice(values, size=(p, q))
+
+
+def grid(shift):
+    """Points 1/8 apart in [-1/2, 1/2], moved by shift."""
+    return st.integers(-4, 4).map(lambda i: i / 8 + shift)
+
+
+# two measures of 12-40 draws on a grid, the second moved by up to 3/4: most distances
+# are below 1 and tie, and a larger shift makes the sweep run through several chunks
+many_atoms = st.tuples(st.integers(1, 2), st.integers(0, 12).map(lambda i: i / 16)).flatmap(
+    lambda dim_shift: st.tuples(dyadic_measures(dim_shift[0], 40, grid(0.0), min_atoms=12),
+                                dyadic_measures(dim_shift[0], 40, grid(dim_shift[1]), min_atoms=12)))
+
+
+class TestChunkedOrder:
+    """`_sorted_edges` sorts a long candidate list a chunk at a time; the sweep must
+    see the order of one stable sort, ties and all."""
+
+    @given(tied_distance_matrices(), st.sampled_from([math.inf, 1.0, 0.875, 0.5, 0.375, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_order_is_one_stable_sort(self, dist, ceiling):
+        pair = _Pair(line_measure(dist.shape[0]), line_measure(dist.shape[1]), dist)
+        mask = candidate_mask(dist, ceiling)
+        ii, jj = np.nonzero(mask)
+        order = np.argsort(dist[ii, jj], kind="stable")
+        expected = list(zip(dist[ii, jj][order].tolist(), ii[order].tolist(), jj[order].tolist()))
+        assert list(_sorted_edges(pair, mask)) == expected
+        assert pair.edges_sorted == len(expected)
+
+    @given(many_atoms)
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_one_sort_reference(self, measures):
+        a, b = measures
+        dist = new_pair(a, b).dist
+        d = one_sort_distance_upto(new_pair(a, b))
+        breaks = sorted({x for x in dist.ravel().tolist() if x < 1})
+        for c in {math.inf, 0.0, float(d), math.nextafter(float(d), 0.0), *breaks[::4]}:
+            pair, ref = new_pair(a, b), new_pair(a, b)
+            assert _distance_upto(pair, c) == one_sort_distance_upto(ref, c)
+            assert flow_state(pair) == flow_state(ref)
+            assert pair.edges_sorted <= candidate_mask(dist, c).sum()
+
+    def test_sweep_that_stops_early_sorts_one_chunk(self):
+        # 30 atoms 1/64 apart against the same atoms moved by 1/128: the 59 edges at 1/128
+        # carry the whole mass, so d_LP = 1/128.  All 900 distances are below 1; the first
+        # chunk runs to the 120th smallest, 5/128 (59 + 57 edges at 1/128 and 3/128), and
+        # takes all 55 edges at 5/128 with it: 171 edges sorted, none past them
+        a = empirical([(i / 64,) for i in range(30)])
+        b = empirical([(i / 64 + 1 / 128,) for i in range(30)])
+        pair, ref = new_pair(a, b), new_pair(a, b)
+        assert _distance_upto(pair) == one_sort_distance_upto(ref) == Fraction(1, 128)
+        assert flow_state(pair) == flow_state(ref)
+        assert pair.edges_sorted == 171
