@@ -2,7 +2,6 @@
 
 from .measures import (
     DiscreteMeasure,
-    ShiftVector,
     discretize,
     empirical,
     integer_masses,
@@ -33,7 +32,6 @@ from .operators import (
     positivity_defect,
     pq_norm,
     q_norm,
-    scale,
     self_adjoint_defect,
     signed_limit,
 )
@@ -44,7 +42,6 @@ from .profiles import (
     action_distance_estimate,
     measure_of,
     norm_from_profile,
-    profile_hausdorff,
     profile_sample,
 )
 

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", help="flat key=value config file")
     p_exp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config key")
     p_exp.add_argument("--out", help="override the output directory")
-    p_exp.add_argument("--seed", type=int, help="override the sampling seed")
     return parser
 
 
@@ -164,8 +163,6 @@ def _cmd_experiment(args) -> int:
         overrides[key.strip()] = value.strip()
     if args.out is not None:
         overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.config:
         cfg = harness.ExperimentConfig.from_file(args.config, overrides)
     else:
@@ -184,11 +181,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for dest in _SPEC_ARGS.get(args.command, ()):
-        spec = getattr(args, dest)
         try:
-            setattr(args, dest, operators.parse_operator_spec(spec))
-        except (ValueError, OSError) as exc:  # OSError: an edge-list or operator file it names
-            parser.error(f"operator spec {spec!r}: {exc}")
+            setattr(args, dest, operators.parse_operator_spec(getattr(args, dest)))
+        except ValueError as exc:  # the message names the spec
+            parser.error(str(exc))
     handlers = {
         "verify": _cmd_verify,
         "profile": _cmd_profile,

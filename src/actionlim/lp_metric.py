@@ -148,23 +148,18 @@ def _sorted_edges(pair: _Pair, mask: np.ndarray):
     """The edges (distance, i, j) where mask holds, in the order of one stable
     argsort by distance over np.nonzero(mask): by distance, then row-major.
 
-    A list of at most size = 2(|A| + |B|) edges is sorted at once: a basic
-    coupling has at most |A| + |B| - 1 edges, so the first chunk is sized by
-    the pair, not by a tuning constant.  A longer list is sorted a chunk at a
-    time, each chunk only when the sweep reaches it: the edges at or below the
-    size-th smallest distance, whole tie runs included (the sweep opens a
-    distance's edges together and pushes along them in this order), then the
-    size doubles for the rest.  pair.edges_sorted counts the edges sorted.
+    Yields them as sorted chunks, each only when the caller reaches it, for
+    itertools.chain.from_iterable to join.  The first chunk holds the edges up
+    to the size-th smallest distance, size = 2(|A| + |B|), whole tie runs
+    included (the sweep opens a distance's edges together and pushes along
+    them in this order); a basic coupling has at most |A| + |B| - 1 edges, so
+    the size comes from the pair, not from a tuning constant.  The size then
+    doubles for each later chunk, and a rest that fits is one last chunk.
+    pair.edges_sorted counts the edges sorted.
     """
     ii, jj = np.nonzero(mask)
     dists = pair.dist[ii, jj]
     size = 2 * sum(mask.shape)
-    if len(dists) <= size:
-        return _in_order(pair, dists, ii, jj)
-    return itertools.chain.from_iterable(_chunks(pair, dists, ii, jj, size))
-
-
-def _chunks(pair: _Pair, dists: np.ndarray, ii: np.ndarray, jj: np.ndarray, size: int):
     while len(dists) > size:
         take = dists <= np.partition(dists, size - 1)[size - 1]
         yield _in_order(pair, dists[take], ii[take], jj[take])
@@ -198,7 +193,8 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
         cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
         mask = pair.dist < 1.0
     scale, b = pair.scale, 0.0
-    for nxt, group in itertools.groupby(_sorted_edges(pair, mask), key=lambda e: e[0]):
+    edges = itertools.chain.from_iterable(_sorted_edges(pair, mask))
+    for nxt, group in itertools.groupby(edges, key=lambda e: e[0]):
         if nxt > b:  # edges at distance 0 open at breakpoint 0
             pair.breakpoints += 1
             rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
@@ -232,8 +228,6 @@ def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
 def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Exact Levy-Prokhorov distance via the flow engine."""
     _check_dims(mu, nu)
-    if mu == nu:
-        return LpResult(0.0, "exact_flow")
     dist = cdist(mu.points(), nu.points())
     return LpResult(float(_distance_upto(_Pair(mu, nu, dist))), "exact_flow")
 

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "DiscreteMeasure",
-    "ShiftVector",
     "integer_masses",
     "empirical",
     "shift",
@@ -166,51 +165,20 @@ class DiscreteMeasure:
         return cls.from_dict(json.loads(s))
 
 
-@dataclass(frozen=True)
-class ShiftVector:
-    """Translation vector for the measure shift operation."""
-
-    dim: int
-    components: tuple[float, ...]
-
-    def __init__(self, components: Sequence[float]):
-        comps = tuple(float(c) for c in components)
-        if len(comps) < 1:
-            raise ValueError("shift vector must have at least one component")
-        object.__setattr__(self, "dim", len(comps))
-        object.__setattr__(self, "components", comps)
-
-    def __neg__(self) -> "ShiftVector":
-        return ShiftVector(tuple(-c for c in self.components))
-
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.components))
-
-
-def _coerce_shift(v, dim: int) -> ShiftVector:
-    sv = v if isinstance(v, ShiftVector) else ShiftVector(v)
-    if sv.dim != dim:
-        raise ValueError(f"shift vector has dim {sv.dim}, measure has dim {dim}")
-    return sv
-
-
-def empirical(points: Sequence[Sequence[float]], weights: Sequence | None = None) -> DiscreteMeasure:
-    """Empirical measure (1/n) sum of Diracs, or with explicit weights."""
+def empirical(points: Sequence[Sequence[float]]) -> DiscreteMeasure:
+    """Empirical measure (1/n) sum of Diracs; DiscreteMeasure(dim, atoms) takes weights."""
     pts = [tuple(float(c) for c in p) for p in points]
     if not pts:
         raise ValueError("empty point list")
-    dim = len(pts[0])
-    if weights is None:
-        return DiscreteMeasure(dim, points=pts, masses=[1] * len(pts), denom=len(pts))
-    if len(weights) != len(pts):
-        raise ValueError(f"{len(weights)} weights for {len(pts)} points")
-    return DiscreteMeasure(dim, zip(pts, weights))
+    return DiscreteMeasure(len(pts[0]), points=pts, masses=[1] * len(pts), denom=len(pts))
 
 
-def shift(mu: DiscreteMeasure, v) -> DiscreteMeasure:
-    """Translate every atom of mu by v; weights unchanged."""
-    sv = _coerce_shift(v, mu.dim)
-    return DiscreteMeasure(mu.dim, points=mu.points() + sv.components, masses=mu.masses, denom=mu.denom)
+def shift(mu: DiscreteMeasure, v: Sequence[float]) -> DiscreteMeasure:
+    """Translate every atom of mu by the vector v of mu.dim floats; weights unchanged."""
+    w = np.asarray(v, dtype=float)
+    if w.shape != (mu.dim,):
+        raise ValueError(f"shift vector of shape {w.shape} for a measure of dim {mu.dim}")
+    return DiscreteMeasure(mu.dim, points=mu.points() + w, masses=mu.masses, denom=mu.denom)
 
 
 def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:

@@ -42,7 +42,6 @@ __all__ = [
     "non_self_adjoint_witness",
     "c_regularity",
     "positivity_defect",
-    "scale",
 ]
 
 _SIGN_CHUNK = 1 << 14  # sign vectors per block of the (inf,1) enumeration
@@ -237,41 +236,46 @@ def parse_operator_spec(spec: str) -> WeightedOperator:
     Grammar: star:N | empty:N | cycle:N | path:N | complete:N |
     er:N:P[:SEED] | edgelist:PATH | gplus:<graph spec> |
     broadcast:N[:I] | signed:SIGN:I:<graph spec> | a path to operator JSON.
+    Any spec the grammar refuses, or whose edge-list file cannot be read,
+    raises one ValueError that names the whole spec.
     """
-    p = Path(spec)
-    if p.suffix == ".json" and p.exists():
-        return WeightedOperator.from_dict(json.loads(p.read_text()))
-    head, _, rest = spec.partition(":")
-    if head == "gplus":
-        return gplus(_parse_graph_spec(rest))
-    if head == "broadcast":
-        parts = rest.split(":")
-        if len(parts) > 2:
-            raise ValueError(f"operator spec {spec!r} is not broadcast:N[:I]")
-        n = _int_field(spec, parts[0], "vertex count", least=1)
-        i_star = _int_field(spec, parts[1], "index") if len(parts) > 1 else 0
-        return broadcast(n, i_star)
-    if head == "signed":
-        parts = rest.split(":", 2)
-        if len(parts) != 3:
-            raise ValueError(f"operator spec {spec!r} is not signed:SIGN:I:<graph spec>")
-        sign_s, i_s, inner = parts
-        sign = 1 if sign_s in ("+", "+1") else -1 if sign_s in ("-", "-1") else None
-        if sign is None:
-            raise ValueError(f"bad sign {sign_s!r} in spec {spec!r}")
-        i_star = _int_field(spec, i_s, "index")
-        return signed_limit(adjacency(_parse_graph_spec(inner)), i_star, sign)
-    return adjacency(_parse_graph_spec(spec))
+    try:
+        p = Path(spec)
+        if p.suffix == ".json" and p.exists():
+            return WeightedOperator.from_dict(json.loads(p.read_text()))
+        head, _, rest = spec.partition(":")
+        if head == "gplus":
+            return gplus(_parse_graph_spec(rest))
+        if head == "broadcast":
+            parts = rest.split(":")
+            if len(parts) > 2:
+                raise ValueError("expected broadcast:N[:I]")
+            n = _int_field(parts[0], "vertex count", least=1)
+            i_star = _int_field(parts[1], "index") if len(parts) > 1 else 0
+            return broadcast(n, i_star)
+        if head == "signed":
+            parts = rest.split(":", 2)
+            if len(parts) != 3:
+                raise ValueError("expected signed:SIGN:I:<graph spec>")
+            sign_s, i_s, inner = parts
+            sign = 1 if sign_s in ("+", "+1") else -1 if sign_s in ("-", "-1") else None
+            if sign is None:
+                raise ValueError(f"sign {sign_s!r} is not one of +, +1, -, -1")
+            i_star = _int_field(i_s, "index")
+            return signed_limit(adjacency(_parse_graph_spec(inner)), i_star, sign)
+        return adjacency(_parse_graph_spec(spec))
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"operator spec {spec!r}: {exc}") from exc
 
 
-def _int_field(spec: str, text: str, what: str, least: int | None = None) -> int:
-    """One integer field of a spec, or a ValueError that names the spec."""
+def _int_field(text: str, what: str, least: int | None = None) -> int:
+    """One integer field of a spec."""
     try:
         value = int(text)
     except ValueError:
-        raise ValueError(f"{what} {text!r} in spec {spec!r} is not an integer") from None
+        raise ValueError(f"{what} {text!r} is not an integer") from None
     if least is not None and value < least:
-        raise ValueError(f"{what} {value} in spec {spec!r} is below {least}")
+        raise ValueError(f"{what} {value} is below {least}")
     return value
 
 
@@ -282,13 +286,13 @@ def _parse_graph_spec(spec: str) -> GraphSpec:
     if head == "er":
         parts = rest.split(":")
         if len(parts) not in (2, 3):
-            raise ValueError(f"graph spec {spec!r} is not er:N:P[:SEED]")
-        n, prob = _int_field(spec, parts[0], "vertex count", least=1), float(parts[1])
-        seed = _int_field(spec, parts[2], "seed") if len(parts) > 2 else 0
+            raise ValueError("expected er:N:P[:SEED]")
+        n, prob = _int_field(parts[0], "vertex count", least=1), float(parts[1])
+        seed = _int_field(parts[2], "seed") if len(parts) > 2 else 0
         return GraphSpec("erdos_renyi", n, p=prob, seed=seed)
-    if head in GRAPH_KINDS:
-        return GraphSpec(head, _int_field(spec, rest, "vertex count", least=1))
-    raise ValueError(f"cannot parse graph spec {spec!r}")
+    if head in ("star", "empty", "cycle", "path", "complete"):
+        return GraphSpec(head, _int_field(rest, "vertex count", least=1))
+    raise ValueError(f"unknown graph kind {head!r}")
 
 
 def apply(A: WeightedOperator, f: Sequence[float]) -> np.ndarray:
@@ -420,8 +424,3 @@ def c_regularity(A: WeightedOperator, tol: float = 1e-9) -> Optional[float]:
 def positivity_defect(A: WeightedOperator) -> float:
     """Zero iff A is positivity-preserving (entrywise nonnegative)."""
     return max(0.0, -float(A.matrix.min()))
-
-
-def scale(A: WeightedOperator, c: float) -> WeightedOperator:
-    """Explicitly scaled copy (e.g. 1/n for the dense-regime normalization)."""
-    return WeightedOperator(A.matrix * c, A.weights, name=f"scale:{c}:{A.name}")

@@ -27,7 +27,6 @@ __all__ = [
     "DistanceReport",
     "measure_of",
     "profile_sample",
-    "profile_hausdorff",
     "action_distance_estimate",
     "norm_from_profile",
 ]
@@ -38,7 +37,6 @@ STRATEGY_KINDS = (
     "rademacher",
     "block_step",
     "indicator",
-    "constant_one",
     "vertex_probe",
 )
 
@@ -96,8 +94,6 @@ class TestFunctionStrategy:
         if kind == "indicator":
             density = rng.uniform(0.0, 1.0)
             return (rng.random(size=(k, n)) < density).astype(float)
-        if kind == "constant_one":
-            return np.ones((k, n))
         raise AssertionError(kind)
 
     # The memo holds the last draw, keyed by value: two equal strategies sampling
@@ -183,12 +179,6 @@ def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) 
     return ProfileSample(k, measures, A.name or f"operator:{A.n}")
 
 
-def profile_hausdorff(P: ProfileSample, Q: ProfileSample) -> float:
-    if P.k != Q.k:
-        raise ValueError(f"profile k mismatch: {P.k} vs {Q.k}")
-    return hausdorff(P.measures, Q.measures).value
-
-
 def action_distance_estimate(
     A: WeightedOperator,
     B: WeightedOperator,
@@ -212,7 +202,7 @@ def action_distance_estimate(
         P, Q = profile_sample(A, k, strategy), profile_sample(B, k, sb)
         if k == 1:
             profiles_1 = (P, Q)
-        h = profile_hausdorff(P, Q)
+        h = hausdorff(P.measures, Q.measures).value
         per_k.append((k, h))
         total += h / 2.0**k
     fp = f"{strategy.fingerprint()}|{sb.fingerprint()}"

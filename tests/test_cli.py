@@ -126,7 +126,7 @@ class TestMalformedSpec:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == (
-            "actionlim: error: operator spec 'star:x': vertex count 'x' in spec 'star:x' is not an integer")
+            "actionlim: error: operator spec 'star:x': vertex count 'x' is not an integer")
         assert not out.exists()
 
 
@@ -151,7 +151,7 @@ class TestExperiment:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("sizes=4 6\ncount=2\nK=1\n")
         outdir = tmp_path / "results"
-        code, out = run(capsys, "--json", "experiment", "--config", str(cfg), "--out", str(outdir), "--seed", "3")
+        code, out = run(capsys, "--json", "experiment", "--config", str(cfg), "--out", str(outdir), "--set", "seed=3")
         assert code == 0
         assert json.loads(out)["out"] == str(outdir)
         rows = (outdir / "trajectory.csv").read_text().splitlines()

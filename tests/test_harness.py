@@ -41,7 +41,8 @@ class TestOperatorSpecs:
         assert np.array_equal(got.matrix, base.matrix - broadcast(4, 1).matrix)
 
     @pytest.mark.parametrize("spec", ["hypercube:8", "er:10", "broadcast:5:2:9", "signed:+:0",
-                                      "star:5:3", "star:", "broadcast:0"])
+                                      "star:5:3", "star:", "broadcast:0", "edge_list:5", "erdos_renyi:5",
+                                      "cycle:2", "er:5:x", "er:5:1.5", "signed:+:9:cycle:4"])
     def test_bad_spec_raises(self, spec):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             parse_operator_spec(spec)
@@ -92,10 +93,6 @@ class TestVerify:
         assert len(lines) >= 2
         rec = json.loads(lines[0])
         assert set(rec) == {"id", "anchor", "expected", "measured", "pass", "ms"}
-
-    def test_fast_suites_pass(self):
-        for name in ("self_adjoint", "regularity", "norm_gap", "adjoint_duality"):
-            assert all(r.passed is True for r in run_verify(name))
 
 
 class TestExperiment:

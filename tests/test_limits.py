@@ -5,7 +5,6 @@ from actionlim import (
     GraphSpec,
     adjacency,
     broadcast,
-    c_regularity,
     non_self_adjoint_witness,
     positivity_defect,
     signed_limit,
@@ -39,11 +38,6 @@ class TestSignedLimit:
         M = signed_limit(A, 0, -1)
         assert np.array_equal(M.matrix, A.matrix - broadcast(5, 0).matrix)
 
-    def test_regularity_shifts_by_one(self):
-        A = adjacency(GraphSpec("cycle", 8))
-        assert c_regularity(signed_limit(A, 0, 1)) == 3.0
-        assert c_regularity(signed_limit(A, 0, -1)) == 1.0
-
     def test_minus_loses_positivity(self):
         A = adjacency(GraphSpec("cycle", 8))
         assert positivity_defect(signed_limit(A, 0, -1)) == 1.0
@@ -55,10 +49,6 @@ class TestSignedLimit:
 
 
 class TestWitness:
-    def test_exact_values(self):
-        for n in (8, 64):
-            assert non_self_adjoint_witness(broadcast(n, 0), 0) == 1.0 - 1.0 / n
-
     def test_zero_for_symmetric(self):
         A = adjacency(GraphSpec("cycle", 8))
         assert non_self_adjoint_witness(A, 0) == 0.0

@@ -23,7 +23,6 @@ from actionlim import (
     positivity_defect,
     pq_norm,
     q_norm,
-    scale,
     self_adjoint_defect,
 )
 
@@ -149,14 +148,6 @@ class TestNorms:
         assert q_norm([3.0, -4.0], w, 2) == pytest.approx(math.sqrt(12.5))
         assert q_norm([3.0, -4.0], w, math.inf) == 4.0
 
-    def test_star_inf_one_norm_exact(self):
-        for n in (4, 10, 100, 1000):
-            got = pq_norm(adjacency(GraphSpec("star", n)), math.inf, 1)
-            assert got == float(Fraction(2 * n - 2, n))
-
-    def test_star_degree_two_norm(self):
-        assert pq_norm(adjacency(GraphSpec("star", 10)), math.inf, 2) == 3.0
-
     def test_sign_enumeration_agrees_with_nonnegative_formula(self):
         A = adjacency(GraphSpec("cycle", 6))
         # nonnegative path and the enumeration must agree
@@ -281,7 +272,3 @@ class TestStructure:
         m[:, 0] -= 2.0
         # column shifted by -2: the diagonal entry drops to -2
         assert positivity_defect(WeightedOperator(m)) == 2.0
-
-    def test_scale(self):
-        A = adjacency(GraphSpec("complete", 3))
-        assert np.array_equal(scale(A, 0.5).matrix, A.matrix * 0.5)
