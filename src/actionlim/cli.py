@@ -25,18 +25,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all", choices=[c.suite for c in harness.CLAIMS] + ["all"])
-    p_verify.add_argument("--out", help="also write JSON-lines records to this file")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_profile = sub.add_parser("profile", help="sample k-profile measures of an operator")
-    p_profile.add_argument("--graph", required=True, help="operator spec, e.g. star:100 or gplus:cycle:8")
+    p_profile.add_argument("--graph", required=True, type=_operator,
+                           help="operator spec, e.g. star:100 or gplus:cycle:8")
     p_profile.add_argument("-k", type=int, default=1, help="profile order")
     p_profile.add_argument("--kind", default="mixed", choices=profiles.STRATEGY_KINDS)
     p_profile.add_argument("--count", type=int, default=64)
     p_profile.add_argument("--seed", type=int, default=0)
     p_profile.add_argument("--probe-vertex", type=int, default=None, help="probe vertex (switches to vertex_probe)")
     p_profile.add_argument("--out", required=True, help="output directory for measure JSON files")
+    p_profile.set_defaults(run=_cmd_profile)
 
     p_dist = sub.add_parser("dist", help="distances between measures or measure sets")
+    p_dist.set_defaults(run=_cmd_dist)
     dist_sub = p_dist.add_subparsers(dest="metric", required=True)
     p_lp = dist_sub.add_parser("lp", help="Levy-Prokhorov distance between two measure files")
     p_lp.add_argument("file_a")
@@ -47,24 +50,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("dir_b")
 
     p_ad = sub.add_parser("actiondist", help="truncated action-metric estimate between operators")
-    p_ad.add_argument("--a", required=True, help="operator spec for the first operator")
-    p_ad.add_argument("--b", required=True, help="operator spec for the second operator")
+    p_ad.add_argument("--a", required=True, type=_operator, help="operator spec for the first operator")
+    p_ad.add_argument("--b", required=True, type=_operator, help="operator spec for the second operator")
     p_ad.add_argument("-K", type=int, default=3, help="truncation order")
     p_ad.add_argument("--kind", default="mixed", choices=profiles.STRATEGY_KINDS)
     p_ad.add_argument("--count", type=int, default=64)
     p_ad.add_argument("--seed", type=int, default=0)
     p_ad.add_argument("--probe-a", type=int, default=None, help="probe vertex on operator a (switches to vertex_probe)")
     p_ad.add_argument("--probe-b", type=int, default=None, help="probe vertex on operator b (switches to vertex_probe)")
+    p_ad.set_defaults(run=_cmd_actiondist)
 
     p_limit = sub.add_parser("limit", help="emit an operator, e.g. a limit approximant, as JSON")
-    p_limit.add_argument("spec", help="operator spec, e.g. broadcast:16:0 or signed:-:0:cycle:16")
-    p_limit.add_argument("--out", help="write operator JSON here instead of stdout")
+    p_limit.add_argument("spec", type=_operator, help="operator spec, e.g. broadcast:16:0 or signed:-:0:cycle:16")
+    p_limit.set_defaults(run=_cmd_limit)
 
     p_exp = sub.add_parser("experiment", help="run a config-driven experiment")
     p_exp.add_argument("--config", help="flat key=value config file")
-    p_exp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config key")
+    p_exp.add_argument("--set", action="append", default=[], type=_setting, metavar="KEY=VALUE",
+                       help="override a config key")
     p_exp.add_argument("--out", help="override the output directory")
+    p_exp.set_defaults(run=_cmd_experiment)
     return parser
+
+
+def _operator(spec: str) -> operators.WeightedOperator:
+    """The operator a spec names; a spec the grammar refuses is a usage error that names it."""
+    try:
+        return operators.parse_operator_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _setting(item: str) -> tuple[str, str]:
+    """One `--set KEY=VALUE` override as a (key, value) pair."""
+    key, sep, value = item.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {item!r}")
+    return key.strip(), value.strip()
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -72,13 +94,13 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    records = harness.run_verify(args.suite, out=args.out)
+    records = harness.run_verify(args.suite)
     for r in records:
         if args.json:
             print(json.dumps(r.to_dict()))
         else:
             status = "PASS" if r.passed else "FAIL"
-            print(f"[{status}] {r.id}: expected {r.expected}; measured {r.measured} ({r.ms:.0f} ms)")
+            print(f"[{status}] {r.id}: expected {r.expected}; measured {r.measured}")
     failed = [r for r in records if not r.passed]
     if failed and not args.json:
         print(f"{len(failed)} of {len(records)} checks failed", file=sys.stderr)
@@ -144,23 +166,12 @@ def _cmd_actiondist(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    op = args.spec
-    payload = json.dumps(op.to_dict(), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-        _emit(args, {"written": args.out, "name": op.name}, f"wrote {op.name} to {args.out}")
-    else:
-        print(payload, end="")
+    print(json.dumps(args.spec.to_dict(), indent=2))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    overrides: dict = {}
-    for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = value.strip()
+    overrides = dict(args.set)
     if args.out is not None:
         overrides["out"] = args.out
     if args.config:
@@ -172,28 +183,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-# the operator-spec arguments of each subcommand; main replaces each with the operator
-# it names, so that a malformed spec is a usage error (exit 2) before any work
-_SPEC_ARGS = {"profile": ("graph",), "actiondist": ("a", "b"), "limit": ("spec",)}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for dest in _SPEC_ARGS.get(args.command, ()):
-        try:
-            setattr(args, dest, operators.parse_operator_spec(getattr(args, dest)))
-        except ValueError as exc:  # the message names the spec
-            parser.error(str(exc))
-    handlers = {
-        "verify": _cmd_verify,
-        "profile": _cmd_profile,
-        "dist": _cmd_dist,
-        "actiondist": _cmd_actiondist,
-        "limit": _cmd_limit,
-        "experiment": _cmd_experiment,
-    }
-    return handlers[args.command](args)
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

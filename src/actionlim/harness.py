@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -40,26 +39,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationRecord:
+    """One check: the same inputs give the same record, with no timings."""
+
     id: str
     anchor: str
     expected: str
     measured: str
     passed: bool
-    ms: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))  # json.dumps refuses numpy bools
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "expected": self.expected,
-            "measured": self.measured,
-            "pass": self.passed,
-            "ms": round(self.ms, 3),
-        }
-
-
-def _record(check_id: str, anchor: str, expected: str, measured: str, ok: bool, t0: float) -> VerificationRecord:
-    return VerificationRecord(check_id, anchor, expected, measured, bool(ok), (time.perf_counter() - t0) * 1000)
+        return {"id": self.id, "anchor": self.anchor, "expected": self.expected, "measured": self.measured,
+                "pass": self.passed}
 
 
 # closed registry of claim anchors
@@ -101,7 +94,6 @@ def _random_measure(rng: np.random.Generator, dim: int, max_atoms: int, denom: i
 
 def _lp_oracle(cases: int = 200, seed: int = 2024) -> list[VerificationRecord]:
     """The max-flow engine agrees with subset enumeration on small supports."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     dev = 0.0
     for _ in range(cases):
@@ -110,9 +102,9 @@ def _lp_oracle(cases: int = 200, seed: int = 2024) -> list[VerificationRecord]:
         b = _random_measure(rng, dim, 4)
         dev = max(dev, abs(lp_metric.lp_distance(a, b).value - lp_metric.lp_distance_bruteforce(a, b).value))
     return [
-        _record(
+        VerificationRecord(
             "lp_oracle", ANCHORS["lp_definition"], "|flow - brute| <= 1e-9 over random pairs",
-            f"max deviation {dev:.3e} over {cases} cases", dev <= 1e-9, t0,
+            f"max deviation {dev:.3e} over {cases} cases", dev <= 1e-9,
         )
     ]
 
@@ -131,7 +123,6 @@ _LP_PROPERTIES = {
 
 def _lp_properties(cases: int = 500, seed: int = 77) -> list[VerificationRecord]:
     """Worst violation per metric property over random dyadic measures."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     viol = dict.fromkeys(_LP_PROPERTIES, 0.0)
 
@@ -160,9 +151,9 @@ def _lp_properties(cases: int = 500, seed: int = 77) -> list[VerificationRecord]
             coords = sorted(rng.choice(dim, size=k, replace=False).tolist())
             worst("marginal_contraction", d(measures.marginal(a, coords), measures.marginal(b, coords)) - dab)
     return [
-        _record(
+        VerificationRecord(
             f"lp_properties.{name}", ANCHORS[anchor], f"violation <= {tol:g}",
-            f"worst violation {viol[name]:.3e} over {cases} cases", viol[name] <= tol, t0,
+            f"worst violation {viol[name]:.3e} over {cases} cases", viol[name] <= tol,
         )
         for name, (tol, anchor) in _LP_PROPERTIES.items()
     ]
@@ -171,25 +162,24 @@ def _lp_properties(cases: int = 500, seed: int = 77) -> list[VerificationRecord]
 def _norms() -> list[VerificationRecord]:
     records = []
     for n in (4, 10, 100, 1000):
-        t0 = time.perf_counter()
         got = operators.pq_norm(operators.adjacency(operators.GraphSpec("star", n)), math.inf, 1)
         want = float(Fraction(2 * n - 2, n))
         records.append(
-            _record(f"norms.star_inf1.n{n}", ANCHORS["star_norm"], f"2 - 2/{n} = {want!r}", repr(got), got == want, t0)
+            VerificationRecord(
+                f"norms.star_inf1.n{n}", ANCHORS["star_norm"], f"2 - 2/{n} = {want!r}", repr(got), got == want
+            )
         )
-    t0 = time.perf_counter()
     got = operators.pq_norm(operators.adjacency(operators.GraphSpec("star", 10)), math.inf, 2)
     records.append(
-        _record("norms.star_degree2.n10", ANCHORS["star_degree_norm"], "3.0 exactly", repr(got), got == 3.0, t0)
+        VerificationRecord("norms.star_degree2.n10", ANCHORS["star_degree_norm"], "3.0 exactly", repr(got), got == 3.0)
     )
     for n in (10, 100, 1000):
-        t0 = time.perf_counter()
         got = operators.pq_norm(operators.adjacency(operators.GraphSpec("star", n)), math.inf, 2)
         bound = (n - 1) / math.sqrt(n)
         records.append(
-            _record(
+            VerificationRecord(
                 f"norms.star_degree2_lower.n{n}", ANCHORS["star_degree_norm"],
-                f">= (n-1)/sqrt(n) = {bound:.6f}", f"{got:.6f}", got >= bound, t0,
+                f">= (n-1)/sqrt(n) = {bound:.6f}", f"{got:.6f}", got >= bound,
             )
         )
     return records
@@ -202,22 +192,20 @@ def _discretization(atoms: int = 2048, n: int = 64) -> list[VerificationRecord]:
     proxy = measures.empirical([(-1.0 + (j + 0.5) * pitch,) for j in range(atoms)])
     records = []
     for k in (2, 4, 8):
-        t0 = time.perf_counter()
         cells = measures.discretize(proxy, k, box=[(-1.0, 1.0)])
         err = lp_metric.lp_distance(proxy, cells).value
         records.append(
-            _record(
+            VerificationRecord(
                 f"discretization.k{k}", ANCHORS["uniform_approx"], f"d_LP <= 1/{k} + {pitch:g}",
-                f"{err:.6f}", err <= 1.0 / k + pitch, t0,
+                f"{err:.6f}", err <= 1.0 / k + pitch,
             )
         )
-        t0 = time.perf_counter()
         m = cells.support_size
         err = lp_metric.lp_distance(proxy, measures.discretize(proxy, k, box=[(-1.0, 1.0)], n=n)).value
         records.append(
-            _record(
+            VerificationRecord(
                 f"discretization.k{k}.n{n}", ANCHORS["uniform_approx"], f"d_LP <= 1/{k} + {pitch:g} + {m}/{n}",
-                f"{err:.6f}", err <= 1.0 / k + pitch + m / n, t0,
+                f"{err:.6f}", err <= 1.0 / k + pitch + m / n,
             )
         )
     return records
@@ -225,7 +213,6 @@ def _discretization(atoms: int = 2048, n: int = 64) -> list[VerificationRecord]:
 
 def _gplus_shift(n: int = 50, graphs: int = 50, k: int = 2, seed: int = 11) -> list[VerificationRecord]:
     """Worst d_LP(apex-augmented measure, shifted base measure) - 1/(n+1)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     dev = -math.inf
     for _ in range(graphs):
@@ -236,9 +223,9 @@ def _gplus_shift(n: int = 50, graphs: int = 50, k: int = 2, seed: int = 11) -> l
         mu_shift = measures.shift(profiles.measure_of(operators.adjacency(spec), fs), tuple([0.0] * k) + tuple(v))
         dev = max(dev, lp_metric.lp_distance(mu_plus, mu_shift).value - 1.0 / (n + 1))
     return [
-        _record(
+        VerificationRecord(
             "gplus_shift", ANCHORS["gplus_shift"], "d_LP - 1/(n+1) <= 1e-12",
-            f"worst excess {dev:.3e} over {graphs} graphs", dev <= 1e-12, t0,
+            f"worst excess {dev:.3e} over {graphs} graphs", dev <= 1e-12,
         )
     ]
 
@@ -246,16 +233,14 @@ def _gplus_shift(n: int = 50, graphs: int = 50, k: int = 2, seed: int = 11) -> l
 def _self_adjoint() -> list[VerificationRecord]:
     records = []
     for n in (8, 64):
-        t0 = time.perf_counter()
         got = operators.non_self_adjoint_witness(operators.broadcast(n, 0), 0)
         want = 1.0 - 1.0 / n
         records.append(
-            _record(
+            VerificationRecord(
                 f"self_adjoint.witness.n{n}", ANCHORS["not_self_adjoint"], f"1 - 1/{n} = {want!r}",
-                repr(got), got == want, t0,
+                repr(got), got == want,
             )
         )
-    t0 = time.perf_counter()
     specs = [
         operators.GraphSpec("star", 9),
         operators.GraphSpec("cycle", 12),
@@ -265,9 +250,9 @@ def _self_adjoint() -> list[VerificationRecord]:
     ]
     defects = [operators.self_adjoint_defect(operators.adjacency(s)) for s in specs]
     records.append(
-        _record(
+        VerificationRecord(
             "self_adjoint.adjacency_zero", ANCHORS["not_self_adjoint"], "defect 0 for adjacency matrices",
-            f"defects {defects}", all(d == 0.0 for d in defects), t0,
+            f"defects {defects}", all(d == 0.0 for d in defects),
         )
     )
     return records
@@ -278,21 +263,19 @@ def _regularity() -> list[VerificationRecord]:
     for n in (8, 64):
         cyc = operators.adjacency(operators.GraphSpec("cycle", n))
         for sign, want in ((1, 3.0), (-1, 1.0)):
-            t0 = time.perf_counter()
             got = operators.c_regularity(operators.signed_limit(cyc, 0, sign))
             records.append(
-                _record(
+                VerificationRecord(
                     f"regularity.c.n{n}.sign{sign:+d}", ANCHORS["regularity_shift"], f"{want!r} exactly",
-                    repr(got), got == want, t0,
+                    repr(got), got == want,
                 )
             )
-        t0 = time.perf_counter()
         neg = operators.positivity_defect(operators.signed_limit(cyc, 0, -1))
         pos = operators.positivity_defect(operators.signed_limit(cyc, 0, 1))
         records.append(
-            _record(
+            VerificationRecord(
                 f"regularity.positivity.n{n}", ANCHORS["positivity_shift"], "defect > 0 for -, = 0 for +",
-                f"minus {neg!r}, plus {pos!r}", neg > 0.0 and pos == 0.0, t0,
+                f"minus {neg!r}, plus {pos!r}", neg > 0.0 and pos == 0.0,
             )
         )
     return records
@@ -302,7 +285,6 @@ def _norm_gap() -> list[VerificationRecord]:
     records = []
     strat = profiles.TestFunctionStrategy("mixed", count=8, seed=3)
     for n in (8, 128):
-        t0 = time.perf_counter()
         star_norm = profiles.norm_from_profile(
             profiles.profile_sample(operators.adjacency(operators.GraphSpec("star", n)), 1, strat)
         )
@@ -310,17 +292,16 @@ def _norm_gap() -> list[VerificationRecord]:
         want = float(Fraction(2 * n - 2, n))
         ok = star_norm == want and bcast_norm == 1.0
         records.append(
-            _record(
+            VerificationRecord(
                 f"norm_gap.n{n}", ANCHORS["norm_discontinuity"],
                 f"star readout {want!r}, broadcast readout 1.0, persistent gap",
-                f"star {star_norm!r}, broadcast {bcast_norm!r}, gap {star_norm - bcast_norm!r}", ok, t0,
+                f"star {star_norm!r}, broadcast {bcast_norm!r}, gap {star_norm - bcast_norm!r}", ok,
             )
         )
     return records
 
 
 def _adjoint_duality(cases: int = 50, seed: int = 42) -> list[VerificationRecord]:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
@@ -332,9 +313,9 @@ def _adjoint_duality(cases: int = 50, seed: int = 42) -> list[VerificationRecord
         worst = max(worst, abs(left - right))
         ok = ok and left == right
     return [
-        _record(
+        VerificationRecord(
             "adjoint_duality", ANCHORS["adjoint_norms"], "exact equality over random sign matrices n <= 12",
-            f"max |diff| {worst:.3e} over {cases} cases", ok, t0,
+            f"max |diff| {worst:.3e} over {cases} cases", ok,
         )
     ]
 
@@ -457,7 +438,6 @@ APEX = ExperimentConfig(
 
 def _convergence(cfg: ExperimentConfig, check_id: str, anchor: str, halves: bool = False) -> list[VerificationRecord]:
     """The experiment's estimates are nonincreasing in n; with `halves`, the last is at most half the first."""
-    t0 = time.perf_counter()
     vals = [_run_size(cfg, n)[0].value for n in cfg.sizes]
     ok = all(b <= a for a, b in zip(vals, vals[1:]))
     expected = f"estimate nonincreasing over n in ({','.join(map(str, cfg.sizes))})"
@@ -465,7 +445,7 @@ def _convergence(cfg: ExperimentConfig, check_id: str, anchor: str, halves: bool
         ok = ok and vals[-1] <= vals[0] / 2
         expected += " and final <= first/2"
     measured = "trajectory " + ", ".join(f"{v:.5f}" for v in vals)
-    return [_record(check_id, ANCHORS[anchor], expected, measured, ok, t0)]
+    return [VerificationRecord(check_id, ANCHORS[anchor], expected, measured, ok)]
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +478,9 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 
-def run_verify(suite: str = "all", out: Optional[str | Path] = None) -> list[VerificationRecord]:
+def run_verify(suite: str = "all") -> list[VerificationRecord]:
     """Run one claim's suite, or all of them; returns records sorted by id."""
     claims = [c for c in CLAIMS if suite in ("all", c.suite)]
     if not claims:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(c.suite for c in CLAIMS)} or 'all'")
-    records = sorted((r for c in claims for r in c.run()), key=lambda r: r.id)
-    if out is not None:
-        Path(out).write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records))
-    return records
+    return sorted((r for c in claims for r in c.run()), key=lambda r: r.id)

@@ -102,6 +102,8 @@ class WeightedOperator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightedOperator":
+        if not isinstance(d, dict) or "matrix" not in d:
+            raise ValueError("operator JSON must be an object with a 'matrix'")
         return cls(d["matrix"], d.get("weights"), d.get("name", ""))
 
 
@@ -113,7 +115,7 @@ class GraphSpec:
     n: int
     edges: tuple[tuple[int, int], ...] = field(default=())
     p: Optional[float] = None
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS:
@@ -137,7 +139,7 @@ class GraphSpec:
 
     def label(self) -> str:
         if self.kind == "erdos_renyi":
-            return f"er:{self.n}:{self.p}:{self.seed or 0}"
+            return f"er:{self.n}:{self.p}:{self.seed}"
         return f"{self.kind}:{self.n}"
 
 
@@ -235,14 +237,13 @@ def parse_operator_spec(spec: str) -> WeightedOperator:
 
     Grammar: star:N | empty:N | cycle:N | path:N | complete:N |
     er:N:P[:SEED] | edgelist:PATH | gplus:<graph spec> |
-    broadcast:N[:I] | signed:SIGN:I:<graph spec> | a path to operator JSON.
-    Any spec the grammar refuses, or whose edge-list file cannot be read,
-    raises one ValueError that names the whole spec.
+    broadcast:N[:I] | signed:SIGN:I:<graph spec> | a path ending in .json
+    to operator JSON.  Any spec the grammar refuses, or whose file cannot be
+    read or holds no operator, raises one ValueError that names the whole spec.
     """
     try:
-        p = Path(spec)
-        if p.suffix == ".json" and p.exists():
-            return WeightedOperator.from_dict(json.loads(p.read_text()))
+        if spec.endswith(".json"):
+            return WeightedOperator.from_dict(json.loads(Path(spec).read_text()))
         head, _, rest = spec.partition(":")
         if head == "gplus":
             return gplus(_parse_graph_spec(rest))
@@ -264,7 +265,7 @@ def parse_operator_spec(spec: str) -> WeightedOperator:
             i_star = _int_field(i_s, "index")
             return signed_limit(adjacency(_parse_graph_spec(inner)), i_star, sign)
         return adjacency(_parse_graph_spec(spec))
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # TypeError: a JSON value of the wrong type
         raise ValueError(f"operator spec {spec!r}: {exc}") from exc
 
 

@@ -29,6 +29,12 @@ class TestVerify:
         recs = [json.loads(line) for line in out.splitlines()]
         assert all(r["pass"] is True for r in recs)
 
+    def test_out_option_refused(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "norms", "--out", str(tmp_path / "records.jsonl")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "records.jsonl").exists()
+
 
 class TestProfileAndDist:
     def test_profile_then_distances(self, capsys, tmp_path):
@@ -125,9 +131,28 @@ class TestMalformedSpec:
             main([str(out) if arg == "OUT" else arg for arg in argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        # argparse names the argument: the positional `spec` of limit, else the option before the spec
+        arg = "spec" if argv[0] == "limit" else argv[argv.index("star:x") - 1]
         assert err.splitlines()[-1] == (
-            "actionlim: error: operator spec 'star:x': vertex count 'x' is not an integer")
+            f"actionlim {argv[0]}: error: argument {arg}: "
+            "operator spec 'star:x': vertex count 'x' is not an integer")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("no_matrix.json", '{"n": 2}', "operator JSON must be an object with a 'matrix'"),
+        ("list.json", "[1, 2]", "operator JSON must be an object with a 'matrix'"),
+        ("missing_op.json", None, "No such file or directory"),
+    ])
+    def test_bad_operator_json_is_a_usage_error(self, capsys, tmp_path, monkeypatch, name, text, reason):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", name])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"actionlim limit: error: argument spec: operator spec '{name}': ")
+        assert reason in last
 
 
 class TestLimit:
@@ -138,12 +163,19 @@ class TestLimit:
         assert d["matrix"] == [[0.0, 1.0, 0.0]] * 3
 
     def test_signed_to_file(self, capsys, tmp_path):
+        # stdout is the one output: `actionlim limit SPEC > op.json` writes the file, which is a spec again
         path = tmp_path / "op.json"
-        code, _ = run(capsys, "limit", "signed:-:0:cycle:5", "--out", str(path))
+        code, out = run(capsys, "limit", "signed:-:0:cycle:5")
         assert code == 0
+        path.write_text(out)
         d = json.loads(path.read_text())
         assert d["n"] == 5
         assert d["matrix"][0][0] == -1.0
+        assert run(capsys, "limit", str(path)) == (0, out)
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "signed:-:0:cycle:5", "--out", str(tmp_path / "other.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "other.json").exists()
 
 
 class TestExperiment:
@@ -180,8 +212,11 @@ class TestExperiment:
         assert not (tmp_path / "none").exists()
 
     def test_bad_set_syntax(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["experiment", "--set", "sizes"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "actionlim experiment: error: argument --set: expected KEY=VALUE, got 'sizes'")
 
 
 class TestReadme:
@@ -192,7 +227,10 @@ class TestReadme:
         assert examples
         parser = build_parser()
         for line in examples:
+            words = shlex.split(line, comments=True)[1:]
+            if ">" in words:  # stdout redirection is the shell's, not the command's
+                words = words[:words.index(">")]
             try:
-                parser.parse_args(shlex.split(line, comments=True)[1:])
+                parser.parse_args(words)
             except SystemExit:
                 pytest.fail(f"README example does not parse: {line}")

@@ -28,6 +28,7 @@ from actionlim.lp_metric import HausdorffResult, LpResult, _distance_upto, _Pair
 from actionlim.operators import parse_operator_spec
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
+coarse = st.integers(-4, 4).map(lambda i: i / 8)  # nine points, so measures often share an atom
 
 
 @st.composite
@@ -335,6 +336,14 @@ class TestHausdorff:
         res = hausdorff(A, B)
         assert res == unpruned_hausdorff(A, B)  # value, side and witness; counts do not compare
         assert_counts_add_up(res.counts)
+
+    @given(st.lists(dyadic_measures(1, 3, coarse), min_size=2, max_size=6),
+           st.lists(dyadic_measures(1, 3, coarse), min_size=2, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_same_result_as_unpruned_loop_after_prunes(self, A, B):
+        # a shared atom makes the gap 0 while d_LP stays large, so forward rows prune
+        # often, and the reverse pass must compute some of those pairs exactly
+        assert hausdorff(A, B) == unpruned_hausdorff(A, B)
 
     def test_candidate_with_gap_below_cur_is_computed(self):
         # row A[0] = a: B[0] sets cur = 0.75; B[1]'s nearest atom (0.375, 0.5) is 0.625

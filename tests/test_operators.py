@@ -25,6 +25,7 @@ from actionlim import (
     q_norm,
     self_adjoint_defect,
 )
+from actionlim.operators import parse_operator_spec
 
 # the weights of each measure spelling, plus denominators near 2^31 whose lcm is 2^62 - 1
 WEIGHT_SPELLINGS = {name: [w for _, w in atoms] for name, atoms in SAME_MEASURE.items()}
@@ -133,6 +134,14 @@ class TestGraphs:
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.matrix, a.matrix.T)
 
+    def test_erdos_renyi_default_seed_is_its_label(self):
+        # without a seed the graph is seed 0's, the one its label er:12:0.5:0 names
+        A = adjacency(GraphSpec("erdos_renyi", 12, p=0.5))
+        assert A.name == "er:12:0.5:0"
+        assert np.array_equal(A.matrix, adjacency(GraphSpec("erdos_renyi", 12, p=0.5)).matrix)
+        assert np.array_equal(A.matrix, parse_operator_spec("er:12:0.5").matrix)
+        assert np.array_equal(A.matrix, parse_operator_spec(A.name).matrix)
+
     def test_gplus_apex(self):
         A = gplus(GraphSpec("cycle", 5))
         assert A.n == 6
@@ -147,6 +156,12 @@ class TestNorms:
         assert q_norm([3.0, -4.0], w, 1) == 3.5
         assert q_norm([3.0, -4.0], w, 2) == pytest.approx(math.sqrt(12.5))
         assert q_norm([3.0, -4.0], w, math.inf) == 4.0
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_star_degree_norm_at_non_integer_q(self, n):
+        q = 1.5
+        want = ((n - 1) / n + (n - 1) ** q / n) ** (1 / q)
+        assert pq_norm(adjacency(GraphSpec("star", n)), math.inf, q) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_sign_enumeration_agrees_with_nonnegative_formula(self):
         A = adjacency(GraphSpec("cycle", 6))
