@@ -142,6 +142,7 @@ class TestMalformedSpec:
         ("no_matrix.json", '{"n": 2}', "operator JSON must be an object with a 'matrix'"),
         ("list.json", "[1, 2]", "operator JSON must be an object with a 'matrix'"),
         ("missing_op.json", None, "No such file or directory"),
+        ("int_name.json", '{"matrix": [[1]], "name": 5}', "operator 'name' must be a string, got 5"),
     ])
     def test_bad_operator_json_is_a_usage_error(self, capsys, tmp_path, monkeypatch, name, text, reason):
         monkeypatch.chdir(tmp_path)

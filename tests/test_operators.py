@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from actionlim import (
     q_norm,
     self_adjoint_defect,
 )
+from actionlim import operators
 from actionlim.operators import parse_operator_spec
 
 # the weights of each measure spelling, plus denominators near 2^31 whose lcm is 2^62 - 1
@@ -40,6 +42,20 @@ def integer_matrices_with_rational_weights(draw):
     m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n))
     raw = [Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 20))) for _ in range(n)]
     return m, [r / sum(raw) for r in raw]
+
+
+def power_sum_norm(f, weights, q: int) -> float:
+    """The weighted q-norm from its power sum taken as one Fraction."""
+    total = sum((Fraction(w) * abs(Fraction(x)) ** q for x, w in zip(f, weights)), Fraction(0))
+    return float(total) if q == 1 else float(total) ** (1.0 / q)
+
+
+# every float class q_norm must take exactly: signed zeros, subnormals, normals and entries near the top
+Q_NORM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
 
 
 def exact_inf_one_norm(m, weights) -> Fraction:
@@ -142,6 +158,18 @@ class TestGraphs:
         assert np.array_equal(A.matrix, parse_operator_spec("er:12:0.5").matrix)
         assert np.array_equal(A.matrix, parse_operator_spec(A.name).matrix)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "3"])
+    def test_erdos_renyi_seed_must_be_an_integer(self, seed):
+        # a seed of None would draw a new graph on each call, and 1.5 would label a graph no spec names
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+            GraphSpec("erdos_renyi", 12, p=0.5, seed=seed)
+
+    def test_erdos_renyi_integer_seed_types_label_alike(self):
+        a = GraphSpec("erdos_renyi", 12, p=0.5, seed=np.int64(4))
+        assert a.seed == 4 and type(a.seed) is int
+        assert a.label() == "er:12:0.5:4"
+        assert np.array_equal(adjacency(a).matrix, adjacency(GraphSpec("erdos_renyi", 12, p=0.5, seed=4)).matrix)
+
     def test_gplus_apex(self):
         A = gplus(GraphSpec("cycle", 5))
         assert A.n == 6
@@ -210,6 +238,35 @@ class TestNorms:
         assert got != norm
         assert got == pytest.approx(norm, rel=1e-15)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_multi_block_enumeration_matches_full_product(self, monkeypatch, n):
+        # blocks of 4 codes, so every n > 3 takes several offsets of the high signs
+        monkeypatch.setattr(operators, "_SIGN_CHUNK", 1 << 2)
+        rng = np.random.default_rng(100 + n)
+        m = rng.choice([-1, 1], size=(n, n))
+        assert pq_norm(WeightedOperator(m), math.inf, 1) == float(exact_inf_one_norm(m.tolist(), [Fraction(1, n)] * n))
+        m = rng.integers(-5, 6, size=(n, n)).tolist()
+        raw = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 20, size=(n, 2))]
+        w = [r / sum(raw) for r in raw]
+        assert pq_norm(WeightedOperator(m, w), math.inf, 1) == float(exact_inf_one_norm(m, w))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_multi_block_enumeration_float_error_bound(self, monkeypatch, n):
+        monkeypatch.setattr(operators, "_SIGN_CHUNK", 1 << 2)
+        rng = np.random.default_rng(200 + n)
+        m = rng.uniform(-3.0, 3.0, size=(n, n))
+        raw = rng.integers(1, 20, size=n)
+        w = [Fraction(int(r), int(raw.sum())) for r in raw]
+        # every float is an integer over 2^k for one k, so the exact norm is an integer norm / 2^k
+        scale = max(Fraction(x).denominator for x in m.flat)
+        exact = exact_inf_one_norm([[int(Fraction(x) * scale) for x in row] for row in m], w) / scale
+        # each entry of Af is a float sum of at most 2n + 1 terms (the low signs, their doubled
+        # corrections and the offset) whose sizes add up to at most 3 sum_j |a_ij|, and the
+        # weighted sum adds n + 1 more roundings: about 7n u times the weighted absolute row
+        # sums, so 16 n u of them is a safe bound
+        bound = 16 * n * 2.0**-53 * float(sum(wi * Fraction(float(np.abs(row).sum())) for wi, row in zip(w, m)))
+        assert abs(Fraction(pq_norm(WeightedOperator(m, w), math.inf, 1)) - exact) <= bound
+
     def test_adjoint_duality_exact_at_n20(self):
         A = WeightedOperator(np.random.default_rng(20).choice([-1.0, 1.0], size=(20, 20)))
         assert pq_norm(A, math.inf, 1) == pq_norm(adjoint(A), math.inf, 1)
@@ -243,6 +300,55 @@ class TestNorms:
     def test_q_norm_refuses_nan(self):
         with pytest.raises(ValueError, match="q must be >= 1, got q=nan"):
             q_norm([1.0, 2.0], [Fraction(1, 2), Fraction(1, 2)], math.nan)
+
+    @pytest.mark.parametrize("f, i", [([math.nan, 1.0], 0), ([1.0, math.nan], 1)])
+    @pytest.mark.parametrize("q", [1, 2, 1.5, math.inf])
+    def test_q_norm_refuses_nan_entry(self, f, i, q):
+        # at q=inf the max of [nan, 1.0] and of [1.0, nan] would differ
+        with pytest.raises(ValueError, match=f"entry {i} of f is nan"):
+            q_norm(f, [Fraction(1, 2)] * 2, q)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_q_norm_inf_entry(self, x):
+        w = [Fraction(1, 2)] * 2
+        for q in (1, 2, 1.5):
+            with pytest.raises(ValueError, match=f"entry 1 of f is {x!r}: finite q={q!r} needs finite entries"):
+                q_norm([1.0, x], w, q)
+        assert q_norm([1.0, x], w, math.inf) == math.inf
+
+    def test_q_norm_refuses_negative_weight(self):
+        with pytest.raises(ValueError, match="weight 0 is -1/2: weights must be nonnegative"):
+            q_norm([1.0, 2.0], [Fraction(-1, 2), Fraction(3, 2)], 1)
+
+    @pytest.mark.parametrize("q", [2, 3, 2.5])
+    @pytest.mark.parametrize("x", [1e300, 1e-200])
+    def test_q_norm_refuses_power_sum_outside_float_range(self, q, x):
+        # its root would be inf or 0, where the norm of [x, x] is x
+        with pytest.raises(ValueError, match=f"power sum of f at q={q!r} is outside the float range"):
+            q_norm([x, x], [Fraction(1, 2)] * 2, q)
+
+    @given(
+        st.lists(st.tuples(Q_NORM_ENTRIES, st.fractions(min_value=0, max_denominator=10**6)), max_size=8),
+        st.integers(1, 4),
+    )
+    @example([(-0.0, Fraction(1))], 1)
+    @example([(5e-324, Fraction(1, 2)), (2.2250738585072014e-308, Fraction(1, 2))], 1)
+    @example([(1e300, Fraction(1, 7)), (-1e300, Fraction(6, 7))], 1)
+    @example([(1e300, Fraction(1, 2))], 2)  # refused: the power sum is past the largest float
+    @example([(5e-324, Fraction(1, 3))], 1)  # refused: the power sum rounds to 0
+    @settings(max_examples=300, deadline=None)
+    def test_q_norm_is_the_fraction_power_sum(self, entries, q):
+        f, w = [x for x, _ in entries], [v for _, v in entries]
+        try:
+            want = power_sum_norm(f, w, q)
+        except OverflowError:
+            want = math.inf
+        if want == math.inf or (want == 0.0 and any(x and v for x, v in zip(f, w))):
+            with pytest.raises(ValueError, match="is outside the float range"):
+                q_norm(f, w, q)
+            return
+        got = q_norm(f, w, q)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestStructure:
