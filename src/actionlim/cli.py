@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--seed", type=int, default=0)
     p_profile.add_argument("--probe-vertex", type=int, default=None, help="probe vertex (switches to vertex_probe)")
     p_profile.add_argument("--out", required=True, help="output directory for measure JSON files")
-    p_profile.set_defaults(run=_cmd_profile)
+    p_profile.set_defaults(run=_cmd_profile, error=p_profile.error)
 
     p_dist = sub.add_parser("dist", help="distances between measures or measure sets")
     p_dist.set_defaults(run=_cmd_dist)
@@ -45,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp.add_argument("file_a")
     p_lp.add_argument("file_b")
     p_lp.add_argument("--brute-force", action="store_true", help="use the subset-enumeration engine")
+    p_lp.set_defaults(error=p_lp.error)
     p_h = dist_sub.add_parser("hausdorff", help="Hausdorff distance between two directories of measures")
     p_h.add_argument("dir_a")
     p_h.add_argument("dir_b")
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ad.add_argument("--seed", type=int, default=0)
     p_ad.add_argument("--probe-a", type=int, default=None, help="probe vertex on operator a (switches to vertex_probe)")
     p_ad.add_argument("--probe-b", type=int, default=None, help="probe vertex on operator b (switches to vertex_probe)")
-    p_ad.set_defaults(run=_cmd_actiondist)
+    p_ad.set_defaults(run=_cmd_actiondist, error=p_ad.error)
 
     p_limit = sub.add_parser("limit", help="emit an operator, e.g. a limit approximant, as JSON")
     p_limit.add_argument("spec", type=_operator, help="operator spec, e.g. broadcast:16:0 or signed:-:0:cycle:16")
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--set", action="append", default=[], type=_setting, metavar="KEY=VALUE",
                        help="override a config key")
     p_exp.add_argument("--out", help="override the output directory")
-    p_exp.set_defaults(run=_cmd_experiment)
+    p_exp.set_defaults(run=_cmd_experiment, error=p_exp.error)
     return parser
 
 
@@ -82,11 +83,25 @@ def _operator(spec: str) -> operators.WeightedOperator:
 
 
 def _setting(item: str) -> tuple[str, str]:
-    """One `--set KEY=VALUE` override as a (key, value) pair."""
+    """One `--set KEY=VALUE` override as a (key, value) pair; an unknown key, or a value
+    its key cannot take, is a usage error."""
     key, sep, value = item.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {item!r}")
-    return key.strip(), value.strip()
+    key, value = key.strip(), value.strip()
+    try:
+        harness.ExperimentConfig.parse_value(key, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return key, value
+
+
+def _strategy(args, cfg: harness.ExperimentConfig, op: operators.WeightedOperator, probe: int | None,
+              flag: str) -> profiles.TestFunctionStrategy:
+    """The test functions of one operator; a probe vertex outside the operator is a usage error."""
+    if probe is not None and not 0 <= probe < op.n:
+        args.error(f"argument {flag}: probe vertex {probe} out of range for n={op.n}")
+    return harness._strategy_for(cfg, op, probe)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -110,7 +125,7 @@ def _cmd_verify(args) -> int:
 def _cmd_profile(args) -> int:
     op = args.graph
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
-    strat = harness._strategy_for(cfg, op, args.probe_vertex)
+    strat = _strategy(args, cfg, op, args.probe_vertex, "--probe-vertex")
     sample = profiles.profile_sample(op, args.k, strat)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -138,11 +153,25 @@ def _load_measure_dir(path: str) -> tuple[list[str], list[measures.DiscreteMeasu
     return [p.name for p in files], [measures.DiscreteMeasure.from_json(p.read_text()) for p in files]
 
 
+def _read_measure(args, name: str) -> measures.DiscreteMeasure:
+    """The measure in the JSON file argument `name` names; a file that cannot be read or holds
+    no measure is a usage error (read here, not by a type= converter, so that parsing a command
+    line does not read its files)."""
+    path = getattr(args, name)
+    try:
+        return measures.DiscreteMeasure.from_json(Path(path).read_text())
+    except (ValueError, TypeError, KeyError, OSError) as exc:  # KeyError: a missing "dim" or "atoms"
+        args.error(f"argument {name}: measure file {path!r}: {exc}")
+
+
 def _cmd_dist(args) -> int:
     if args.metric == "lp":
-        a = measures.DiscreteMeasure.from_json(Path(args.file_a).read_text())
-        b = measures.DiscreteMeasure.from_json(Path(args.file_b).read_text())
-        res = lp_metric.lp_distance_bruteforce(a, b) if args.brute_force else lp_metric.lp_distance(a, b)
+        a, b = (_read_measure(args, name) for name in ("file_a", "file_b"))
+        engine = lp_metric.lp_distance_bruteforce if args.brute_force else lp_metric.lp_distance
+        try:
+            res = engine(a, b)
+        except ValueError as exc:  # two measures of different dims, or too many atoms for brute force
+            args.error(str(exc))
         _emit(args, {"metric": "lp", "value": res.value, "method": res.method}, repr(res.value))
     else:
         names_a, set_a = _load_measure_dir(args.dir_a)
@@ -157,8 +186,8 @@ def _cmd_dist(args) -> int:
 def _cmd_actiondist(args) -> int:
     op_a, op_b = args.a, args.b
     cfg = harness.ExperimentConfig(strategy=args.kind, count=args.count, seed=args.seed)
-    strat_a = harness._strategy_for(cfg, op_a, args.probe_a)
-    strat_b = harness._strategy_for(cfg, op_b, args.probe_b)
+    strat_a = _strategy(args, cfg, op_a, args.probe_a, "--probe-a")
+    strat_b = _strategy(args, cfg, op_b, args.probe_b, "--probe-b")
     report = profiles.action_distance_estimate(op_a, op_b, args.K, strat_a, strat_b)
     text = f"estimate {report.value!r} (truncated at K={report.truncation_k}, tail bound {report.tail_bound})"
     _emit(args, report.to_dict(), text)
@@ -175,7 +204,10 @@ def _cmd_experiment(args) -> int:
     if args.out is not None:
         overrides["out"] = args.out
     if args.config:
-        cfg = harness.ExperimentConfig.from_file(args.config, overrides)
+        try:
+            cfg = harness.ExperimentConfig.from_file(args.config, overrides)
+        except OSError as exc:  # only reading the file raises it
+            args.error(f"argument --config: config file {args.config!r}: {exc.strerror}")
     else:
         cfg = harness.ExperimentConfig.from_mapping(overrides)
     outdir = harness.run_experiment(cfg)

@@ -365,19 +365,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, kv: dict) -> "ExperimentConfig":
-        kwargs: dict = {}
-        valid = {f.name for f in fields(cls)}
-        for key, value in kv.items():
-            if key not in valid:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in ("sizes", "K", "count", "seed"):
-                try:
-                    value = (tuple(int(x) for x in str(value).replace(",", " ").split()) if key == "sizes"
-                             else int(value))
-                except ValueError:
-                    raise ValueError(f"config key {key!r} needs integers, got {value!r}") from None
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**{key: cls.parse_value(key, value) for key, value in kv.items()})
+
+    @classmethod
+    def parse_value(cls, key: str, value):
+        """One config value as its field holds it: sizes, K, count and seed parse as integers."""
+        if key not in {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown config key {key!r}")
+        if key not in ("sizes", "K", "count", "seed"):
+            return value
+        try:
+            return tuple(int(x) for x in str(value).replace(",", " ").split()) if key == "sizes" else int(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} needs integers, got {value!r}") from None
 
     def to_dict(self) -> dict:
         return dict(asdict(self), sizes=list(self.sizes))

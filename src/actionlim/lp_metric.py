@@ -9,8 +9,11 @@ time: a pair with more than 2(|A| + |B|) candidate edges sorts only the edges
 up to the 2(|A| + |B|)-th smallest distance, then twice as many, and so on, so
 a sweep that stops early (a basic coupling has at most |A| + |B| - 1 edges)
 leaves most of its m^2 distances unsorted.  A subset-enumeration oracle covers
-small supports, and the Hausdorff distance between finite measure sets is
-built on top.
+small supports: it tests Strassen's condition on every union of atoms, both
+ways, at the distance levels its binary search probes (the largest deficit
+never rises from one level to the next, so O(log L) of the L levels settle
+the answer).  The Hausdorff distance between finite measure sets is built on
+top.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -237,8 +241,17 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 
     Guarded to combined supports of at most 10 atoms.  Masses and the exact
     values of the (dyadic) pairwise distances sit on one integer scale, so
-    every candidate eps and every test of mu(T) <= nu(N_eps(T)) + eps, both
-    ways, compares ints.
+    every test of mu(T) <= nu(N_eps(T)) + eps, both ways, compares ints.
+
+    Let l_0 = 0 < l_1 < ... be the distances below 1, and l_L = 1 + 1/scale.
+    N_eps(T) is constant for eps in [l_k, l_k+1), so eps there is feasible iff
+    eps >= W_k, the largest deficit mass(T) - mass(N_eps(T)) at l_k over every
+    union T, both ways; the least feasible eps of that interval is
+    max(l_k, W_k) if it is below l_k+1.  N_eps(T) only grows with eps, so W_k
+    never rises with k and `max(l_k, W_k) < l_k+1` is monotone in k; it holds
+    in the last interval, as every deficit is at most 1.  A binary search over
+    k finds the first k where it holds, and d_LP = max(l_k, W_k), with one pass
+    over the unions per level it probes.
     """
     _check_dims(mu, nu)
     if mu.support_size + nu.support_size > 10:
@@ -267,14 +280,16 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
                 reach[t] = reach[t ^ low] | near[low.bit_length() - 1]
                 yield own[t] - other[reach[t]]
 
-    # N_eps(T) changes only at a distance, so the least feasible eps is 1, a distance
-    # below 1 or 0, or a deficit at one of those
-    levels = {d for row in dist for d in row if d < scale} | {0}
-    candidates = levels | {scale} | {x for eps in levels for x in deficits(eps) if x >= 0}
-    # feasibility is monotone in eps: binary search the first feasible candidate
-    ordered = sorted(candidates)
-    first = bisect_left(ordered, True, key=lambda eps: all(x <= eps for x in deficits(eps)))
-    return LpResult(float(Fraction(ordered[first], scale)), "brute_force")
+    levels = sorted({d for row in dist for d in row if d < scale} | {0})  # l_0 ... l_L-1
+    bounds = levels[1:] + [scale + 1]  # l_1 ... l_L
+
+    @cache
+    def least(k: int) -> int:
+        """max(l_k, W_k): the least feasible eps in [l_k, l_k+1), if it is below l_k+1."""
+        return max(levels[k], max(deficits(levels[k])))
+
+    first = bisect_left(range(len(levels)), True, key=lambda k: least(k) < bounds[k])
+    return LpResult(least(first) / scale, "brute_force")  # int / int rounds correctly
 
 
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],

@@ -320,12 +320,16 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     each |f_i| is n_i / d_i with d_i a power of two, so the largest d_i is a
     common denominator, and the weights go over the lcm of theirs.  The
     quotient is rounded to the nearest float once, and for q > 1 its q-th
-    root taken.  Other q sum in float64.
+    root taken.  A quotient that rounds to inf, or to 0 while some weighted
+    entry is nonzero, is first scaled by 2^t into [1/2, 2), t = q*a + b with
+    0 <= b < q; the norm is then its root times 2^(-b/q) times 2^-a.  Other q
+    sum in float64.
 
     Refused with a ValueError that names the input: a NaN entry (the max at
     q=inf would depend on the order), an infinite entry at finite q, a
-    negative weight, and a power sum that rounds to inf, or to 0 while some
-    weighted entry is nonzero (its q-th root would be inf or 0, not the norm).
+    negative weight, a norm at integer q that rounds to inf or to 0 while
+    some weighted entry is nonzero, and at other q a power sum that does
+    (its q-th root would be inf or 0, not the norm).
     """
     if not q >= 1:  # NaN fails it too
         raise ValueError(f"q must be >= 1, got q={q!r}")
@@ -343,24 +347,38 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
             raise ValueError(f"entry {i} of f is {x!r}: finite q={q!r} needs finite entries")
     if math.isinf(q):
         return max((abs(x) for x in v), default=0.0)
+    if float(q).is_integer():
+        qi = int(q)
+        ratios = [abs(x).as_integer_ratio() for x in v]
+        den = max((d for _, d in ratios), default=1)
+        wden = math.lcm(*(w.denominator for w in ws))
+        total = sum(
+            w.numerator * (wden // w.denominator) * (n * (den // d)) ** qi
+            for w, (n, d) in zip(ws, ratios)
+        )
+        scale = wden * den**qi
+        try:
+            norm = (total / scale) ** (1.0 / q)  # int / int rounds correctly; x ** 1.0 is x
+        except OverflowError:  # an int quotient past the float range
+            norm = math.inf
+        if norm == math.inf or (norm == 0.0 and total):  # the power sum left the float range
+            t = scale.bit_length() - total.bit_length()
+            a, b = divmod(t, qi)
+            scaled = (total << t) / scale if t >= 0 else total / (scale << -t)
+            try:
+                norm = math.ldexp(scaled ** (1.0 / q) * 2.0 ** (-b / qi), -a)
+            except OverflowError:  # the norm itself past the float range
+                norm = math.inf
+            if norm in (0.0, math.inf):
+                raise ValueError(f"the norm of f at q={q!r} is outside the float range")
+        return norm
     try:
-        if float(q).is_integer():
-            qi = int(q)
-            ratios = [abs(x).as_integer_ratio() for x in v]
-            den = max((d for _, d in ratios), default=1)
-            wden = math.lcm(*(w.denominator for w in ws))
-            total = sum(
-                w.numerator * (wden // w.denominator) * (n * (den // d)) ** qi
-                for w, (n, d) in zip(ws, ratios)
-            )
-            mean = total / (wden * den**qi)  # int / int rounds correctly
-        else:
-            mean = float(sum(float(w) * abs(x) ** q for x, w in zip(v, ws)))
-    except OverflowError:  # an int quotient or a float power past the float range
+        mean = float(sum(float(w) * abs(x) ** q for x, w in zip(v, ws)))
+    except OverflowError:  # a float power past the float range
         mean = math.inf
     if mean == math.inf or (mean == 0.0 and any(x and w for x, w in zip(v, ws))):
         raise ValueError(f"the power sum of f at q={q!r} is outside the float range")
-    return mean ** (1.0 / q)  # x ** 1.0 is x, so q=1 returns the mean itself
+    return mean ** (1.0 / q)
 
 
 def _sup_inf_to_1(A: WeightedOperator) -> float:

@@ -156,6 +156,36 @@ class TestMalformedSpec:
         assert reason in last
 
 
+class TestBadInput:
+    """Each bad input is a usage error (exit 2) whose last line names it, not a traceback."""
+
+    @pytest.mark.parametrize("argv, last", [
+        (["dist", "lp", "missing.json", "other.json"],
+         "actionlim dist lp: error: argument file_a: measure file 'missing.json': "
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        (["dist", "lp", "six.json", "six.json", "--brute-force"],
+         "actionlim dist lp: error: combined support too large for brute force (max 10 atoms)"),
+        (["experiment", "--config", "missing.cfg"],
+         "actionlim experiment: error: argument --config: config file 'missing.cfg': No such file or directory"),
+        (["experiment", "--set", "sizes=x"],
+         "actionlim experiment: error: argument --set: config key 'sizes' needs integers, got 'x'"),
+        (["profile", "--graph", "star:4", "--probe-vertex", "9", "--out", "out"],
+         "actionlim profile: error: argument --probe-vertex: probe vertex 9 out of range for n=4"),
+        (["dist", "lp", "six.json", "plane.json"], "actionlim dist lp: error: dimension mismatch: 1 vs 2"),
+    ], ids=["missing_measure", "brute_force_guard", "missing_config", "set_not_integers", "probe_out_of_range",
+            "dim_mismatch"])
+    def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, last):
+        monkeypatch.chdir(tmp_path)
+        six = {"dim": 1, "atoms": [{"p": [x / 8], "w": "1/6"} for x in range(6)]}
+        (tmp_path / "six.json").write_text(json.dumps(six))
+        (tmp_path / "plane.json").write_text(json.dumps({"dim": 2, "atoms": [{"p": [0, 0], "w": "1/1"}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == last
+        assert not (tmp_path / "out").exists()
+
+
 class TestLimit:
     def test_broadcast_stdout(self, capsys):
         code, out = run(capsys, "limit", "broadcast:3:1")

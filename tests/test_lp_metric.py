@@ -207,6 +207,53 @@ class TestOracle:
                              masses=[1, 1, 1, 2, den - 5], denom=den)
         assert lp_distance_bruteforce(mu, mu).value == 0.0
 
+    # the oracle binary searches the levels l_0 = 0 < l_1 < ... (the distances below 1):
+    # d_LP = max(l_k, W_k) at the first k where that is below l_k+1, W_k the largest deficit
+    @pytest.mark.parametrize("a, b, want", [
+        # at l_1 = 0.5 every deficit is 0 <= l_1, so d_LP is the level itself
+        (dirac(0.0), dirac(0.5), 0.5),
+        (empirical([(0.0,), (0.25,)]), empirical([(0.125,), (0.625,)]), 0.375),
+        # W_0 = 1/4 (the far atom's mass) lies strictly inside [0, 0.875)
+        (dirac(0.0), DiscreteMeasure(1, [((0.0,), Fraction(3, 4)), ((0.875,), Fraction(1, 4))]), 0.25),
+        (dirac(0.0), DiscreteMeasure(1, [((0.125,), Fraction(3, 5)), ((0.875,), Fraction(2, 5))]), 0.4),
+    ])
+    def test_level_and_interior_answers(self, a, b, want):
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == fraction_reference(x, y) == want
+
+    def test_every_distance_at_least_one(self):
+        # the one level is 0, and its interval [0, 1 + 1/scale) holds eps = 1
+        a = DiscreteMeasure(2, [((0.0, 0.0), Fraction(1, 3)), ((0.0, 1.0), Fraction(2, 3))])
+        b = DiscreteMeasure(2, [((1.0, 0.0), Fraction(1, 7)), ((2.0, 2.0), Fraction(6, 7))])
+        assert lp_distance_bruteforce(a, b).value == fraction_reference(a, b) == 1.0
+        assert lp_distance_bruteforce(dirac(0.0), dirac(1.0)).value == 1.0
+
+    def test_wide_scale_answer_at_a_level(self):
+        # scale = 8 * 65537 * 65539 > 2^31; at l_1 = 0.125 the one deficit,
+        # 1/65537 - 1/65539, is below the level, so d_LP is 0.125 exactly
+        a = DiscreteMeasure(1, [((0.0,), Fraction(1, 65537)), ((0.25,), Fraction(65536, 65537))])
+        b = DiscreteMeasure(1, [((0.125,), Fraction(1, 65539)), ((0.375,), Fraction(65538, 65539))])
+        assert math.lcm(65537, 65539, 8) > 2**31
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == fraction_reference(x, y) == 0.125
+
+    def test_equidistant_atoms(self):
+        # every cross distance is 1/4, the one level above 0: W_0 = 1, W_1 = 0
+        a = DiscreteMeasure(2, [((0.0, 0.0), Fraction(1))])
+        b = DiscreteMeasure(2, zip([(0.25, 0.0), (-0.25, 0.0), (0.0, 0.25), (0.0, -0.25)],
+                                   [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)]))
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == fraction_reference(x, y) == 0.25
+
+    def test_ten_atom_grid_with_tied_distances(self):
+        # two interleaved 1-D grids, 10 atoms in all: 25 distances on 5 values, so the
+        # levels are 0, 1/8, 3/8, 5/8 and 7/8, and d_LP = 42/143 lies inside [1/8, 3/8)
+        a = DiscreteMeasure(1, points=[(x / 8,) for x in (0, 2, 4, 6, 8)], masses=[5, 1, 4, 1, 2], denom=13)
+        b = DiscreteMeasure(1, points=[(x / 8,) for x in (1, 3, 5, 7, 9)], masses=[1, 6, 1, 1, 2], denom=11)
+        assert len(set(cdist(a.points(), b.points()).ravel().tolist())) == 5
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == fraction_reference(x, y) == lp_distance(x, y).value
+
 
 class TestMetricAxioms:
     @given(dyadic_measures(2), dyadic_measures(2))

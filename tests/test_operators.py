@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +45,20 @@ def integer_matrices_with_rational_weights(draw):
     return m, [r / sum(raw) for r in raw]
 
 
+def power_sum(f, weights, q: int) -> Fraction:
+    return sum((Fraction(w) * abs(Fraction(x)) ** q for x, w in zip(f, weights)), Fraction(0))
+
+
 def power_sum_norm(f, weights, q: int) -> float:
     """The weighted q-norm from its power sum taken as one Fraction."""
-    total = sum((Fraction(w) * abs(Fraction(x)) ** q for x, w in zip(f, weights)), Fraction(0))
+    total = power_sum(f, weights, q)
     return float(total) if q == 1 else float(total) ** (1.0 / q)
+
+
+def log_norm(f, weights, q: int) -> float:
+    """The natural log of the weighted q-norm (-inf for 0), from the exact power sum."""
+    total = power_sum(f, weights, q)
+    return (math.log(total.numerator) - math.log(total.denominator)) / q if total else -math.inf
 
 
 # every float class q_norm must take exactly: signed zeros, subnormals, normals and entries near the top
@@ -320,12 +331,32 @@ class TestNorms:
         with pytest.raises(ValueError, match="weight 0 is -1/2: weights must be nonnegative"):
             q_norm([1.0, 2.0], [Fraction(-1, 2), Fraction(3, 2)], 1)
 
-    @pytest.mark.parametrize("q", [2, 3, 2.5])
+    @pytest.mark.parametrize("q", [2.5])
     @pytest.mark.parametrize("x", [1e300, 1e-200])
     def test_q_norm_refuses_power_sum_outside_float_range(self, q, x):
-        # its root would be inf or 0, where the norm of [x, x] is x
+        # its root would be inf or 0, where the norm of [x, x] is x; non-integer q sums in float64
         with pytest.raises(ValueError, match=f"power sum of f at q={q!r} is outside the float range"):
             q_norm([x, x], [Fraction(1, 2)] * 2, q)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("x", [1e300, 1e-200])
+    def test_q_norm_answers_power_sum_outside_float_range(self, q, x):
+        # at integer q the exact power sum is scaled into the float range before its root
+        assert q_norm([x, x], [Fraction(1, 2)] * 2, q) == pytest.approx(x, rel=1e-12)
+
+    def test_q_norm_power_sum_past_inf_at_large_q(self):
+        # the power sum is about 2^15849, and no power of 2^q brings it into the float range;
+        # the norm is 3 (1/2 + 2^-q/2)^(1/q), and 2^-10000 is far below an ulp
+        assert q_norm([3.0, 1.5], [Fraction(1, 2)] * 2, 10000) == pytest.approx(3 * 2 ** -1e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("f, w, q", [
+        ([1e300], Fraction(10**20), 2),  # the norm is 1e310
+        ([1e-300], Fraction(1, 10**60), 2),  # the norm is 1e-330, below the least subnormal
+        ([5e-324], Fraction(1, 3), 1),  # at q=1 the norm is the mean, 5e-324 / 3
+    ])
+    def test_q_norm_refuses_norm_outside_float_range(self, f, w, q):
+        with pytest.raises(ValueError, match=f"the norm of f at q={q} is outside the float range"):
+            q_norm(f, [w], q)
 
     @given(
         st.lists(st.tuples(Q_NORM_ENTRIES, st.fractions(min_value=0, max_denominator=10**6)), max_size=8),
@@ -334,18 +365,29 @@ class TestNorms:
     @example([(-0.0, Fraction(1))], 1)
     @example([(5e-324, Fraction(1, 2)), (2.2250738585072014e-308, Fraction(1, 2))], 1)
     @example([(1e300, Fraction(1, 7)), (-1e300, Fraction(6, 7))], 1)
-    @example([(1e300, Fraction(1, 2))], 2)  # refused: the power sum is past the largest float
-    @example([(5e-324, Fraction(1, 3))], 1)  # refused: the power sum rounds to 0
+    @example([(1e300, Fraction(1, 2))], 2)  # the power sum is past the largest float, the norm is not
+    @example([(1e-200, Fraction(1, 2))], 2)  # the power sum rounds to 0, the norm does not
+    @example([(5e-324, Fraction(1, 3))], 1)  # refused: the norm (the mean at q=1) rounds to 0
+    @example([(1e300, Fraction(10**20))], 2)  # refused: the norm is past the largest float
     @settings(max_examples=300, deadline=None)
     def test_q_norm_is_the_fraction_power_sum(self, entries, q):
+        # a power sum inside the float range: the bits of its rounded root; outside it, the
+        # norm to 1e-12 relative (or to the least subnormal), or a refusal where the norm is
+        # itself outside the float range
         f, w = [x for x, _ in entries], [v for _, v in entries]
         try:
             want = power_sum_norm(f, w, q)
         except OverflowError:
             want = math.inf
         if want == math.inf or (want == 0.0 and any(x and v for x, v in zip(f, w))):
-            with pytest.raises(ValueError, match="is outside the float range"):
-                q_norm(f, w, q)
+            log_want = log_norm(f, w, q)
+            try:
+                got = q_norm(f, w, q)
+            except ValueError as exc:
+                assert "is outside the float range" in str(exc)
+                assert log_want > math.log(sys.float_info.max) - 1e-12 or log_want < math.log(5e-324) + 1e-12
+                return
+            assert got == pytest.approx(math.exp(log_want), rel=1e-12, abs=5e-324)
             return
         got = q_norm(f, w, q)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
