@@ -49,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_h = dist_sub.add_parser("hausdorff", help="Hausdorff distance between two directories of measures")
     p_h.add_argument("dir_a")
     p_h.add_argument("dir_b")
+    p_h.set_defaults(error=p_h.error)
 
     p_ad = sub.add_parser("actiondist", help="truncated action-metric estimate between operators")
     p_ad.add_argument("--a", required=True, type=_operator, help="operator spec for the first operator")
@@ -145,23 +146,25 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _load_measure_dir(path: str) -> tuple[list[str], list[measures.DiscreteMeasure]]:
-    """The measure files of a directory: their names and their measures, in name order."""
-    files = sorted(p for p in Path(path).glob("*.json") if p.name != "manifest.json")
-    if not files:
-        raise SystemExit(f"no measure files in {path}")
-    return [p.name for p in files], [measures.DiscreteMeasure.from_json(p.read_text()) for p in files]
-
-
-def _read_measure(args, name: str) -> measures.DiscreteMeasure:
-    """The measure in the JSON file argument `name` names; a file that cannot be read or holds
-    no measure is a usage error (read here, not by a type= converter, so that parsing a command
-    line does not read its files)."""
-    path = getattr(args, name)
+def _read_measure(args, name: str, path: str | None = None) -> measures.DiscreteMeasure:
+    """The measure in a JSON file: the file argument `name` names, or `path` in the directory
+    that argument names.  A file that cannot be read or holds no measure is a usage error (read
+    here, not by a type= converter, so that parsing a command line does not read its files)."""
+    path = path or getattr(args, name)
     try:
         return measures.DiscreteMeasure.from_json(Path(path).read_text())
     except (ValueError, TypeError, KeyError, OSError) as exc:  # KeyError: a missing "dim" or "atoms"
         args.error(f"argument {name}: measure file {path!r}: {exc}")
+
+
+def _read_measure_dir(args, name: str) -> tuple[list[str], list[measures.DiscreteMeasure]]:
+    """The measure files of the directory argument `name` names: their names and their
+    measures, in name order; a directory with none is a usage error."""
+    path = getattr(args, name)
+    files = sorted(p for p in Path(path).glob("*.json") if p.name != "manifest.json")
+    if not files:
+        args.error(f"argument {name}: no measure files in {path!r}")
+    return [p.name for p in files], [_read_measure(args, name, str(p)) for p in files]
 
 
 def _cmd_dist(args) -> int:
@@ -174,9 +177,12 @@ def _cmd_dist(args) -> int:
             args.error(str(exc))
         _emit(args, {"metric": "lp", "value": res.value, "method": res.method}, repr(res.value))
     else:
-        names_a, set_a = _load_measure_dir(args.dir_a)
-        names_b, set_b = _load_measure_dir(args.dir_b)
-        res = lp_metric.hausdorff(set_a, set_b)
+        names_a, set_a = _read_measure_dir(args, "dir_a")
+        names_b, set_b = _read_measure_dir(args, "dir_b")
+        try:
+            res = lp_metric.hausdorff(set_a, set_b)
+        except ValueError as exc:  # measures of different dims
+            args.error(str(exc))
         i, j = res.witness
         _emit(args, {"metric": "hausdorff", "value": res.value, "argmax_side": res.argmax_side,
                      "witness": [names_a[i], names_b[j]], "counts": res.counts}, repr(res.value))
@@ -208,6 +214,8 @@ def _cmd_experiment(args) -> int:
             cfg = harness.ExperimentConfig.from_file(args.config, overrides)
         except OSError as exc:  # only reading the file raises it
             args.error(f"argument --config: config file {args.config!r}: {exc.strerror}")
+        except ValueError as exc:  # an unknown key, or a value its key cannot take
+            args.error(f"argument --config: config file {args.config!r}: {exc}")
     else:
         cfg = harness.ExperimentConfig.from_mapping(overrides)
     outdir = harness.run_experiment(cfg)

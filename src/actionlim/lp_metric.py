@@ -9,11 +9,12 @@ time: a pair with more than 2(|A| + |B|) candidate edges sorts only the edges
 up to the 2(|A| + |B|)-th smallest distance, then twice as many, and so on, so
 a sweep that stops early (a basic coupling has at most |A| + |B| - 1 edges)
 leaves most of its m^2 distances unsorted.  A subset-enumeration oracle covers
-small supports: it tests Strassen's condition on every union of atoms, both
-ways, at the distance levels its binary search probes (the largest deficit
-never rises from one level to the next, so O(log L) of the L levels settle
-the answer).  The Hausdorff distance between finite measure sets is built on
-top.
+small supports: it tests Strassen's condition on every union of the smaller
+side's atoms, one way only (for probability measures the largest deficit is
+the same both ways, by a complement argument), at the distance levels its
+binary search probes (the largest deficit never rises from one level to the
+next, so O(log L) of the L levels settle the answer).  The Hausdorff
+distance between finite measure sets is built on top.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 from fractions import Fraction
+from operator import itemgetter, sub
 from typing import Sequence
 
 import numpy as np
@@ -152,12 +153,12 @@ def _sorted_edges(pair: _Pair, mask: np.ndarray):
     """The edges (distance, i, j) where mask holds, in the order of one stable
     argsort by distance over np.nonzero(mask): by distance, then row-major.
 
-    Yields them as sorted chunks, each only when the caller reaches it, for
-    itertools.chain.from_iterable to join.  The first chunk holds the edges up
-    to the size-th smallest distance, size = 2(|A| + |B|), whole tie runs
-    included (the sweep opens a distance's edges together and pushes along
-    them in this order); a basic coupling has at most |A| + |B| - 1 edges, so
-    the size comes from the pair, not from a tuning constant.  The size then
+    Yields them as sorted chunks, each only when the caller reaches it.  The
+    first chunk holds the edges up to the size-th smallest distance, size =
+    2(|A| + |B|), whole tie runs included (the sweep opens a distance's edges
+    together and pushes along them in this order); a basic coupling has at
+    most |A| + |B| - 1 edges, so the size comes from the pair, not from a
+    tuning constant.  The size then
     doubles for each later chunk, and a rest that fits is one last chunk.
     pair.edges_sorted counts the edges sorted.
     """
@@ -188,7 +189,8 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
     max(b, 1 - F).  Past the last breakpoint under a ceiling below 1, d_LP <=
     ceiling iff 1 - F <= ceiling.  `_sorted_edges` puts the edges in order a
     chunk at a time, so a sweep that stops early leaves the later chunks
-    unsorted.
+    unsorted; a tie run never straddles two chunks, so each chunk is grouped
+    by distance on its own.
     """
     if ceiling < 1:
         cn, cd = ceiling.as_integer_ratio()
@@ -197,19 +199,25 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
         cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
         mask = pair.dist < 1.0
     scale, b = pair.scale, 0.0
-    edges = itertools.chain.from_iterable(_sorted_edges(pair, mask))
-    for nxt, group in itertools.groupby(edges, key=lambda e: e[0]):
-        if nxt > b:  # edges at distance 0 open at breakpoint 0
-            pair.breakpoints += 1
-            rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
-            n, d = nxt.as_integer_ratio()
-            if rest * d < n * scale:
-                return max(Fraction(b), Fraction(rest, scale))
-            b = nxt
-        pair.open((i, j) for _, i, j in group)
+    for chunk in _sorted_edges(pair, mask):
+        for nxt, group in itertools.groupby(chunk, key=itemgetter(0)):
+            if nxt > b:  # edges at distance 0 open at breakpoint 0
+                pair.breakpoints += 1
+                rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
+                n, d = nxt.as_integer_ratio()
+                if rest * d < n * scale:
+                    return _max_fraction(b, rest, scale)
+                b = nxt
+            pair.open((i, j) for _, i, j in group)
     pair.breakpoints += 1
     rest = scale - pair.max_flow()
-    return max(Fraction(b), Fraction(rest, scale)) if rest * cd <= cn * scale else None
+    return _max_fraction(b, rest, scale) if rest * cd <= cn * scale else None
+
+
+def _max_fraction(b: float, rest: int, scale: int) -> Fraction:
+    """max(b, rest / scale) as one Fraction, chosen by comparing ints."""
+    n, d = b.as_integer_ratio()
+    return Fraction(b) if rest * d <= n * scale else Fraction(rest, scale)
 
 
 def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -241,21 +249,31 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 
     Guarded to combined supports of at most 10 atoms.  Masses and the exact
     values of the (dyadic) pairwise distances sit on one integer scale, so
-    every test of mu(T) <= nu(N_eps(T)) + eps, both ways, compares ints.
+    every test of Strassen's condition compares ints.
+
+    The condition is tested one way only, over the unions T of the measure
+    with fewer atoms (mu on a tie), say mu: mu(T) <= nu(N_eps(T)) + eps.  For
+    probability measures the largest deficit mu(T) - nu(N_eps(T)) equals the
+    largest deficit the other way.  For a union T of nu's atoms, let S be
+    the mu-atoms outside N_eps(T); no atom of T lies within eps of S, so
+    nu(N_eps(S)) <= 1 - nu(T), and nu(T) - mu(N_eps(T)) = nu(T) - 1 + mu(S)
+    <= mu(S) - nu(N_eps(S)).  The same holds with mu and nu swapped, and both
+    largest deficits are >= 0 (take T = every atom), so either side gives W.
 
     Let l_0 = 0 < l_1 < ... be the distances below 1, and l_L = 1 + 1/scale.
     N_eps(T) is constant for eps in [l_k, l_k+1), so eps there is feasible iff
-    eps >= W_k, the largest deficit mass(T) - mass(N_eps(T)) at l_k over every
-    union T, both ways; the least feasible eps of that interval is
-    max(l_k, W_k) if it is below l_k+1.  N_eps(T) only grows with eps, so W_k
-    never rises with k and `max(l_k, W_k) < l_k+1` is monotone in k; it holds
-    in the last interval, as every deficit is at most 1.  A binary search over
-    k finds the first k where it holds, and d_LP = max(l_k, W_k), with one pass
-    over the unions per level it probes.
+    eps >= W_k, the largest deficit at l_k; the least feasible eps of that
+    interval is max(l_k, W_k) if it is below l_k+1.  N_eps(T) only grows with
+    eps, so W_k never rises with k and `max(l_k, W_k) < l_k+1` is monotone in
+    k; it holds in the last interval, as every deficit is at most 1.  A binary
+    search over k finds the first k where it holds, and d_LP = max(l_k, W_k),
+    with one pass over the unions per level it probes.
     """
     _check_dims(mu, nu)
     if mu.support_size + nu.support_size > 10:
         raise ValueError("combined support too large for brute force (max 10 atoms)")
+    if nu.support_size < mu.support_size:  # d_LP is symmetric: enumerate the smaller side
+        mu, nu = nu, mu
 
     ratios = [[d.as_integer_ratio() for d in row] for row in cdist(mu.points(), nu.points()).tolist()]
     scale = math.lcm(mu.denom, nu.denom, *(den for row in ratios for _, den in row))
@@ -267,29 +285,28 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
             table += [t + x * (scale // m.denom) for t in table]
         return table
 
-    ma, mb = subset_masses(mu), subset_masses(nu)
-    sides = ((ma, mb, dist), (mb, ma, list(zip(*dist))))
+    own, other = subset_masses(mu), subset_masses(nu)
 
-    def deficits(eps: int):
-        """mass(T) - mass(N_eps(T)) for every nonempty union T of atoms, both ways."""
-        for own, other, rows in sides:
-            near = [sum(1 << j for j, d in enumerate(row) if d <= eps) for row in rows]
-            reach = [0] * len(own)  # reach[T]: bitmask of N_eps(T), from T less its lowest atom
-            for t in range(1, len(own)):
-                low = t & -t
-                reach[t] = reach[t ^ low] | near[low.bit_length() - 1]
-                yield own[t] - other[reach[t]]
+    def worst_deficit(eps: int) -> int:
+        """The largest mu(T) - nu(N_eps(T)) over every union T of mu's atoms (0 for the empty one)."""
+        reach = [0]  # reach[T]: bitmask of nu's atoms in N_eps(T), bits as in own
+        for row in dist:
+            near = sum(1 << j for j, d in enumerate(row) if d <= eps)
+            reach += [r | near for r in reach]
+        return max(map(sub, own, map(other.__getitem__, reach)))
 
     levels = sorted({d for row in dist for d in row if d < scale} | {0})  # l_0 ... l_L-1
     bounds = levels[1:] + [scale + 1]  # l_1 ... l_L
+    least: dict[int, int] = {}  # k -> max(l_k, W_k), for each level k the search probes
 
-    @cache
-    def least(k: int) -> int:
-        """max(l_k, W_k): the least feasible eps in [l_k, l_k+1), if it is below l_k+1."""
-        return max(levels[k], max(deficits(levels[k])))
+    def feasible_below_next(k: int) -> bool:
+        """Whether the least feasible eps in [l_k, l_k+1) exists."""
+        least[k] = max(levels[k], worst_deficit(levels[k]))
+        return least[k] < bounds[k]
 
-    first = bisect_left(range(len(levels)), True, key=lambda k: least(k) < bounds[k])
-    return LpResult(least(first) / scale, "brute_force")  # int / int rounds correctly
+    # the key holds at the last level, so the first k where it holds is one the search probed
+    first = bisect_left(range(len(levels)), True, key=feasible_below_next)
+    return LpResult(least[first] / scale, "brute_force")  # int / int rounds correctly
 
 
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],

@@ -321,9 +321,9 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     common denominator, and the weights go over the lcm of theirs.  The
     quotient is rounded to the nearest float once, and for q > 1 its q-th
     root taken.  A quotient that rounds to inf, or to 0 while some weighted
-    entry is nonzero, is first scaled by 2^t into [1/2, 2), t = q*a + b with
-    0 <= b < q; the norm is then its root times 2^(-b/q) times 2^-a.  Other q
-    sum in float64.
+    entry is nonzero, is scaled by 2^(q*s) instead, s chosen so that the
+    integer q-th root of the scaled quotient has about 57 bits; that root
+    over 2^s gives the norm correctly rounded.  Other q sum in float64.
 
     Refused with a ValueError that names the input: a NaN entry (the max at
     q=inf would depend on the order), an infinite entry at finite q, a
@@ -362,11 +362,26 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
         except OverflowError:  # an int quotient past the float range
             norm = math.inf
         if norm == math.inf or (norm == 0.0 and total):  # the power sum left the float range
-            t = scale.bit_length() - total.bit_length()
-            a, b = divmod(t, qi)
-            scaled = (total << t) / scale if t >= 0 else total / (scale << -t)
+            # r = floor of the norm times 2^s, from the power sum times 2^(q*s) by Newton's
+            # method; s puts r near 2^56, at least 2 bits past a float's 53, so no float
+            # rounding boundary lies strictly between r and r + 1, and (r + 1/2) / 2^s
+            # (r / 2^s if r is the exact root) rounds to the norm's float.  scale is
+            # wden * 2^(q*e), so the power sum times 2^(q*s) is total * 2^shift / wden,
+            # shift = q*(s - e), and only wden divides
+            e = den.bit_length() - 1
+            log_norm = (math.log2(total) - math.log2(wden)) / qi - e
+            s = 56 - math.floor(log_norm)
+            shift = qi * (s - e)
+            big = (total << shift if shift >= 0 else total >> -shift) // wden
+            r = int(2.0 ** (log_norm + s))
+            r = ((qi - 1) * r + big // r ** (qi - 1)) // qi  # >= floor(big^(1/q)), by AM-GM
+            while (lower := ((qi - 1) * r + big // r ** (qi - 1)) // qi) < r:
+                r = lower
+            power = r**qi * wden
+            exact = power == total << shift if shift >= 0 else power << -shift == total
+            odd = 2 * r + (not exact)
             try:
-                norm = math.ldexp(scaled ** (1.0 / q) * 2.0 ** (-b / qi), -a)
+                norm = odd / (1 << s + 1) if s >= -1 else float(odd << -s - 1)  # rounds correctly
             except OverflowError:  # the norm itself past the float range
                 norm = math.inf
             if norm in (0.0, math.inf):

@@ -172,13 +172,27 @@ class TestBadInput:
         (["profile", "--graph", "star:4", "--probe-vertex", "9", "--out", "out"],
          "actionlim profile: error: argument --probe-vertex: probe vertex 9 out of range for n=4"),
         (["dist", "lp", "six.json", "plane.json"], "actionlim dist lp: error: dimension mismatch: 1 vs 2"),
+        (["dist", "hausdorff", "empty", "empty"],
+         "actionlim dist hausdorff: error: argument dir_a: no measure files in 'empty'"),
+        (["dist", "hausdorff", "no_atoms", "no_atoms"],
+         "actionlim dist hausdorff: error: argument dir_a: measure file 'no_atoms/m.json': 'atoms'"),
+        (["experiment", "--config", "sizes_x.cfg"],
+         "actionlim experiment: error: argument --config: config file 'sizes_x.cfg': "
+         "config key 'sizes' needs integers, got 'x'"),
+        (["experiment", "--config", "unknown_key.cfg"],
+         "actionlim experiment: error: argument --config: config file 'unknown_key.cfg': unknown config key 'colour'"),
     ], ids=["missing_measure", "brute_force_guard", "missing_config", "set_not_integers", "probe_out_of_range",
-            "dim_mismatch"])
+            "dim_mismatch", "hausdorff_empty_dir", "hausdorff_no_atoms", "config_not_integers", "config_unknown_key"])
     def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, last):
         monkeypatch.chdir(tmp_path)
         six = {"dim": 1, "atoms": [{"p": [x / 8], "w": "1/6"} for x in range(6)]}
         (tmp_path / "six.json").write_text(json.dumps(six))
         (tmp_path / "plane.json").write_text(json.dumps({"dim": 2, "atoms": [{"p": [0, 0], "w": "1/1"}]}))
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "no_atoms").mkdir()
+        (tmp_path / "no_atoms" / "m.json").write_text(json.dumps({"dim": 1}))
+        (tmp_path / "sizes_x.cfg").write_text("sizes=x\n")
+        (tmp_path / "unknown_key.cfg").write_text("colour=red\n")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -23,7 +23,7 @@ from actionlim import (
     profile_sample,
     shift,
 )
-from actionlim import harness
+from actionlim import harness, lp_metric
 from actionlim.lp_metric import HausdorffResult, LpResult, _distance_upto, _Pair, _sorted_edges
 from actionlim.operators import parse_operator_spec
 
@@ -184,6 +184,18 @@ def oracle_pair(draw):
     return draw(grid_measure(dim, p)), draw(grid_measure(dim, total - p))
 
 
+def largest_deficit(x, y, eps):
+    """max of x(T) - y(N_eps(T)) over every nonempty union T of x's atoms, in Fractions."""
+    dist = [[Fraction(d) for d in row] for row in cdist(x.points(), y.points()).tolist()]
+    wx, wy = x.weights(), y.weights()
+    deficits = []
+    for bits in range(1, 1 << len(wx)):
+        members = [i for i in range(len(wx)) if bits >> i & 1]
+        near = [j for j in range(len(wy)) if any(dist[i][j] <= eps for i in members)]
+        deficits.append(sum(wx[i] for i in members) - sum(wy[j] for j in near))
+    return max(deficits)
+
+
 class TestOracle:
     @given(oracle_pair())
     @settings(max_examples=80, deadline=None)
@@ -191,6 +203,39 @@ class TestOracle:
         a, b = pair
         assert a.support_size + b.support_size <= 10
         assert lp_distance_bruteforce(a, b).value == fraction_reference(a, b)
+
+    @given(oracle_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_largest_deficit_is_the_same_both_ways(self, pair):
+        # the oracle enumerates only the smaller side's unions: for probability measures the
+        # largest deficit over mu's unions equals the largest over nu's, at every level
+        a, b = pair
+        levels = {Fraction(0)} | {Fraction(d) for d in cdist(a.points(), b.points()).ravel().tolist()}
+        for eps in sorted(levels):
+            assert largest_deficit(a, b, eps) == largest_deficit(b, a, eps) >= 0
+
+    @pytest.mark.parametrize("a, b, want", [
+        # 9 + 1 atoms, the dirac's side enumerated in either order: the mass of the atoms at
+        # 0, 7/8 and 1, 14/36, lies inside [5/16, 7/16)
+        (DiscreteMeasure(1, points=[(x / 8,) for x in range(9)], masses=[3, 1, 4, 1, 5, 9, 2, 6, 5], denom=36),
+         dirac(0.4375), 7 / 18),
+        (dirac(0.0, 0.0), dirac(0.375, 0.5), 0.625),  # 1 + 1 atoms: two diracs closer than 1
+    ])
+    def test_smaller_side_in_either_order(self, a, b, want):
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == fraction_reference(x, y) == lp_distance(x, y).value == want
+
+    def test_shares_no_code_with_the_flow_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the flow engine")
+
+        for name in ("_Pair", "_sorted_edges", "_distance_upto"):
+            monkeypatch.setattr(lp_metric, name, refuse)
+        a = DiscreteMeasure(1, points=[(x / 8,) for x in (0, 2, 4, 6, 8)], masses=[5, 1, 4, 1, 2], denom=13)
+        b = DiscreteMeasure(1, points=[(x / 8,) for x in (1, 3, 5, 7, 9)], masses=[1, 6, 1, 1, 2], denom=11)
+        assert lp_distance_bruteforce(a, b).value == lp_distance_bruteforce(b, a).value == 42 / 143
+        with pytest.raises(AssertionError, match="the oracle called the flow engine"):
+            lp_distance(a, b)
 
     def test_guard_boundary(self):
         five = empirical([(x,) for x in (0.0, 0.25, 0.5, 0.75, 1.0)])

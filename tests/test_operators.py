@@ -344,6 +344,37 @@ class TestNorms:
         # at integer q the exact power sum is scaled into the float range before its root
         assert q_norm([x, x], [Fraction(1, 2)] * 2, q) == pytest.approx(x, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    @pytest.mark.parametrize("x", [1.7976931348623157e308, 1e300, 1e-200, 2.2250738585072014e-308, 5e-324])
+    def test_q_norm_one_entry_outside_float_range_is_exact(self, q, x):
+        # the norm of [x] under weight 1 is |x| itself, though its power sum leaves the float
+        # range; the largest float used to be refused, its root rounding up to 2^1024
+        assert q_norm([x], [1], q) == q_norm([-x], [1], q) == x
+
+    @pytest.mark.parametrize("f, w, q", [
+        ([1e300, 3e299], [Fraction(1, 3), Fraction(2, 3)], 2),
+        ([1e300, 1e308], [Fraction(1, 2), Fraction(1, 2)], 3),
+        ([1e-200, 7e-201], [Fraction(1, 2), Fraction(1, 2)], 3),
+        ([5e-324, 1e-323], [Fraction(1, 7), Fraction(6, 7)], 5),  # a subnormal norm
+        ([3.0, 1.5], [Fraction(1, 2), Fraction(1, 2)], 10000),
+    ])
+    def test_q_norm_outside_float_range_is_correctly_rounded(self, f, w, q):
+        # the exact power sum lies between the q-th powers of the midpoints around the answer
+        z = q_norm(f, w, q)
+        lo = (Fraction(z) + Fraction(math.nextafter(z, 0.0))) / 2
+        hi = (Fraction(z) + Fraction(math.nextafter(z, math.inf))) / 2
+        assert lo**q <= power_sum(f, w, q) <= hi**q
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("z, q", [(1e300, 2), (1e-200, 3), (1e-201, 3)])  # even, even, odd last bits
+    def test_q_norm_midpoint_outside_float_range(self, z, q, above):
+        # a weight that makes the norm of [z] the midpoint m between z and the next float, or
+        # a hair above it: the tie rounds to even, anything above it rounds up
+        m = (Fraction(z) + Fraction(math.nextafter(z, math.inf))) / 2
+        w = (m / Fraction(z)) ** q + (Fraction(1, 10**400) if above else 0)
+        want = math.nextafter(z, math.inf) if above else float(m)
+        assert q_norm([z], [w], q) == want
+
     def test_q_norm_power_sum_past_inf_at_large_q(self):
         # the power sum is about 2^15849, and no power of 2^q brings it into the float range;
         # the norm is 3 (1/2 + 2^-q/2)^(1/q), and 2^-10000 is far below an ulp
