@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all", choices=[c.suite for c in harness.CLAIMS] + ["all"])
-    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.set_defaults(run=_cmd_verify, error=p_verify.error)
 
     p_profile = sub.add_parser("profile", help="sample k-profile measures of an operator")
     p_profile.add_argument("--graph", required=True, type=_operator,
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_limit = sub.add_parser("limit", help="emit an operator, e.g. a limit approximant, as JSON")
     p_limit.add_argument("spec", type=_operator, help="operator spec, e.g. broadcast:16:0 or signed:-:0:cycle:16")
-    p_limit.set_defaults(run=_cmd_limit)
+    p_limit.set_defaults(run=_cmd_limit, error=p_limit.error)
 
     p_exp = sub.add_parser("experiment", help="run a config-driven experiment")
     p_exp.add_argument("--config", help="flat key=value config file")
@@ -171,18 +171,12 @@ def _cmd_dist(args) -> int:
     if args.metric == "lp":
         a, b = (_read_measure(args, name) for name in ("file_a", "file_b"))
         engine = lp_metric.lp_distance_bruteforce if args.brute_force else lp_metric.lp_distance
-        try:
-            res = engine(a, b)
-        except ValueError as exc:  # two measures of different dims, or too many atoms for brute force
-            args.error(str(exc))
+        res = engine(a, b)
         _emit(args, {"metric": "lp", "value": res.value, "method": res.method}, repr(res.value))
     else:
         names_a, set_a = _read_measure_dir(args, "dir_a")
         names_b, set_b = _read_measure_dir(args, "dir_b")
-        try:
-            res = lp_metric.hausdorff(set_a, set_b)
-        except ValueError as exc:  # measures of different dims
-            args.error(str(exc))
+        res = lp_metric.hausdorff(set_a, set_b)
         i, j = res.witness
         _emit(args, {"metric": "hausdorff", "value": res.value, "argmax_side": res.argmax_side,
                      "witness": [names_a[i], names_b[j]], "counts": res.counts}, repr(res.value))
@@ -225,7 +219,10 @@ def _cmd_experiment(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # an input the library refuses, or an --out it cannot make
+        args.error(str(exc))
 
 
 if __name__ == "__main__":

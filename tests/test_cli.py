@@ -1,9 +1,14 @@
 import json
+import os
 import re
 import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actionlim import DiscreteMeasure
 from actionlim.cli import build_parser, main
@@ -114,8 +119,11 @@ class TestActionDist:
         assert json.loads(out)["strategy"] == "vertex_probe:2:0:v4:g9|vertex_probe:2:0:v3:g9"
 
     def test_seed_outside_int64_refused_before_sampling(self, capsys):
-        with pytest.raises(ValueError, match="seed 9223372036854775808 "):
+        with pytest.raises(SystemExit) as exc:
             main(["actiondist", "--a", "star:4", "--b", "broadcast:4:0", "--seed", str(2**63)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "actionlim actiondist: error: seed 9223372036854775808 is outside the signed 64-bit range")
 
 
 class TestMalformedSpec:
@@ -200,6 +208,120 @@ class TestBadInput:
         assert not (tmp_path / "out").exists()
 
 
+EXPERIMENT = ["experiment", "--set", "sizes=4", "--set", "count=2", "--set", "K=1", "--out", "out"]
+ACTIONDIST = ["actiondist", "--a", "star:4", "--b", "broadcast:4:0"]
+PROFILE = ["profile", "--graph", "star:4", "--out", "out"]
+
+
+class TestRefusedByTheLibrary:
+    """An input the library refuses, or an --out that names a file, is a usage error of the
+    command given it (main turns the ValueError or OSError into one), and no --out is made."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (EXPERIMENT + ["--set", "sizes="], "config key 'sizes' is empty: an experiment needs at least one size"),
+        (EXPERIMENT + ["--set", "sizes=4 4"], "config key 'sizes' repeats size 4: each size writes one report"),
+        (EXPERIMENT + ["--set", "K=0"], "truncation K must be >= 1"),
+        (EXPERIMENT + ["--set", "count=-1"], "count must be >= 0"),
+        (EXPERIMENT + ["--set", "strategy=nope"],
+         "unknown strategy kind 'nope'; choose from "
+         "('mixed', 'iid_uniform', 'rademacher', 'block_step', 'indicator', 'vertex_probe')"),
+        (EXPERIMENT + ["--set", "probe_a=x"], "probe 'x' must be a vertex index or 'last'"),
+        (EXPERIMENT + ["--set", "probe_a=9"], "probe vertex 9 out of range for n=4"),
+        (EXPERIMENT + ["--set", "graph_a=star:{m}"],
+         "config key 'graph_a' may use only the tokens {n} and {n1}, got 'star:{m}'"),
+        (["experiment", "--config", "template.cfg", "--out", "out"],
+         "argument --config: config file 'template.cfg': "
+         "config key 'graph_b' may use only the tokens {n} and {n1}, got 'star:{m}'"),
+        (EXPERIMENT + ["--out", "file.txt"], "[Errno 17] File exists: 'file.txt'"),
+        (ACTIONDIST + ["--seed", str(2**63)], "seed 9223372036854775808 is outside the signed 64-bit range"),
+        (ACTIONDIST + ["--count", "-1"], "count must be >= 0"),
+        (ACTIONDIST + ["-K", "0"], "truncation K must be >= 1"),
+        (PROFILE + ["--seed", str(-2**63 - 1)], "seed -9223372036854775809 is outside the signed 64-bit range"),
+        (PROFILE + ["-k", "0"], "k must be >= 1"),
+        (PROFILE + ["--count", "-1"], "count must be >= 0"),
+        (PROFILE + ["--out", "file.txt"], "[Errno 17] File exists: 'file.txt'"),
+    ], ids=["sizes_empty", "sizes_repeated", "K_0", "count_negative", "strategy_unknown", "probe_not_int",
+            "probe_out_of_range", "template_token", "template_token_in_config", "experiment_out_is_a_file",
+            "actiondist_seed", "actiondist_count", "actiondist_K", "profile_seed", "profile_k", "profile_count",
+            "profile_out_is_a_file"])
+    def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "template.cfg").write_text("graph_b=star:{m}\nsizes=4\ncount=2\nK=1\n")
+        (tmp_path / "file.txt").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"actionlim {argv[0]}: error: {message}"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+# argv fragments, valid and bad; no size or count is large, so every valid argv runs in milliseconds
+SPECS = ["star:4", "gplus:cycle:3", "star:x", "cycle:2", "er:5", "missing.json"]
+NUMBERS = ["-1", "0", "1", "2", "9"]
+SEEDS = NUMBERS + [str(2**63), str(-2**63 - 1)]
+# a missing file, an existing file, an empty directory, malformed JSON, measures of dims 1 and 2
+PATHS = ["missing.json", "line.json", "empty", "malformed.json", "plane.json"]
+SET_ITEMS = (["sizes=", "sizes=4 4", "K=0", "count=-1", "strategy=nope", "graph_a=star:{m}", "probe_a=x",
+              "probe_a=9", "colour=red"]
+             + [f"{key}={v}" for key in ("sizes", "K", "count", "probe_a") for v in NUMBERS]
+             + [f"seed={v}" for v in SEEDS] + [f"graph_a={spec}" for spec in SPECS])
+
+
+def _options(*choices):
+    """One `FLAG VALUE` fragment, for (flag, values) pairs."""
+    return st.one_of(*(st.tuples(st.just(flag), st.sampled_from(values)) for flag, values in choices)).map(list)
+
+
+def _command(base, fragment):
+    """A cheap valid base argv with 0-4 fragments appended; a later fragment overrides an earlier one."""
+    return st.lists(fragment, max_size=4).map(lambda frags: base + [word for f in frags for word in f])
+
+
+ARGVS = st.one_of(
+    _command(EXPERIMENT, _options(("--set", SET_ITEMS), ("--config", PATHS), ("--out", ["line.json", "empty"]))),
+    _command(ACTIONDIST + ["--count", "2", "-K", "1"], _options(
+        ("--a", SPECS + PATHS), ("--b", SPECS), ("--count", NUMBERS), ("-K", NUMBERS), ("--seed", SEEDS),
+        ("--probe-a", NUMBERS), ("--probe-b", NUMBERS))),
+    _command(PROFILE + ["--count", "2"], _options(
+        ("--graph", SPECS + PATHS), ("-k", NUMBERS), ("--count", NUMBERS), ("--seed", SEEDS),
+        ("--probe-vertex", NUMBERS), ("--out", ["line.json", "empty"]))),
+    st.tuples(st.sampled_from(PATHS), st.sampled_from(PATHS), st.sampled_from([[], ["--brute-force"]])).map(
+        lambda t: ["dist", "lp", t[0], t[1], *t[2]]),
+    st.tuples(*[st.sampled_from(["lines", "planes", "bad", "empty", "missing", "line.json"])] * 2).map(
+        lambda t: ["dist", "hausdorff", *t]),
+    st.sampled_from(SPECS + PATHS).map(lambda spec: ["limit", spec]),
+)
+
+
+class TestNoTraceback:
+    @given(ARGVS)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_0_or_usage_error(self, argv):
+        """Whatever the fragments, main returns 0 or exits 2; a refused argv leaves no fresh --out."""
+        line = json.dumps({"dim": 1, "atoms": [{"p": [0.5], "w": "1/1"}]})
+        plane = json.dumps({"dim": 2, "atoms": [{"p": [0, 0], "w": "1/1"}]})
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            root = Path(tmp)
+            for name, text in [("line.json", line), ("plane.json", plane), ("malformed.json", "{"),
+                               ("lines/m.json", line), ("planes/m.json", plane), ("bad/m.json", "{")]:
+                (root / name).parent.mkdir(exist_ok=True)
+                (root / name).write_text(text)
+            (root / "empty").mkdir()
+            os.chdir(root)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                assert not (root / "out").exists(), argv
+            else:
+                assert code == 0, argv
+            finally:
+                os.chdir(cwd)
+
+
 class TestLimit:
     def test_broadcast_stdout(self, capsys):
         code, out = run(capsys, "limit", "broadcast:3:1")
@@ -252,8 +374,11 @@ class TestExperiment:
 
     def test_empty_sizes_refused(self, capsys, tmp_path):
         # an empty sweep used to exit 0 with a header-only trajectory.csv
-        with pytest.raises(ValueError, match="'sizes' is empty"):
+        with pytest.raises(SystemExit) as exc:
             main(["experiment", "--set", "sizes=", "--out", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "actionlim experiment: error: config key 'sizes' is empty: an experiment needs at least one size")
         assert not (tmp_path / "none").exists()
 
     def test_bad_set_syntax(self, capsys):

@@ -138,6 +138,34 @@ class TestExperiment:
         with pytest.raises(ValueError, match="probe 'x' must be a vertex index or 'last'"):
             run_experiment(cfg)
 
+    def test_failed_size_writes_nothing(self, tmp_path):
+        # cycle:2 fails only at the second size: every size is computed before the directory is made
+        cfg = ExperimentConfig(graph_a="cycle:{n}", sizes=(4, 2), K=1, count=2, out=str(tmp_path / "never"))
+        with pytest.raises(ValueError, match="cycle requires n >= 3"):
+            run_experiment(cfg)
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("template", ["star:{m}", "star:{n:x}", "star:{n!r}", "star:{}", "star:{n[0]}",
+                                          "star:{n", "star:}"])
+    @pytest.mark.parametrize("key", ["graph_a", "graph_b"])
+    def test_template_fields_other_than_n_and_n1_refused(self, key, template):
+        # {n:x} and {n!r} would format without error and build an operator of the wrong size
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**{key: template})
+        assert str(exc.value) == f"config key {key!r} may use only the tokens {{n}} and {{n1}}, got {template!r}"
+
+    def test_template_refused_from_a_config_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("graph_a=star:{m}\n")
+        with pytest.raises(ValueError, match="config key 'graph_a' may use only the tokens"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("template", ["star:{n}", "broadcast:{n}:0", "gplus:cycle:{n}", "signed:+1:0:cycle:{n1}",
+                                          "star:8", "{n}{n1}"])
+    def test_templates_in_use_accepted(self, template):
+        # the STAR and APEX templates, which README and perfbench use too, a fixed spec, and both tokens
+        assert ExperimentConfig(graph_a=template, graph_b=template).graph_b == template
+
     def test_run_and_replay_identical(self, tmp_path):
         cfg = ExperimentConfig(sizes=(4, 8), K=2, count=2, seed=1, out=str(tmp_path / "a"))
         outdir = run_experiment(cfg)

@@ -102,17 +102,22 @@ class TestFeasibility:
         else:
             assert lp_feasible(a, b, eps)
 
+    def test_negative_eps_refused(self):
+        with pytest.raises(ValueError, match="^negative epsilon$"):
+            lp_feasible(dirac(0.0), dirac(0.0), -0.5)
+
 
 class TestOracleAgreement:
     @given(dyadic_measures(1), dyadic_measures(1))
     @settings(max_examples=60, deadline=None)
     def test_dim1(self, a, b):
-        assert lp_distance(a, b).value == pytest.approx(lp_distance_bruteforce(a, b).value, abs=1e-9)
+        # both engines return the correctly rounded float of the same exact rational
+        assert lp_distance(a, b).value == lp_distance_bruteforce(a, b).value
 
     @given(dyadic_measures(3), dyadic_measures(3))
     @settings(max_examples=60, deadline=None)
     def test_dim3(self, a, b):
-        assert lp_distance(a, b).value == pytest.approx(lp_distance_bruteforce(a, b).value, abs=1e-9)
+        assert lp_distance(a, b).value == lp_distance_bruteforce(a, b).value
 
 
 def fraction_reference(mu, nu):

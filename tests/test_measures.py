@@ -310,3 +310,26 @@ class TestDiscretize:
         for p in mu.points():
             d = math.sqrt(min(((qpts - p) ** 2).sum(axis=1)))
             assert d <= 1 / 3
+
+
+class TestRefusals:
+    """Each input the module refuses, with its exception and message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DiscreteMeasure(0, [((), 1)]), "dim must be >= 1"),
+        (lambda: DiscreteMeasure(1, points=[[0.0], [1.0]], masses=[1], denom=1), "1 masses for 2 points"),
+        (lambda: DiscreteMeasure(1, points=[[0.0], [1.0]], masses=[1, 1], denom=3),
+         "masses must be nonnegative and sum to denom 3 >= 1"),
+        (lambda: empirical([]), "empty point list"),
+        (lambda: marginal(empirical([(0.0, 1.0)]), []), "empty coordinate subset"),
+        (lambda: marginal(empirical([(0.0, 1.0)]), [2]), "coordinate 2 out of range for dim 2"),
+        (lambda: mean_abs(empirical([(0.0, 1.0)]), 2), "coordinate 2 out of range for dim 2"),
+        (lambda: discretize(empirical([(0.0,)]), 0), "resolution k must be >= 1"),
+        (lambda: discretize(empirical([(0.0,)]), 1, n=0), "stage-2 sample count n must be >= 1"),
+        (lambda: discretize(empirical([(0.0,)]), 1, box=[(0, 1), (0, 1)]), "box has 2 dimensions, measure has 1"),
+    ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
+            "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -466,3 +466,27 @@ class TestStructure:
         m[:, 0] -= 2.0
         # column shifted by -2: the diagonal entry drops to -2
         assert positivity_defect(WeightedOperator(m)) == 2.0
+
+
+class TestRefusals:
+    """Each input the module refuses, with its exception and message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: WeightedOperator([[math.inf]]), "matrix entries must be finite"),
+        (lambda: WeightedOperator([[0.0]], weights=[Fraction(1, 2), Fraction(1, 2)]), "2 weights for n=1"),
+        (lambda: GraphSpec("wheel", 4),
+         "unknown graph kind 'wheel'; choose from "
+         "('star', 'empty', 'cycle', 'path', 'complete', 'edge_list', 'erdos_renyi')"),
+        (lambda: GraphSpec("star", 0), "vertex count must be >= 1"),
+        (lambda: parse_operator_spec("signed:x:0:cycle:4"),
+         "operator spec 'signed:x:0:cycle:4': sign 'x' is not one of +, +1, -, -1"),
+        (lambda: apply(broadcast(3), [1.0, 1.0]), "vector length (2,) does not match n=3"),
+        (lambda: bilinear(broadcast(3), [1.0, 1.0, 1.0], [1.0, 1.0]), "vector length (2,) does not match n=3"),
+        (lambda: q_norm([1.0, 1.0], [Fraction(1)], 2), "length mismatch between vector and weights"),
+        (lambda: operators.non_self_adjoint_witness(broadcast(3), 3), "index 3 out of range for n=3"),
+    ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
+            "bilinear_length", "q_norm_length", "witness_index"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

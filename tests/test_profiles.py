@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from actionlim import (
+    DiscreteMeasure,
     GraphSpec,
     TestFunctionStrategy,
     WeightedOperator,
@@ -134,6 +135,10 @@ class TestMeasureOf:
         assert mu.mass((1.0, 1.0)) == Fraction(1, 4)
         assert mu.mass((0.0, 0.0)) == Fraction(3, 4)
 
+    def test_one_vector_is_a_one_tuple(self):
+        A = adjacency(GraphSpec("star", 3))
+        assert measure_of(A, [1.0, 0.5, -0.5]) == measure_of(A, [[1.0, 0.5, -0.5]])
+
     def test_rejects_oversized_entries(self):
         A = adjacency(GraphSpec("star", 3))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
@@ -208,3 +213,19 @@ class TestSharedDraw:
         unshared = action_distance_estimate(A, B, 3, strat_a, strat_b)
         assert report.to_dict() == unshared.to_dict()
         assert report.to_dict()["strategy"] == f"mixed:64:7|mixed:64:{seed_b}"
+
+
+class TestRefusals:
+    """Each input the module refuses, with its exception and message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TestFunctionStrategy(count=-1), "count must be >= 0"),
+        (lambda: profiles.ProfileSample(1, (DiscreteMeasure(1, [((0.0,), 1)]),), "x"), "measure has dim 1, expected 2"),
+        (lambda: profile_sample(broadcast(3), 0, TestFunctionStrategy()), "k must be >= 1"),
+        (lambda: action_distance_estimate(broadcast(3), broadcast(3), 0, TestFunctionStrategy()),
+         "truncation K must be >= 1"),
+    ], ids=["strategy_count", "sample_dim", "profile_k_0", "estimate_K_0"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
