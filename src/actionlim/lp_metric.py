@@ -28,7 +28,6 @@ from operator import itemgetter, sub
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .measures import DiscreteMeasure
 
@@ -40,6 +39,18 @@ __all__ = [
     "lp_distance_bruteforce",
     "hausdorff",
 ]
+
+
+def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """scipy's Euclidean cdist, the one distance kernel, loaded on the first call.
+
+    The import rebinds this module's `cdist` to scipy's function, so every
+    later call goes straight to scipy, and a caller that computes no distance
+    (norms, profiles, `actionlim limit`) never imports scipy at all.
+    """
+    global cdist
+    from scipy.spatial.distance import cdist
+    return cdist(xa, xb)
 
 
 @dataclass(frozen=True)
@@ -249,7 +260,10 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 
     Guarded to combined supports of at most 10 atoms.  Masses and the exact
     values of the (dyadic) pairwise distances sit on one integer scale, so
-    every test of Strassen's condition compares ints.
+    every test of Strassen's condition compares ints.  Each distance is
+    clamped to at most 1 first (inf, where cdist overflows, included).  This
+    is exact: a distance >= 1 is not one of the levels l_k below, and never
+    <= a probed level, since every level is below 1.
 
     The condition is tested one way only, over the unions T of the measure
     with fewer atoms (mu on a tie), say mu: mu(T) <= nu(N_eps(T)) + eps.  For
@@ -275,7 +289,7 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     if nu.support_size < mu.support_size:  # d_LP is symmetric: enumerate the smaller side
         mu, nu = nu, mu
 
-    ratios = [[d.as_integer_ratio() for d in row] for row in cdist(mu.points(), nu.points()).tolist()]
+    ratios = [[(d if d < 1.0 else 1.0).as_integer_ratio() for d in row] for row in cdist(mu.points(), nu.points()).tolist()]
     scale = math.lcm(mu.denom, nu.denom, *(den for row in ratios for _, den in row))
     dist = [[num * (scale // den) for num, den in row] for row in ratios]
 
@@ -317,9 +331,11 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
     dropped as soon as it is shown not to lower the current best cur.
     known[i, j] holds d_LP(A[i], B[j]) once computed (NaN before); it is read
     and written.  A candidate is settled by its known value; by its cdist
-    matrix when no atom pair is closer than cur (gap skip: for eps < gap no
-    atom of b lies within eps of a's support, so Strassen's condition needs
-    eps >= 1 and d_LP >= min(1, gap) >= cur); or by a flow pair, which
+    matrix when min(1, gap) >= cur, gap the least atom distance (gap skip:
+    for eps < gap no atom of b lies within eps of a's support, so Strassen's
+    condition needs eps >= 1 and d_LP >= min(1, gap) >= cur; at cur = inf
+    nothing is skipped, not even a pair whose distances all overflow to
+    inf, whose d_LP is 1); or by a flow pair, which
     returns the exact distance or proves it above cur (prune).  A skip or
     prune leaves the min unchanged, since only d < cur lowers it.  A row ends
     as soon as cur <= the running sup (early break, Taha & Hanbury, TPAMI
@@ -340,7 +356,7 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                 counts["candidates"] += 1
                 b = B[j]
                 dist = cdist(a.points(), b.points())
-                if dist.min() >= cur:
+                if cur <= 1.0 and dist.min() >= cur:  # min(1, gap) >= cur
                     counts["gap_skips"] += 1
                     continue
                 counts["pairs"] += 1

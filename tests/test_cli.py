@@ -93,6 +93,21 @@ class TestProfileAndDist:
         _, out_bf = run(capsys, "--json", "dist", "lp", str(f1), str(f2), "--brute-force")
         assert json.loads(out_flow)["value"] == json.loads(out_bf)["value"] == 0.5
 
+    def test_overflowing_distances_give_one(self, capsys, tmp_path):
+        # cdist overflows to inf between the two diracs; every engine answers 1.0, and the
+        # output is JSON a strict parser accepts (no Infinity)
+        def strict(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text!r}"))
+
+        for name, point in (("a", [1e200, 0]), ("b", [0, 1e200])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "m.json").write_text(json.dumps({"dim": 2, "atoms": [{"p": point, "w": "1/1"}]}))
+        a, b = str(tmp_path / "a" / "m.json"), str(tmp_path / "b" / "m.json")
+        for argv in (["lp", a, b], ["lp", b, a, "--brute-force"], ["hausdorff", str(tmp_path / "a"), str(tmp_path / "b")]):
+            code, out = run(capsys, "--json", "dist", *argv)
+            assert code == 0
+            assert strict(out)["value"] == 1.0
+
 
 class TestActionDist:
     def test_estimate(self, capsys):

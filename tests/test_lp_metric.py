@@ -242,6 +242,12 @@ class TestOracle:
         with pytest.raises(AssertionError, match="the oracle called the flow engine"):
             lp_distance(a, b)
 
+    def test_every_distance_overflowing_gives_one(self):
+        # cdist overflows to inf; the oracle clamps it to 1 before taking its integer ratio
+        a, b = dirac(1e200, 0.0), dirac(0.0, 1e200)
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == lp_distance(x, y).value == 1.0
+
     def test_guard_boundary(self):
         five = empirical([(x,) for x in (0.0, 0.25, 0.5, 0.75, 1.0)])
         shifted = shift(five, (0.25,))
@@ -359,8 +365,8 @@ def unpruned_hausdorff(A, B):
     return HausdorffResult(right, "right", (w_right[1], w_right[0]))
 
 
-# dyadic grid points, plus coordinates whose squared differences underflow
-tiny_or_dyadic = st.one_of(dyadic, st.sampled_from([1e-160, -1e-160, 3e-160, 0.0]),
+# dyadic grid points, plus coordinates whose squared differences underflow or overflow
+tiny_or_dyadic = st.one_of(dyadic, st.sampled_from([1e-160, -1e-160, 3e-160, 0.0, 1e200, -1e200]),
                            st.floats(-1e-160, 1e-160))
 
 
@@ -406,6 +412,16 @@ class TestHausdorff:
     def test_requires_matching_dim(self):
         with pytest.raises(ValueError):
             hausdorff([dirac(0.0)], [dirac(0.0, 0.0)])
+
+    def test_every_distance_overflowing_is_one_not_inf(self):
+        # cdist overflows to inf between the two diracs, so the gap is inf; the paired
+        # candidate at cur = inf must still be computed, and d_LP = 1
+        A, B = [dirac(1e200, 0.0)], [dirac(0.0, 1e200)]
+        assert cdist(A[0].points(), B[0].points()).tolist() == [[math.inf]]
+        for X, Y in ((A, B), (B, A)):
+            res = hausdorff(X, Y)
+            assert res == HausdorffResult(1.0, "left", (0, 0)) == unpruned_hausdorff(X, Y)
+            assert res.counts["gap_skips"] == 0 and res.counts["exact"] == 1
 
     def test_gap_skip_keeps_a_closer_candidate(self):
         # the left side decides: for A[0] the paired candidate B[0] sets cur = 0.5,
