@@ -3,7 +3,9 @@
 The main engine sweeps the pairwise-distance breakpoints upward and grows one
 integer max-flow (Strassen's theorem) over the measures' masses scaled to one
 common denominator, in Python ints at every scale, until the minimum feasible
-epsilon is located (Garel & Masse, AStA 2009).  The sweep takes its edges in
+epsilon is located (Garel & Masse, AStA 2009).  The distance-0 edges open
+first, and the mass they leave unmatched bounds d_LP from above, so the rest
+of the sweep runs under that ceiling.  The sweep takes its edges in
 the order of one stable sort by distance, but puts them in order a chunk at a
 time: a pair with more than 2(|A| + |B|) candidate edges sorts only the edges
 up to the 2(|A| + |B|)-th smallest distance, then twice as many, and so on, so
@@ -23,7 +25,6 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter, sub
 from typing import Sequence
 
@@ -68,7 +69,8 @@ class HausdorffResult:
     # (i, j) whose distance was not yet known; pushes (along single opened edges),
     # augmentations (along longer tree paths), rebuilds (breadth-first trees grown) and
     # breakpoints (sweep steps whose flow was tested) and edges_sorted (candidate edges
-    # the sweep put in order) are summed over the pairs
+    # at positive distance the sweep put in order; distance-0 edges open unsorted) are
+    # summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -106,18 +108,21 @@ class _Pair:
         residuals the tree was built on, so a batch with one ends in a new tree;
         otherwise a reached A-atom resumes its search from its new edges (the
         queue holds only reached A-atoms with edges left to scan)."""
-        src, snk, before = self.src, self.snk, self.pushes
+        src, snk, into, out, reach_a, queue = self.src, self.snk, self.into, self.out, self.reach_a, self.queue
+        pushes = flow = 0
         for i, j in edges:
-            self.out[i].append(j)
+            out[i].append(j)
             if push := min(src[i], snk[j]):
                 src[i] -= push
                 snk[j] -= push
-                self.into[j][i] = push
-                self.flow += push
-                self.pushes += 1
-            elif self.reach_a[i] is not None:
-                self.queue.append(i)
-        if self.pushes > before:
+                into[j][i] = push
+                flow += push
+                pushes += 1
+            elif reach_a[i] is not None:
+                queue.append(i)
+        if pushes:
+            self.pushes += pushes
+            self.flow += flow
             self._new_tree()
 
     def _search(self) -> int | None:
@@ -171,8 +176,10 @@ def _sorted_edges(pair: _Pair, mask: np.ndarray):
     most |A| + |B| - 1 edges, so the size comes from the pair, not from a
     tuning constant.  The size then
     doubles for each later chunk, and a rest that fits is one last chunk.
-    pair.edges_sorted counts the edges sorted.
+    An empty mask yields nothing.  pair.edges_sorted counts the edges sorted.
     """
+    if not mask.any():
+        return
     ii, jj = np.nonzero(mask)
     dists = pair.dist[ii, jj]
     size = 2 * sum(mask.shape)
@@ -191,8 +198,8 @@ def _in_order(pair: _Pair, dists: np.ndarray, ii: np.ndarray, jj: np.ndarray):
     return zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
 
 
-def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
-    """Exact d_LP of a fresh pair if it is <= ceiling (>= 0), else None.
+def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> float | None:
+    """d_LP of a fresh pair, correctly rounded, if it is <= ceiling (>= 0), else None.
 
     Sweeps the breakpoints 0 and each pairwise distance below min(ceiling, 1)
     upward, opening that distance's edges and growing the flow F: the least
@@ -202,33 +209,61 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> Fraction | None:
     chunk at a time, so a sweep that stops early leaves the later chunks
     unsorted; a tie run never straddles two chunks, so each chunk is grouped
     by distance on its own.
+
+    When `dist` has a zero entry, the distance-0 edges, the sweep's first
+    group, open first in row-major order (distinct atoms whose distance
+    underflows to 0.0 among them), and their max flow F lowers the ceiling
+    to 1 - F (in units of 1/scale, rest = scale - F).  This is exact: the
+    coupling that routes F along the distance-0 edges and the rest anywhere
+    puts mass at most rest/scale on pairs farther apart than rest/scale, so
+    d_LP <= rest/scale (<= the total variation, Gibbs & Su 2002).  rest /
+    scale is rounded to nearest; one integer compare tells whether it fell
+    below the exact value, and math.nextafter then steps it up, so the lower
+    ceiling is never below d_LP.  The sweep then goes on over the positive
+    distances under that ceiling.  It stops at the first breakpoint above
+    d_LP with the test it would make under the caller's ceiling, or, where
+    that breakpoint lies above the new ceiling, with the same test past the
+    last breakpoint; so values, pushes, trees and breakpoints are those of
+    the sweep over every edge, and only the distance-0 edges go unsorted.
     """
+    dist, scale = pair.dist, pair.scale
+    zeros = np.count_nonzero(dist) < dist.size
+    if zeros:
+        zi, zj = np.nonzero(dist == 0)
+        pair.open(zip(zi.tolist(), zj.tolist()))
+        rest = scale - pair.max_flow()
+        up = rest / scale
+        n, d = up.as_integer_ratio()
+        if n * scale < rest * d:
+            up = math.nextafter(up, math.inf)
+        ceiling = min(ceiling, up)
     if ceiling < 1:
         cn, cd = ceiling.as_integer_ratio()
-        mask = pair.dist <= ceiling
+        mask = dist <= ceiling
     else:
         cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
-        mask = pair.dist < 1.0
-    scale, b = pair.scale, 0.0
+        mask = dist < 1.0
+    if zeros:
+        mask[zi, zj] = False
+    b = 0.0
     for chunk in _sorted_edges(pair, mask):
-        for nxt, group in itertools.groupby(chunk, key=itemgetter(0)):
-            if nxt > b:  # edges at distance 0 open at breakpoint 0
-                pair.breakpoints += 1
-                rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
-                n, d = nxt.as_integer_ratio()
-                if rest * d < n * scale:
-                    return _max_fraction(b, rest, scale)
-                b = nxt
+        for nxt, group in itertools.groupby(chunk, key=itemgetter(0)):  # each nxt > b
+            pair.breakpoints += 1
+            rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
+            n, d = nxt.as_integer_ratio()
+            if rest * d < n * scale:
+                return _max_float(b, rest, scale)
+            b = nxt
             pair.open((i, j) for _, i, j in group)
     pair.breakpoints += 1
     rest = scale - pair.max_flow()
-    return _max_fraction(b, rest, scale) if rest * cd <= cn * scale else None
+    return _max_float(b, rest, scale) if rest * cd <= cn * scale else None
 
 
-def _max_fraction(b: float, rest: int, scale: int) -> Fraction:
-    """max(b, rest / scale) as one Fraction, chosen by comparing ints."""
+def _max_float(b: float, rest: int, scale: int) -> float:
+    """max(b, rest / scale), correctly rounded, chosen by comparing ints."""
     n, d = b.as_integer_ratio()
-    return Fraction(b) if rest * d <= n * scale else Fraction(rest, scale)
+    return b if rest * d <= n * scale else rest / scale  # int / int rounds correctly
 
 
 def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -252,7 +287,7 @@ def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Exact Levy-Prokhorov distance via the flow engine."""
     _check_dims(mu, nu)
     dist = cdist(mu.points(), nu.points())
-    return LpResult(float(_distance_upto(_Pair(mu, nu, dist))), "exact_flow")
+    return LpResult(_distance_upto(_Pair(mu, nu, dist)), "exact_flow")
 
 
 def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
@@ -345,11 +380,9 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
     best_val = -1.0
     best_witness = (0, 0)
     for i, a in enumerate(A):
-        order = [i] if i < len(B) else []
-        order += [j for j in range(len(B)) if j != i]
+        order = itertools.chain([i], range(i), range(i + 1, len(B))) if i < len(B) else range(len(B))
         row = known[i].tolist()
-        cur = math.inf
-        cur_j = order[0]
+        cur, cur_j = math.inf, 0  # the first candidate sets both: at cur = inf it is never skipped or pruned
         for j in order:
             d = row[j]
             if d != d:  # NaN: not yet computed
@@ -368,7 +401,7 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                     counts["prunes"] += 1
                     continue
                 counts["exact"] += 1
-                d = known[i, j] = float(exact)
+                d = known[i, j] = exact
             if d < cur:
                 cur, cur_j = d, j
             if cur <= best_val or cur == 0.0:

@@ -59,10 +59,10 @@ class DiscreteMeasure:
     summing to denom.  Both then take one canonicalisation path: it merges
     equal points, drops zero masses and sorts the rows lexicographically
     (-0.0 stored as 0.0), so equal measures have equal fields.  The merge is
-    one exact pass over index arrays: one lexsort of the nonzero rows, then
-    one `np.add.reduceat` over the masses held as Python ints, so no mass
-    overflows at any size.  Non-finite coordinates are rejected, since NaN
-    atoms would never merge.
+    one exact pass over index arrays: one lexsort of every row, then one
+    `np.add.reduceat` over the masses held as Python ints, so no mass
+    overflows at any size; a point whose merged mass is 0 is dropped after.
+    Non-finite coordinates are rejected, since NaN atoms would never merge.
     """
 
     dim: int
@@ -100,14 +100,17 @@ class DiscreteMeasure:
             if min(masses, default=0) < 0 or sum(masses) != denom or denom < 1:
                 raise ValueError(f"masses must be nonnegative and sum to denom {denom} >= 1")
         mass = np.array(masses, dtype=object)  # Python ints, exact at any size
-        keep = np.flatnonzero(mass)
-        order = keep[np.lexsort(pts[keep].T[::-1])]  # nonzero atoms, lexicographic
+        # lexicographic; a column-major points array (as measure_of passes) gives contiguous keys
+        order = np.lexsort(pts.T[::-1])
         pts = pts[order] + 0.0  # + 0.0 turns -0.0 into 0.0
         first = np.ones(len(order), dtype=bool)
         first[1:] = (pts[1:] != pts[:-1]).any(axis=1)  # rows that start a run of equal points
         merged = np.add.reduceat(mass[order], np.flatnonzero(first)).tolist()
-        g = math.gcd(*merged)
         pts = pts[first]
+        if 0 in merged:  # points that carry no mass
+            pts = pts[[m != 0 for m in merged]]
+            merged = [m for m in merged if m]
+        g = math.gcd(*merged)
         pts.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "support", pts)

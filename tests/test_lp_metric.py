@@ -495,8 +495,10 @@ class TestHausdorff:
         # at 0.4375 (two pushes, three trees, two breakpoints tested); the exact dirac pair
         # pushes once (two trees, two breakpoints); each prune opens only the distance-0 edge,
         # pushes 1/4 along it and fails the one test at its ceiling (two trees, one breakpoint).
-        # Edges sorted: all 4 of pair (0, 0), the dirac pair's 1, and the one edge at or
-        # below each prune's ceiling.
+        # Edges sorted: the distance-0 edges open first and are never sorted, and their flow
+        # 1/4 lowers each pair's ceiling to at most 3/4, so pair (0, 0) sorts its 3 positive
+        # distances (all below 3/4), the dirac pair its 1, and each prune none (its one
+        # positive distance, 0.4375, is above its ceiling).
         A = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5625,), Fraction(3, 4))]), dirac(0.0625)]
         B = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))]), dirac(0.25)]
         res = hausdorff(A, B)
@@ -504,7 +506,7 @@ class TestHausdorff:
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == {"candidates": 6, "gap_skips": 2, "pairs": 4, "prunes": 2, "exact": 2,
                               "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 6,
-                              "edges_sorted": 7}
+                              "edges_sorted": 4}
         assert_counts_add_up(res.counts)
 
     def test_counts_on_a_hand_sized_example(self):
@@ -539,7 +541,8 @@ class TestHausdorff:
         # is never visited; row B[1] has A[1] and A[0] known and gap-skips A[2] (gap
         # 0.375 >= 0.125): sup 0.125, a tie the left side wins; row B[2] breaks at its
         # known first candidate A[2] (0.125).  Every pair is two diracs: one push, two
-        # trees, two breakpoints, but one at distance 0, and one edge sorted.
+        # trees, two breakpoints and one edge sorted, but the pair at distance 0 tests one
+        # breakpoint and sorts nothing, as its edge opens before the sweep sorts any.
         A = [dirac(0.0), dirac(0.3125), dirac(0.5)]
         B = [dirac(0.3125), dirac(0.125), dirac(0.375)]
         res = hausdorff(A, B)
@@ -547,7 +550,7 @@ class TestHausdorff:
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 0, "exact": 5,
                               "pushes": 5, "augmentations": 0, "rebuilds": 10, "breakpoints": 9,
-                              "edges_sorted": 5}
+                              "edges_sorted": 4}
         assert_counts_add_up(res.counts)
 
 
@@ -662,13 +665,15 @@ class TestFlowEngine:
     def test_distance_upto_ceiling(self, a, b):
         brute = lp_distance_bruteforce(a, b).value
         d = _distance_upto(new_pair(a, b))
+        exact = one_sort_distance_upto(new_pair(a, b))
         breaks = {x for x in new_pair(a, b).dist.ravel().tolist() if x < 1}
-        for c in {0.0, d, math.nextafter(float(d), 0.0), *breaks, 1.0}:
+        for c in {0.0, d, math.nextafter(d, 0.0), *breaks, 1.0}:
             got = _distance_upto(new_pair(a, b), c)
             assert (got is None) == (not strassen_holds(a, b, Fraction(c)))
-            assert got is None or float(got) == brute
-        assert _distance_upto(new_pair(a, b), d) == d
-        assert float(d) == brute
+            assert got is None or got == brute
+        # the exact value as ceiling; d rounded down as ceiling correctly gives None
+        assert _distance_upto(new_pair(a, b), exact) == d
+        assert d == float(exact) == brute
 
     @staticmethod
     def flows_after_batches(a_masses, b_masses, batches):
@@ -792,9 +797,10 @@ class TestChunkedOrder:
         dist = new_pair(a, b).dist
         d = one_sort_distance_upto(new_pair(a, b))
         breaks = sorted({x for x in dist.ravel().tolist() if x < 1})
-        for c in {math.inf, 0.0, float(d), math.nextafter(float(d), 0.0), *breaks[::4]}:
+        for c in {math.inf, 0.0, d, float(d), math.nextafter(float(d), 0.0), *breaks[::4]}:
             pair, ref = new_pair(a, b), new_pair(a, b)
-            assert _distance_upto(pair, c) == one_sort_distance_upto(ref, c)
+            got, want = _distance_upto(pair, c), one_sort_distance_upto(ref, c)
+            assert got == (None if want is None else float(want))
             assert flow_state(pair) == flow_state(ref)
             assert pair.edges_sorted <= candidate_mask(dist, c).sum()
 
@@ -809,6 +815,46 @@ class TestChunkedOrder:
         assert _distance_upto(pair) == one_sort_distance_upto(ref) == Fraction(1, 128)
         assert flow_state(pair) == flow_state(ref)
         assert pair.edges_sorted == 171
+
+
+class TestZeroDistanceFirst:
+    """`_distance_upto` opens the distance-0 edges before the sweep and lowers its
+    ceiling to the rest of the mass, rounded up to a float."""
+
+    def test_tv_ceiling_rounds_up(self):
+        # a = dirac(0), b = (1 - 1/s) at 0 + 1/s at 1/64: the distance-0 edge carries all but
+        # 1/s, so d_LP = 1/s, and float(1/s) lies below 1/s; a ceiling rounded to nearest
+        # would prune the pair at its own value
+        s = 2_147_483_640
+        assert Fraction(1 / s) < Fraction(1, s)
+        a = dirac(0.0)
+        b = DiscreteMeasure(1, [((0.0,), 1 - Fraction(1, s)), ((1 / 64,), Fraction(1, s))])
+        want = float(Fraction(1, s))
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance(x, y).value == lp_distance_bruteforce(x, y).value == want
+            assert hausdorff([x], [y]).value == want
+        assert _distance_upto(new_pair(a, b), Fraction(1, s)) == want
+        assert _distance_upto(new_pair(a, b), want) is None  # below the exact value
+
+    @pytest.mark.parametrize("a, b", [
+        # (0,) and (1e-200,) are distinct atoms whose cdist underflows to 0.0
+        (dirac(0.0), DiscreteMeasure(1, [((1e-200,), Fraction(7, 8)), ((0.5,), Fraction(1, 8))])),
+        (empirical([(0.0,), (1e-200,)]),
+         DiscreteMeasure(1, [((2e-200,), Fraction(5, 6)), ((0.25,), Fraction(1, 6))])),
+        (dirac(0.0, 0.0), DiscreteMeasure(2, [((1e-200, 0.0), Fraction(3, 4)), ((0.0, 0.75), Fraction(1, 4))])),
+    ])
+    def test_underflowed_distances_open_at_breakpoint_zero(self, a, b):
+        dist = cdist(a.points(), b.points())
+        assert not (a.points()[:, None] == b.points()).all(axis=2).any()  # no shared atom
+        assert (dist == 0).any()
+        value = lp_distance_bruteforce(a, b).value
+        assert value < dist[dist > 0].min()  # settled by the distance-0 edges alone
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance(x, y).value == lp_distance_bruteforce(x, y).value == value
+            assert hausdorff([x], [y]).value == value
+        pair = new_pair(a, b)
+        assert _distance_upto(pair) == value
+        assert (pair.breakpoints, pair.edges_sorted) == (1, 0)
 
 
 class TestExperimentSets:
