@@ -6,11 +6,14 @@ common denominator, in Python ints at every scale, until the minimum feasible
 epsilon is located (Garel & Masse, AStA 2009).  The distance-0 edges open
 first, and the mass they leave unmatched bounds d_LP from above, so the rest
 of the sweep runs under that ceiling.  The sweep takes its edges in
-the order of one stable sort by distance, but puts them in order a chunk at a
-time: a pair with more than 2(|A| + |B|) candidate edges sorts only the edges
-up to the 2(|A| + |B|)-th smallest distance, then twice as many, and so on, so
-a sweep that stops early (a basic coupling has at most |A| + |B| - 1 edges)
-leaves most of its m^2 distances unsorted.  A subset-enumeration oracle covers
+the order of one stable sort by distance (ties row-major), but puts them in
+order a chunk at a time: a pair with more than 2(|A| + |B|) candidate edges
+sorts only the edges up to the 2(|A| + |B|)-th smallest distance, then twice
+as many, and so on, so a sweep that stops early (a basic coupling has at most
+|A| + |B| - 1 edges) leaves most of its m^2 distances unsorted.  A pair whose
+whole matrix fits in that first chunk (|A||B| <= 2(|A| + |B|)) sorts
+(distance, i, j) tuples from Python lists instead, the same order without
+numpy's per-call cost on a few numbers.  A subset-enumeration oracle covers
 small supports: it tests Strassen's condition on every union of the smaller
 side's atoms, one way only (for probability measures the largest deficit is
 the same both ways, by a complement argument), at the distance levels its
@@ -177,6 +180,10 @@ def _sorted_edges(pair: _Pair, mask: np.ndarray):
     tuning constant.  The size then
     doubles for each later chunk, and a rest that fits is one last chunk.
     An empty mask yields nothing.  pair.edges_sorted counts the edges sorted.
+    A pair whose whole matrix fits in the first chunk (dist.size <= size)
+    never reaches the partition step; `_distance_upto` sorts such a pair's
+    edges from Python lists (`_upto_lists`) and calls this only for larger
+    pairs.
     """
     if not mask.any():
         return
@@ -205,48 +212,91 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> float | None:
     upward, opening that distance's edges and growing the flow F: the least
     feasible eps in [b, next breakpoint) exists iff 1 - F < next, and is then
     max(b, 1 - F).  Past the last breakpoint under a ceiling below 1, d_LP <=
-    ceiling iff 1 - F <= ceiling.  `_sorted_edges` puts the edges in order a
-    chunk at a time, so a sweep that stops early leaves the later chunks
-    unsorted; a tie run never straddles two chunks, so each chunk is grouped
-    by distance on its own.
+    ceiling iff 1 - F <= ceiling.
 
-    When `dist` has a zero entry, the distance-0 edges, the sweep's first
-    group, open first in row-major order (distinct atoms whose distance
-    underflows to 0.0 among them), and their max flow F lowers the ceiling
-    to 1 - F (in units of 1/scale, rest = scale - F).  This is exact: the
-    coupling that routes F along the distance-0 edges and the rest anywhere
-    puts mass at most rest/scale on pairs farther apart than rest/scale, so
-    d_LP <= rest/scale (<= the total variation, Gibbs & Su 2002).  rest /
-    scale is rounded to nearest; one integer compare tells whether it fell
-    below the exact value, and math.nextafter then steps it up, so the lower
-    ceiling is never below d_LP.  The sweep then goes on over the positive
-    distances under that ceiling.  It stops at the first breakpoint above
-    d_LP with the test it would make under the caller's ceiling, or, where
-    that breakpoint lies above the new ceiling, with the same test past the
-    last breakpoint; so values, pushes, trees and breakpoints are those of
-    the sweep over every edge, and only the distance-0 edges go unsorted.
+    The distance-0 edges, the sweep's first group, open first in row-major
+    order (distinct atoms whose distance underflows to 0.0 among them), and
+    their max flow F lowers the ceiling to 1 - F (in units of 1/scale, rest
+    = scale - F).  This is exact: the coupling that routes F along the
+    distance-0 edges and the rest anywhere puts mass at most rest/scale on
+    pairs farther apart than rest/scale, so d_LP <= rest/scale (<= the total
+    variation, Gibbs & Su 2002).  rest / scale is rounded to nearest; one
+    integer compare tells whether it fell below the exact value, and
+    math.nextafter then steps it up, so the lower ceiling is never below
+    d_LP.  The sweep then goes on over the positive distances under that
+    ceiling.  It stops at the first breakpoint above d_LP with the test it
+    would make under the caller's ceiling, or, where that breakpoint lies
+    above the new ceiling, with the same test past the last breakpoint; so
+    values, pushes, trees and breakpoints are those of the sweep over every
+    edge, and only the distance-0 edges go unsorted.
+
+    The edges come in one order, by distance and then row-major, from one
+    of two paths chosen by the pair's size.  A pair whose whole matrix fits
+    in `_sorted_edges`' first chunk (|A||B| <= 2(|A| + |B|)) would sort every
+    candidate at once anyway, so `_upto_lists` sorts Python tuples from one
+    `dist.tolist()`, where numpy's per-call cost outweighs its few numbers;
+    a larger pair takes `_upto_arrays`, whose numpy masks and chunked sort
+    leave most of a long candidate list unsorted when the sweep stops
+    early.  Both give the same values, trees and counts.
     """
-    dist, scale = pair.dist, pair.scale
+    dist = pair.dist
+    if dist.size <= 2 * sum(dist.shape):
+        return _upto_lists(pair, ceiling)
+    return _upto_arrays(pair, ceiling)
+
+
+def _upto_lists(pair: _Pair, ceiling: float) -> float | None:
+    """`_distance_upto` over the rows of dist as Python lists.  Sorting (d, i, j)
+    tuples orders by distance, then row-major, as one stable argsort over
+    np.nonzero does, and tolist gives the same float64 values."""
+    rows = pair.dist.tolist()
+    zeros = [(i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if d == 0.0]
+    if zeros:
+        ceiling = _open_zeros(pair, zeros, ceiling)
+    # with no bound below 1, the float below 1.0 keeps exactly the distances d < 1.0
+    top = ceiling if ceiling < 1 else math.nextafter(1.0, 0.0)
+    edges = sorted([(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if 0.0 < d <= top])
+    pair.edges_sorted += len(edges)
+    return _sweep(pair, (edges,), ceiling)
+
+
+def _upto_arrays(pair: _Pair, ceiling: float) -> float | None:
+    """`_distance_upto` over numpy masks, its edges sorted a chunk at a time by
+    `_sorted_edges`; a tie run never straddles two chunks, so each chunk is
+    grouped by distance on its own."""
+    dist = pair.dist
     zeros = np.count_nonzero(dist) < dist.size
     if zeros:
         zi, zj = np.nonzero(dist == 0)
-        pair.open(zip(zi.tolist(), zj.tolist()))
-        rest = scale - pair.max_flow()
-        up = rest / scale
-        n, d = up.as_integer_ratio()
-        if n * scale < rest * d:
-            up = math.nextafter(up, math.inf)
-        ceiling = min(ceiling, up)
-    if ceiling < 1:
-        cn, cd = ceiling.as_integer_ratio()
-        mask = dist <= ceiling
-    else:
-        cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
-        mask = dist < 1.0
+        ceiling = _open_zeros(pair, zip(zi.tolist(), zj.tolist()), ceiling)
+    mask = dist <= ceiling if ceiling < 1 else dist < 1.0
     if zeros:
         mask[zi, zj] = False
+    return _sweep(pair, _sorted_edges(pair, mask), ceiling)
+
+
+def _open_zeros(pair: _Pair, edges, ceiling: float) -> float:
+    """Open the distance-0 edges and return min(ceiling, rest/scale rounded up)."""
+    scale = pair.scale
+    pair.open(edges)
+    rest = scale - pair.max_flow()
+    up = rest / scale
+    n, d = up.as_integer_ratio()
+    if n * scale < rest * d:
+        up = math.nextafter(up, math.inf)
+    return min(ceiling, up)
+
+
+def _sweep(pair: _Pair, chunks, ceiling: float) -> float | None:
+    """The breakpoint sweep of `_distance_upto` over the positive-distance edges,
+    given as chunks of (distance, i, j) in order."""
+    scale = pair.scale
+    if ceiling < 1:
+        cn, cd = ceiling.as_integer_ratio()
+    else:
+        cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
     b = 0.0
-    for chunk in _sorted_edges(pair, mask):
+    for chunk in chunks:
         for nxt, group in itertools.groupby(chunk, key=itemgetter(0)):  # each nxt > b
             pair.breakpoints += 1
             rest = scale - pair.max_flow()  # 1 - F in units of 1/scale

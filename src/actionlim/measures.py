@@ -33,10 +33,15 @@ def integer_masses(weights: Iterable) -> tuple[list[int], int]:
     Each weight is taken through Fraction (ints, floats at their exact binary
     value, Fractions, "num/den" strings).  Returns (masses, denom) with
     weight i = masses[i] / denom, where the masses are nonnegative and have
-    gcd 1.  Negative weights and weights not summing to exactly 1 are
-    refused.
+    gcd 1.  Non-finite weights (a JSON 1e400 reads as inf), negative
+    weights and weights not summing to exactly 1 are refused.
     """
-    ws = [Fraction(w) for w in weights]
+    ws = []
+    for i, w in enumerate(weights):
+        try:
+            ws.append(Fraction(w))
+        except (OverflowError, ValueError):  # Fraction(inf) overflows, Fraction(nan) is a ValueError
+            raise ValueError(f"weight {i} is {w!r}: weights must be finite numbers") from None
     for w in ws:
         if w.numerator < 0:
             raise ValueError(f"negative weight {w}: weights must be positive or zero")
@@ -161,7 +166,10 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        return cls(int(d["dim"]), [(a["p"], a["w"]) for a in d["atoms"]])
+        dim = d["dim"]
+        if type(dim) is not int:  # JSON 1.5 and 1e400 read as floats, true as a bool
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        return cls(dim, [(a["p"], a["w"]) for a in d["atoms"]])
 
     @classmethod
     def from_json(cls, s: str) -> "DiscreteMeasure":

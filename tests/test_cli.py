@@ -255,19 +255,36 @@ class TestRefusedByTheLibrary:
         (PROFILE + ["-k", "0"], "k must be >= 1"),
         (PROFILE + ["--count", "-1"], "count must be >= 0"),
         (PROFILE + ["--out", "file.txt"], "[Errno 17] File exists: 'file.txt'"),
+        # JSON 1e400 reads as inf, and 1.5 is no dimension
+        (["dist", "lp", "dim_inf.json", "line.json"],
+         "argument file_a: measure file 'dim_inf.json': dim must be an integer, got inf"),
+        (["dist", "lp", "dim_half.json", "line.json"],
+         "argument file_a: measure file 'dim_half.json': dim must be an integer, got 1.5"),
+        (["dist", "lp", "line.json", "weight_inf.json"],
+         "argument file_b: measure file 'weight_inf.json': weight 0 is inf: weights must be finite numbers"),
+        (["limit", "op_weight_inf.json"],
+         "argument spec: operator spec 'op_weight_inf.json': weight 1 is inf: weights must be finite numbers"),
     ], ids=["sizes_empty", "sizes_repeated", "K_0", "count_negative", "strategy_unknown", "probe_not_int",
             "probe_out_of_range", "template_token", "template_token_in_config", "experiment_out_is_a_file",
             "actiondist_seed", "actiondist_count", "actiondist_K", "profile_seed", "profile_k", "profile_count",
-            "profile_out_is_a_file"])
+            "profile_out_is_a_file", "measure_dim_overflows", "measure_dim_fractional", "measure_weight_overflows",
+            "operator_weight_overflows"])
     def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "template.cfg").write_text("graph_b=star:{m}\nsizes=4\ncount=2\nK=1\n")
         (tmp_path / "file.txt").write_text("")
+        dirac = '[{"p": [0], "w": "1/1"}]'
+        (tmp_path / "line.json").write_text(f'{{"dim": 1, "atoms": {dirac}}}')
+        (tmp_path / "dim_inf.json").write_text(f'{{"dim": 1e400, "atoms": {dirac}}}')
+        (tmp_path / "dim_half.json").write_text(f'{{"dim": 1.5, "atoms": {dirac}}}')
+        (tmp_path / "weight_inf.json").write_text('{"dim": 1, "atoms": [{"p": [0], "w": 1e400}]}')
+        (tmp_path / "op_weight_inf.json").write_text('{"matrix": [[0, 1], [1, 0]], "weights": [0.5, 1e400]}')
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == f"actionlim {argv[0]}: error: {message}"
+        command = " ".join(argv[:2]) if argv[0] == "dist" else argv[0]  # `dist lp` is one subcommand
+        assert err.splitlines()[-1] == f"actionlim {command}: error: {message}"
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial.distance import cdist
@@ -24,7 +24,8 @@ from actionlim import (
     shift,
 )
 from actionlim import harness, lp_metric
-from actionlim.lp_metric import HausdorffResult, LpResult, _distance_upto, _Pair, _sorted_edges
+from actionlim.lp_metric import (HausdorffResult, LpResult, _distance_upto, _Pair, _sorted_edges, _upto_arrays,
+                                  _upto_lists)
 from actionlim.operators import parse_operator_spec
 
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
@@ -775,6 +776,74 @@ many_atoms = st.tuples(st.integers(1, 2), st.integers(0, 12).map(lambda i: i / 1
                                 dyadic_measures(dim_shift[0], 40, grid(dim_shift[1]), min_atoms=12)))
 
 
+# the same, of 1-6 atoms: most pairs fit in `_sorted_edges`' first chunk
+few_atoms = st.tuples(st.integers(1, 2), st.integers(0, 12).map(lambda i: i / 16)).flatmap(
+    lambda dim_shift: st.tuples(dyadic_measures(dim_shift[0], 6, grid(0.0)),
+                                dyadic_measures(dim_shift[0], 6, grid(dim_shift[1]))))
+
+
+def tv_ceiling(a, b):
+    """rest/scale after the distance-0 edges' max flow, rounded up to a float: the
+    ceiling `_distance_upto` lowers to (1.0 when no distance is 0)."""
+    pair = new_pair(a, b)
+    ii, jj = np.nonzero(pair.dist == 0)
+    pair.open(zip(ii.tolist(), jj.tolist()))
+    rest = Fraction(pair.scale - pair.max_flow(), pair.scale)
+    up = float(rest)
+    return up if up >= rest else math.nextafter(up, math.inf)
+
+
+def assert_sweep_matches_reference(a, b):
+    """`_distance_upto` against the one-sort reference at ceilings around d_LP and at
+    breakpoints: the same value, opened edges, flows and counters.  A one-chunk pair
+    sorts every edge at a positive distance under the lowered ceiling, no more, no less."""
+    dist = new_pair(a, b).dist
+    one_chunk = dist.size <= 2 * sum(dist.shape)
+    tv = tv_ceiling(a, b)
+    d = one_sort_distance_upto(new_pair(a, b))
+    breaks = sorted({x for x in dist.ravel().tolist() if x < 1})
+    for c in {math.inf, 0.0, d, float(d), math.nextafter(float(d), 0.0), *(breaks if one_chunk else breaks[::4])}:
+        pair, ref = new_pair(a, b), new_pair(a, b)
+        got, want = _distance_upto(pair, c), one_sort_distance_upto(ref, c)
+        assert got == (None if want is None else float(want))
+        assert flow_state(pair) == flow_state(ref)
+        if one_chunk:
+            assert pair.edges_sorted == sum(0.0 < x <= tv and (x <= c if c < 1 else x < 1.0)
+                                            for x in dist.ravel().tolist())
+        else:
+            assert pair.edges_sorted <= candidate_mask(dist, c).sum()
+
+
+# Within one distance, pushes along edges that share no atom commute, so any order that
+# keeps each row's and each column's edges in index order pushes the same.  A batch with
+# no push instead queues its reached A-atoms for the tree search, and their order decides
+# the augmenting path: in this one-chunk 3x5 pair the edges at 1/8 open with no push, and
+# opening them column-major puts other flows on the edges than row-major (random small
+# pairs reach this rarely)
+TIE_ORDER_PAIR = (
+    DiscreteMeasure(1, [((float(k),), Fraction(m, 12)) for k, m in enumerate((5, 3, 4))]),
+    DiscreteMeasure(1, [((float(k),), Fraction(m, 33)) for k, m in enumerate((8, 6, 5, 8, 6))]),
+    np.array([[0, 3, 1, 1, 0], [0, 1, 1, 0, 0], [1, 0, 3, 1, 0]]) / 8,
+)
+
+
+@st.composite
+def flow_pairs_with_edge_cases(draw):
+    """(a, b, dist): a tied distance matrix with some entries set to 0.0, to 1e-200 (as
+    far from 0.0 as distinct atoms can be) or to inf (an overflowed distance), over
+    measures of random integer masses on as many atoms."""
+    dist = draw(tied_distance_matrices())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = rng.choice([0.0, 1e-200, math.inf], size=dist.shape)
+    dist = np.where(rng.random(dist.shape) < draw(st.sampled_from([0.0, 0.2, 0.5])), special, dist)
+
+    def weighted(m):
+        raw = [draw(st.integers(1, 8)) for _ in range(m)]
+        return DiscreteMeasure(1, [((float(k),), Fraction(r, sum(raw))) for k, r in enumerate(raw)])
+
+    return weighted(dist.shape[0]), weighted(dist.shape[1]), dist
+
+
 class TestChunkedOrder:
     """`_sorted_edges` sorts a long candidate list a chunk at a time; the sweep must
     see the order of one stable sort, ties and all."""
@@ -793,16 +862,48 @@ class TestChunkedOrder:
     @given(many_atoms)
     @settings(max_examples=40, deadline=None)
     def test_sweep_matches_one_sort_reference(self, measures):
-        a, b = measures
-        dist = new_pair(a, b).dist
-        d = one_sort_distance_upto(new_pair(a, b))
-        breaks = sorted({x for x in dist.ravel().tolist() if x < 1})
-        for c in {math.inf, 0.0, d, float(d), math.nextafter(float(d), 0.0), *breaks[::4]}:
-            pair, ref = new_pair(a, b), new_pair(a, b)
-            got, want = _distance_upto(pair, c), one_sort_distance_upto(ref, c)
-            assert got == (None if want is None else float(want))
+        assert_sweep_matches_reference(*measures)
+
+    @given(few_atoms)
+    @settings(max_examples=80, deadline=None)
+    def test_one_chunk_sweep_matches_one_sort_reference(self, measures):
+        assert_sweep_matches_reference(*measures)
+
+    @pytest.mark.parametrize("p, q, path", [(4, 4, "lists"), (3, 6, "lists"), (6, 3, "lists"),
+                                            (4, 5, "arrays"), (5, 4, "arrays")])
+    def test_one_chunk_boundary(self, monkeypatch, p, q, path):
+        # p*q <= 2(p + q) at 4x4 and 3x6 (16 and 18, both at the bound), not at 4x5 (20 > 18).
+        # The atoms 1/8 apart tie and share points with the other side
+        a = DiscreteMeasure(1, [((k / 8,), Fraction(k + 1, p * (p + 1) // 2)) for k in range(p)])
+        b = DiscreteMeasure(1, [((k / 8 + 1 / 16 * (k % 2),), Fraction(q - k, q * (q + 1) // 2)) for k in range(q)])
+        taken = []
+        for name in ("_upto_lists", "_upto_arrays"):
+            run = getattr(lp_metric, name)
+            monkeypatch.setattr(lp_metric, name, lambda pair, c, run=run, name=name: taken.append(name) or run(pair, c))
+        assert_sweep_matches_reference(a, b)
+        assert set(taken) == {f"_upto_{path}"}
+
+    def test_one_chunk_tie_order_reaches_the_tree_search(self):
+        a, b, dist = TIE_ORDER_PAIR
+        for c in (math.inf, 0.375, 0.125):
+            pair, ref = _Pair(a, b, dist), _Pair(a, b, dist)
+            assert _distance_upto(pair, c) == float(one_sort_distance_upto(ref, c))
             assert flow_state(pair) == flow_state(ref)
-            assert pair.edges_sorted <= candidate_mask(dist, c).sum()
+
+    @given(flow_pairs_with_edge_cases(), st.sampled_from([math.inf, 1.0, 0.875, 0.5, 0.375, 1e-200, 0.0]))
+    @example(TIE_ORDER_PAIR, math.inf)
+    @settings(max_examples=150, deadline=None)
+    def test_both_paths_agree(self, case, ceiling):
+        # every pair through both paths, whatever its size, with distance-0, tiny and
+        # overflowed entries
+        a, b, dist = case
+        lists, arrays = _Pair(a, b, dist), _Pair(a, b, dist)
+        assert _upto_lists(lists, ceiling) == _upto_arrays(arrays, ceiling)
+        assert flow_state(lists) == flow_state(arrays)
+        if dist.size <= 2 * sum(dist.shape):  # one chunk: both sort every candidate
+            assert lists.edges_sorted == arrays.edges_sorted
+        else:  # the arrays path leaves the chunks past the sweep's stop unsorted
+            assert lists.edges_sorted >= arrays.edges_sorted
 
     def test_sweep_that_stops_early_sorts_one_chunk(self):
         # 30 atoms 1/64 apart against the same atoms moved by 1/128: the 59 edges at 1/128
@@ -835,6 +936,15 @@ class TestZeroDistanceFirst:
             assert hausdorff([x], [y]).value == want
         assert _distance_upto(new_pair(a, b), Fraction(1, s)) == want
         assert _distance_upto(new_pair(a, b), want) is None  # below the exact value
+        # the far atom moved to the rounded-up ceiling itself: its edge lies at the ceiling,
+        # so the sweep sorts it (candidates are the distances <= the ceiling) and stops there
+        up = math.nextafter(want, math.inf)
+        b = DiscreteMeasure(1, [((0.0,), 1 - Fraction(1, s)), ((up,), Fraction(1, s))])
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance(x, y).value == lp_distance_bruteforce(x, y).value == want
+            pair = new_pair(x, y)
+            assert _distance_upto(pair) == want
+            assert (pair.breakpoints, pair.edges_sorted) == (1, 1)
 
     @pytest.mark.parametrize("a, b", [
         # (0,) and (1e-200,) are distinct atoms whose cdist underflows to 0.0

@@ -327,8 +327,20 @@ class TestRefusals:
         (lambda: discretize(empirical([(0.0,)]), 0), "resolution k must be >= 1"),
         (lambda: discretize(empirical([(0.0,)]), 1, n=0), "stage-2 sample count n must be >= 1"),
         (lambda: discretize(empirical([(0.0,)]), 1, box=[(0, 1), (0, 1)]), "box has 2 dimensions, measure has 1"),
+        # Fraction(inf) overflows and int(inf) too: each is refused by name, not by a traceback
+        (lambda: integer_masses([math.inf]), "weight 0 is inf: weights must be finite numbers"),
+        (lambda: integer_masses([Fraction(1, 2), math.nan]), "weight 1 is nan: weights must be finite numbers"),
+        (lambda: DiscreteMeasure(1, [((0.0,), math.inf)]), "weight 0 is inf: weights must be finite numbers"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1e400, "atoms": [{"p": [0], "w": "1/1"}]}'),
+         "dim must be an integer, got inf"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1.5, "atoms": [{"p": [0], "w": "1/1"}]}'),
+         "dim must be an integer, got 1.5"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 1e400}]}'),
+         "weight 0 is inf: weights must be finite numbers"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
-            "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims"])
+            "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
+            "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
+            "json_weight_overflows"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
