@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "DiscreteMeasure",
     "integer_masses",
+    "weight_ratios",
     "empirical",
     "shift",
     "marginal",
@@ -27,26 +28,39 @@ __all__ = [
 ]
 
 
+def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
+    """Each weight as (numerator, denominator) in lowest terms, both Python ints.
+
+    Each weight is taken through Fraction (ints, floats at their exact binary
+    value, Fractions, "num/den" strings).  A numpy integer keeps its fixed
+    width inside a Fraction, so the exact sums built from it could wrap;
+    operator.index turns each part into a Python int.  Non-finite weights
+    (a JSON 1e400 reads as inf) are refused with their index.
+    """
+    ratios = []
+    for i, w in enumerate(weights):
+        try:
+            f = w if isinstance(w, Fraction) else Fraction(w)  # Fraction(w) would copy a Fraction
+        except (OverflowError, ValueError):  # Fraction(inf) overflows, Fraction(nan) is a ValueError
+            raise ValueError(f"weight {i} is {w!r}: weights must be finite numbers") from None
+        ratios.append((operator.index(f.numerator), operator.index(f.denominator)))
+    return ratios
+
+
 def integer_masses(weights: Iterable) -> tuple[list[int], int]:
     """Probability weights as integer masses over one denominator.
 
-    Each weight is taken through Fraction (ints, floats at their exact binary
-    value, Fractions, "num/den" strings).  Returns (masses, denom) with
-    weight i = masses[i] / denom, where the masses are nonnegative and have
-    gcd 1.  Non-finite weights (a JSON 1e400 reads as inf), negative
-    weights and weights not summing to exactly 1 are refused.
+    Each weight is read by `weight_ratios`.  Returns (masses, denom) with
+    weight i = masses[i] / denom, where the masses are nonnegative Python
+    ints with gcd 1.  Non-finite weights, negative weights and weights not
+    summing to exactly 1 are refused.
     """
-    ws = []
-    for i, w in enumerate(weights):
-        try:
-            ws.append(Fraction(w))
-        except (OverflowError, ValueError):  # Fraction(inf) overflows, Fraction(nan) is a ValueError
-            raise ValueError(f"weight {i} is {w!r}: weights must be finite numbers") from None
-    for w in ws:
-        if w.numerator < 0:
-            raise ValueError(f"negative weight {w}: weights must be positive or zero")
-    denom = math.lcm(*(w.denominator for w in ws))
-    masses = [w.numerator * (denom // w.denominator) for w in ws]
+    ratios = weight_ratios(weights)
+    for n, d in ratios:
+        if n < 0:
+            raise ValueError(f"negative weight {Fraction(n, d)}: weights must be positive or zero")
+    denom = math.lcm(*(d for _, d in ratios))
+    masses = [n * (denom // d) for n, d in ratios]
     if sum(masses) != denom:
         raise ValueError(f"weights sum to {Fraction(sum(masses), denom)}, expected exactly 1")
     g = math.gcd(*masses)
@@ -84,6 +98,12 @@ class DiscreteMeasure:
         masses: Sequence[int] | None = None,
         denom: int | None = None,
     ):
+        try:  # stored as a Python int, so a numpy integer dim writes as JSON
+            if isinstance(dim, bool):  # operator.index(True) is 1, but JSON true is no dim
+                raise TypeError
+            dim = operator.index(dim)
+        except TypeError:  # JSON 1.5 and 1e400 read as floats
+            raise ValueError(f"dim must be an integer, got {dim!r}") from None
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if (points is not None, masses is not None, denom is not None) != (atoms is None,) * 3:
@@ -166,10 +186,7 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        dim = d["dim"]
-        if type(dim) is not int:  # JSON 1.5 and 1e400 read as floats, true as a bool
-            raise ValueError(f"dim must be an integer, got {dim!r}")
-        return cls(dim, [(a["p"], a["w"]) for a in d["atoms"]])
+        return cls(d["dim"], [(a["p"], a["w"]) for a in d["atoms"]])
 
     @classmethod
     def from_json(cls, s: str) -> "DiscreteMeasure":

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import integer_masses
+from .measures import integer_masses, weight_ratios
 
 __all__ = [
     "WeightedOperator",
@@ -316,30 +316,46 @@ def apply(A: WeightedOperator, f: Sequence[float]) -> np.ndarray:
 def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     """Weighted q-norm (sum_i w_i |f_i|^q)^(1/q); essential sup for q=inf.
 
-    For integer q the power sum is one exact integer over one denominator:
-    each |f_i| is n_i / d_i with d_i a power of two, so the largest d_i is a
-    common denominator, and the weights go over the lcm of theirs.  The
-    quotient is rounded to the nearest float once, and for q > 1 its q-th
-    root taken.  A quotient that rounds to inf, or to 0 while some weighted
-    entry is nonzero, is scaled by 2^(q*s) instead, s chosen so that the
-    integer q-th root of the scaled quotient has about 57 bits; that root
-    over 2^s gives the norm correctly rounded.  Other q sum in float64.
+    Each weight is read as a Python-int ratio by `weight_ratios`, and the
+    weights go over the lcm of their denominators as integer masses.  The
+    norm is then taken by the one power-sum core that `pq_norm` also calls
+    with an operator's masses (`_mass_norm`, which gives its exactness).
 
-    Refused with a ValueError that names the input: a NaN entry (the max at
-    q=inf would depend on the order), an infinite entry at finite q, a
-    negative weight, a norm at integer q that rounds to inf or to 0 while
-    some weighted entry is nonzero, and at other q a power sum that does
-    (its q-th root would be inf or 0, not the norm).
+    Refused with a ValueError that names the input: an infinite or NaN
+    weight, a negative weight, and whatever `_mass_norm` refuses.
     """
     if not q >= 1:  # NaN fails it too
         raise ValueError(f"q must be >= 1, got q={q!r}")
     v = [float(x) for x in f]
-    ws = [w if isinstance(w, Fraction) else Fraction(w) for w in weights]  # Fraction(w) would copy a Fraction
-    if len(v) != len(ws):
+    ratios = weight_ratios(weights)
+    if len(v) != len(ratios):
         raise ValueError("length mismatch between vector and weights")
-    for i, w in enumerate(ws):
-        if w.numerator < 0:
-            raise ValueError(f"weight {i} is {w}: weights must be nonnegative")
+    for i, (n, d) in enumerate(ratios):
+        if n < 0:
+            raise ValueError(f"weight {i} is {Fraction(n, d)}: weights must be nonnegative")
+    denom = math.lcm(*(d for _, d in ratios))
+    return _mass_norm(v, [n * (denom // d) for n, d in ratios], denom, q)
+
+
+def _mass_norm(v: list[float], masses: Sequence[int], denom: int, q: float) -> float:
+    """Weighted q-norm of the floats v, entry i weighted masses[i] / denom.
+
+    The masses and denom are nonnegative Python ints, and q >= 1.  For
+    integer q the power sum is one exact integer over one denominator: each
+    |v_i| is n_i / d_i with d_i a power of two, so the largest d_i is a
+    common denominator.  The quotient is rounded to the nearest float once,
+    and for q > 1 its q-th root taken.  A quotient that rounds to inf, or to
+    0 while some weighted entry is nonzero, is scaled by 2^(q*s) instead, s
+    chosen so that the integer q-th root of the scaled quotient has about 57
+    bits; that root over 2^s gives the norm correctly rounded.  Other q sum
+    in float64, weight i as the correctly rounded masses[i] / denom.
+
+    Refused with a ValueError that names the input: a NaN entry (the max at
+    q=inf would depend on the order), an infinite entry at finite q, a norm
+    at integer q that rounds to inf or to 0 while some weighted entry is
+    nonzero, and at other q a power sum that does (its q-th root would be
+    inf or 0, not the norm).
+    """
     for i, x in enumerate(v):
         if math.isnan(x):
             raise ValueError(f"entry {i} of f is nan: a NaN entry has no norm")
@@ -351,12 +367,8 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
         qi = int(q)
         ratios = [abs(x).as_integer_ratio() for x in v]
         den = max((d for _, d in ratios), default=1)
-        wden = math.lcm(*(w.denominator for w in ws))
-        total = sum(
-            w.numerator * (wden // w.denominator) * (n * (den // d)) ** qi
-            for w, (n, d) in zip(ws, ratios)
-        )
-        scale = wden * den**qi
+        total = sum(m * (n * (den // d)) ** qi for m, (n, d) in zip(masses, ratios))
+        scale = denom * den**qi
         try:
             norm = (total / scale) ** (1.0 / q)  # int / int rounds correctly; x ** 1.0 is x
         except OverflowError:  # an int quotient past the float range
@@ -366,18 +378,18 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
             # method; s puts r near 2^56, at least 2 bits past a float's 53, so no float
             # rounding boundary lies strictly between r and r + 1, and (r + 1/2) / 2^s
             # (r / 2^s if r is the exact root) rounds to the norm's float.  scale is
-            # wden * 2^(q*e), so the power sum times 2^(q*s) is total * 2^shift / wden,
-            # shift = q*(s - e), and only wden divides
+            # denom * 2^(q*e), so the power sum times 2^(q*s) is total * 2^shift / denom,
+            # shift = q*(s - e), and only denom divides
             e = den.bit_length() - 1
-            log_norm = (math.log2(total) - math.log2(wden)) / qi - e
+            log_norm = (math.log2(total) - math.log2(denom)) / qi - e
             s = 56 - math.floor(log_norm)
             shift = qi * (s - e)
-            big = (total << shift if shift >= 0 else total >> -shift) // wden
+            big = (total << shift if shift >= 0 else total >> -shift) // denom
             r = int(2.0 ** (log_norm + s))
             r = ((qi - 1) * r + big // r ** (qi - 1)) // qi  # >= floor(big^(1/q)), by AM-GM
             while (lower := ((qi - 1) * r + big // r ** (qi - 1)) // qi) < r:
                 r = lower
-            power = r**qi * wden
+            power = r**qi * denom
             exact = power == total << shift if shift >= 0 else power << -shift == total
             odd = 2 * r + (not exact)
             try:
@@ -388,10 +400,10 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
                 raise ValueError(f"the norm of f at q={q!r} is outside the float range")
         return norm
     try:
-        mean = float(sum(float(w) * abs(x) ** q for x, w in zip(v, ws)))
+        mean = float(sum(m / denom * abs(x) ** q for x, m in zip(v, masses)))
     except OverflowError:  # a float power past the float range
         mean = math.inf
-    if mean == math.inf or (mean == 0.0 and any(x and w for x, w in zip(v, ws))):
+    if mean == math.inf or (mean == 0.0 and any(x and m for x, m in zip(v, masses))):
         raise ValueError(f"the power sum of f at q={q!r} is outside the float range")
     return mean ** (1.0 / q)
 
@@ -409,26 +421,34 @@ def _sup_inf_to_1(A: WeightedOperator) -> float:
     weighted and the max taken.  The block is stored row by row: each row's
     2^low entries are contiguous, which measured faster than column-major
     storage for both the broadcast add and the weighted sum.
-    For an integer-valued matrix with n * max|a_ij| * denom < 2^53 the
-    result is the exact norm, correctly rounded: weighted by the integer
-    masses, every block entry, offset, product and partial sum is an integer
-    below 2^53, which float64 holds exactly in any summation order.  Any
-    other matrix gets a float64 result, its sums taken in the order above.
+    For an integer-valued matrix with bound = n * max|a_ij| * denom < 2^53
+    the result is the exact norm, correctly rounded: weighted by the integer
+    masses, every block entry, offset, shifted entry, product and partial
+    sum is an integer of magnitude at most bound.  A float type holds every
+    such integer when bound is within its exact-integer range, so any
+    summation order (a BLAS gemv or an FMA included) gives the same integer.
+    The loop runs in float32 when bound <= 2^24, float32's range, and in
+    float64 (range 2^53) otherwise.  Any other matrix gets a float64
+    result, its sums taken in the order above.
     """
     n = A.n
     if n > 20:
         raise UnsupportedNormError("exact (inf,1) enumeration limited to n <= 20")
     integral = np.array_equal(A.matrix, np.round(A.matrix))
-    exact = integral and n * int(np.max(np.abs(A.matrix))) * A.denom < 2**53
-    w = np.array(A.masses, dtype=float) if exact else A.weights_float
+    bound = n * int(np.max(np.abs(A.matrix))) * A.denom if integral else math.inf
+    exact = bound < 2**53
+    dtype = np.float32 if bound <= 2**24 else np.float64
+    m = A.matrix.astype(dtype, copy=False)
+    w = np.array(A.masses, dtype=dtype) if exact else A.weights_float
     low = min(n - 1, _SIGN_CHUNK.bit_length() - 1)
-    block = np.empty((n, 1 << low))
-    block[:, 0] = -A.matrix[:, :low].sum(axis=1)
+    block = np.empty((n, 1 << low), dtype=dtype)
+    block[:, 0] = -m[:, :low].sum(axis=1)
     for i in range(low):
-        np.add(block[:, : 1 << i], 2.0 * A.matrix[:, i : i + 1], out=block[:, 1 << i : 2 << i])
+        np.add(block[:, : 1 << i], 2.0 * m[:, i : i + 1], out=block[:, 1 << i : 2 << i])
     # every code of the high signs, with the last sign (bit n - 1 - low) set
     high = np.arange(1 << (n - 1 - low)) | (1 << (n - 1 - low))
-    offsets = (((high[:, None] >> np.arange(n - low)) & 1) * 2.0 - 1.0) @ A.matrix[:, low:].T
+    signs = ((high[:, None] >> np.arange(n - low)) & 1) * 2 - 1
+    offsets = signs.astype(dtype) @ m[:, low:].T
     buf = np.empty_like(block)
     best = 0.0
     for offset in offsets:
@@ -443,19 +463,21 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
 
     Supported: (a) entrywise-nonnegative A with p=inf and any q >= 1,
     where the norm is the weighted q-norm of A applied to the all-ones
-    vector, by q_norm (exact power sums at integer q; a power sum outside
-    the float range is refused with a ValueError); (b) any A with p=inf, q=1
-    and n <= 20, by enumeration over sign vectors in blocks of low-sign sums
-    built by doubling, plus one offset per code of the high signs
-    (_sup_inf_to_1), exact for integer-valued A with
-    n * max|a_ij| * denom < 2^53 and float64 otherwise.  Other regimes
-    raise UnsupportedNormError.
+    vector, taken from A's integer masses by the power-sum core q_norm
+    also calls (`_mass_norm`: exact power sums at integer q; a power sum
+    outside the float range is refused with a ValueError); (b) any A with
+    p=inf, q=1 and n <= 20, by enumeration over sign vectors in blocks of
+    low-sign sums built by doubling, plus one offset per code of the high
+    signs (_sup_inf_to_1).  That is exact for integer-valued A with
+    bound = n * max|a_ij| * denom < 2^53, its sums taken in float32 when
+    bound <= 2^24 and in float64 above, and float64 for any other A.
+    Other regimes raise UnsupportedNormError.
     """
     for name, value in (("p", p), ("q", q)):
         if not value >= 1:  # NaN fails it too
             raise ValueError(f"{name} must be >= 1, got {name}={value!r}")
-    if math.isinf(p) and np.all(A.matrix >= 0):
-        return q_norm(apply(A, np.ones(A.n)), A.weights, q)
+    if math.isinf(p) and A.matrix.min() >= 0:  # the matrix is finite, so no NaN entry
+        return _mass_norm(apply(A, np.ones(A.n)).tolist(), A.masses, A.denom, q)
     if math.isinf(p) and q == 1:
         return _sup_inf_to_1(A)
     raise UnsupportedNormError(

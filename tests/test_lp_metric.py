@@ -231,6 +231,14 @@ class TestOracle:
         for x, y in ((a, b), (b, a)):
             assert lp_distance_bruteforce(x, y).value == fraction_reference(x, y) == lp_distance(x, y).value == want
 
+    def test_numpy_integer_weight_gives_a_python_float(self):
+        # a numpy mass used to reach the oracle's sums, which then returned np.float64
+        a = DiscreteMeasure(1, [((0.0,), np.int64(1))])
+        b = DiscreteMeasure(1, [((0.0,), Fraction(1, 2)), ((2.0,), Fraction(1, 2))])
+        for x, y in ((a, b), (b, a)):
+            got = lp_distance_bruteforce(x, y).value
+            assert got == 0.5 and type(got) is float
+
     def test_shares_no_code_with_the_flow_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called the flow engine")

@@ -129,6 +129,20 @@ class TestCanonicalForm:
         mu = DiscreteMeasure(1, [((0.0,), Fraction(1, 6)), ((0.0,), Fraction(1, 3)), ((1.0,), HALF)])
         assert mu.masses == (1, 1) and mu.denom == 2
 
+    def test_numpy_integer_dim_round_trips(self):
+        mu = DiscreteMeasure(np.int64(2), [((0.0, 1.0), 1)])
+        assert type(mu.dim) is int
+        assert DiscreteMeasure.from_json(mu.to_json()) == mu
+
+    def test_numpy_integer_weights_give_python_ints(self):
+        # Fraction(np.int64(1)) keeps a numpy numerator, whose sums would run in fixed width
+        masses, denom = integer_masses([np.int64(1)])
+        assert (masses, denom) == ([1], 1) and type(masses[0]) is int
+        masses, denom = integer_masses([Fraction(np.int64(1), np.int64(3)), Fraction(2, 3)])
+        assert (masses, denom) == ([1, 2], 3) and all(type(m) is int for m in masses) and type(denom) is int
+        mu = DiscreteMeasure(1, [((0.0,), np.int64(1))])
+        assert type(mu.masses[0]) is int and type(mu.denom) is int
+
     def test_huge_denominator_stays_exact(self):
         tiny = Fraction(1, 3**60)
         mu = DiscreteMeasure(1, [((0.0,), tiny), ((1.0,), 1 - tiny)])
@@ -337,10 +351,15 @@ class TestRefusals:
          "dim must be an integer, got 1.5"),
         (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 1e400}]}'),
          "weight 0 is inf: weights must be finite numbers"),
+        # operator.index(True) is 1, but a bool dim would write JSON `true`, which from_dict refuses
+        (lambda: DiscreteMeasure(True, [((0.0,), 1)]), "dim must be an integer, got True"),
+        (lambda: DiscreteMeasure(1.0, [((0.0,), 1)]), "dim must be an integer, got 1.0"),
+        (lambda: DiscreteMeasure(2.5, [((0.0, 0.0), 1)]), "dim must be an integer, got 2.5"),
+        (lambda: DiscreteMeasure("1", [((0.0,), 1)]), "dim must be an integer, got '1'"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
-            "json_weight_overflows"])
+            "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

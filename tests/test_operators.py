@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from test_measures import SAME_MEASURE
 
 from actionlim import (
@@ -43,6 +43,25 @@ def integer_matrices_with_rational_weights(draw):
     m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n))
     raw = [Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 20))) for _ in range(n)]
     return m, [r / sum(raw) for r in raw]
+
+
+@st.composite
+def integer_matrices_near_float32_bound(draw):
+    """An integer matrix and weights with n * max|a_ij| * denom within 64 of 2^24.
+
+    The last row is +-a throughout and carries nearly all the mass, so some sign vector
+    takes its weighted entry to about the bound itself; its first entry -a sends the
+    matrix to the sign enumeration.
+    """
+    n = draw(st.integers(2, 5))
+    a = draw(st.integers(1, 12))
+    denom = (2**24 + draw(st.integers(-4, 64))) // (n * a)  # so n * a * denom is within 64 of 2^24
+    m = [draw(st.lists(st.integers(-a, a), min_size=n, max_size=n)) for _ in range(n - 1)]
+    m.append([-a] + [draw(st.sampled_from([-a, a])) for _ in range(n - 1)])
+    small = draw(st.lists(st.integers(1, 1000), min_size=n - 1, max_size=n - 1))
+    masses = small + [denom - sum(small)]
+    assume(math.gcd(*masses) == 1)  # or the weights reduce to a smaller denominator
+    return m, [Fraction(k, denom) for k in masses]
 
 
 def power_sum(f, weights, q: int) -> Fraction:
@@ -230,13 +249,28 @@ class TestNorms:
         best = max(np.abs(m @ np.array(f)) @ wf for f in itertools.product((-1.0, 1.0), repeat=7))
         assert pq_norm(WeightedOperator(m, w), math.inf, 1) == pytest.approx(best, rel=1e-12)
 
-    # n * max|a_ij| * denom = 6d for this matrix and weights over d; the example sits just below 2^53
+    # the bound n * max|a_ij| * denom picks the loop's float type: float32 up to 2^24, its
+    # exact-integer range, float64 up to 2^53.  The 1 x 1 examples have bounds 2^24 and 2^24 + 1
+    # (negative, so they take the enumeration, not the nonnegative branch).  The bound is 6d for
+    # [[3, -1], [1, 2]] with weights over d: the examples sit on each side of 2^24 and below 2^53
     @given(integer_matrices_with_rational_weights())
+    @example(([[-(2**24)]], [Fraction(1)]))
+    @example(([[-(2**24 + 1)]], [Fraction(1)]))
+    @example(([[3, -1], [1, 2]], [Fraction(1, 2**24 // 6), 1 - Fraction(1, 2**24 // 6)]))
+    @example(([[3, -1], [1, 2]], [Fraction(1, 2**24 // 6 + 1), 1 - Fraction(1, 2**24 // 6 + 1)]))
     @example(([[3, -1], [1, 2]], [Fraction(1, 2**53 // 6), 1 - Fraction(1, 2**53 // 6)]))
     @settings(max_examples=200, deadline=None)
     def test_sign_enumeration_exact_for_integer_matrices(self, case):
         m, w = case
         assert pq_norm(WeightedOperator(m, w), math.inf, 1) == float(exact_inf_one_norm(m, w))
+
+    @given(integer_matrices_near_float32_bound())
+    @settings(max_examples=200, deadline=None)
+    def test_sign_enumeration_exact_near_float32_bound(self, case):
+        m, w = case
+        A = WeightedOperator(m, w)
+        assert abs(A.n * int(np.abs(A.matrix).max()) * A.denom - 2**24) <= 64
+        assert pq_norm(A, math.inf, 1) == float(exact_inf_one_norm(m, w))
 
     def test_sign_enumeration_float_past_exact_bound(self):
         # 6d passes 2^53 here, so the float path runs, and for these weights it misses the
@@ -260,6 +294,15 @@ class TestNorms:
         raw = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 20, size=(n, 2))]
         w = [r / sum(raw) for r in raw]
         assert pq_norm(WeightedOperator(m, w), math.inf, 1) == float(exact_inf_one_norm(m, w))
+        # an entry of 2^25 + 1 puts n * max|a_ij| * denom between 2^24 and 2^53 at every n: the
+        # float64 loop, with integer sums that float32 would round
+        m = rng.integers(-5, 6, size=(n, n)).tolist()
+        m[0][0] = -(2**25 + 1)
+        raw = [int(r) for r in rng.integers(1, 2**20, size=n)]
+        w = [Fraction(r, sum(raw)) for r in raw]
+        A = WeightedOperator(m, w)
+        assert 2**24 < A.n * (2**25 + 1) * A.denom < 2**53
+        assert pq_norm(A, math.inf, 1) == float(exact_inf_one_norm(m, w))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_multi_block_enumeration_float_error_bound(self, monkeypatch, n):
@@ -277,6 +320,20 @@ class TestNorms:
         # sums, so 16 n u of them is a safe bound
         bound = 16 * n * 2.0**-53 * float(sum(wi * Fraction(float(np.abs(row).sum())) for wi, row in zip(w, m)))
         assert abs(Fraction(pq_norm(WeightedOperator(m, w), math.inf, 1)) - exact) <= bound
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 2.5, math.inf])
+    def test_nonnegative_norm_is_the_q_norm_of_the_degrees(self, q):
+        # zero and -0.0 entries are nonnegative too; the power sum from the operator's masses
+        # must give q_norm's value from its Fraction weights
+        m = np.random.default_rng(7).uniform(0.0, 2.0, size=(5, 5))
+        m[1, 2] = -0.0
+        m[3, :] = 0.0
+        for A in (
+            adjacency(GraphSpec("star", 9)),
+            WeightedOperator(m, [Fraction(k, 15) for k in range(1, 6)]),
+            WeightedOperator([[-0.0, 1.0], [3.0, 0.5]], [Fraction(1, 3), Fraction(2, 3)]),
+        ):
+            assert pq_norm(A, math.inf, q) == q_norm(apply(A, np.ones(A.n)), A.weights, q)
 
     def test_adjoint_duality_exact_at_n20(self):
         A = WeightedOperator(np.random.default_rng(20).choice([-1.0, 1.0], size=(20, 20)))
@@ -330,6 +387,26 @@ class TestNorms:
     def test_q_norm_refuses_negative_weight(self):
         with pytest.raises(ValueError, match="weight 0 is -1/2: weights must be nonnegative"):
             q_norm([1.0, 2.0], [Fraction(-1, 2), Fraction(3, 2)], 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_q_norm_numpy_integer_weights_sum_exactly(self):
+        # Fraction(np.int32(3)) keeps a numpy numerator, whose power sums would run in fixed width
+        assert q_norm([1e9], [np.int32(3)], 1) == 3e9
+        assert q_norm([3.0, 1.0], [np.int64(1)] * 2, 40) == q_norm([3.0, 1.0], [1, 1], 40) == 3.0
+        got = q_norm([1.0, 2.0], [np.int32(1)] * 2, 1)
+        assert got == 3.0 and type(got) is float
+
+    @pytest.mark.parametrize("q", [1, 2, 40, 2.5, math.inf])
+    def test_q_norm_numpy_weights_are_python_weights(self, q):
+        f = [3.0, -1.0, 0.5]
+        for python, numpy_weights in (
+            ([1, 3, 2], [np.int32(1), np.int64(3), np.int64(2)]),
+            ([Fraction(1, 4), Fraction(3, 4)], [Fraction(np.int64(1), np.int64(4)), Fraction(np.int32(3), 4)]),
+            ([0.25, 0.125, 0.625], list(np.array([0.25, 0.125, 0.625]))),
+        ):
+            want = q_norm(f[: len(python)], python, q)
+            got = q_norm(f[: len(python)], numpy_weights, q)
+            assert got == want and type(got) is type(want) is float
 
     @pytest.mark.parametrize("q", [2.5])
     @pytest.mark.parametrize("x", [1e300, 1e-200])
@@ -483,9 +560,12 @@ class TestRefusals:
         (lambda: apply(broadcast(3), [1.0, 1.0]), "vector length (2,) does not match n=3"),
         (lambda: bilinear(broadcast(3), [1.0, 1.0, 1.0], [1.0, 1.0]), "vector length (2,) does not match n=3"),
         (lambda: q_norm([1.0, 1.0], [Fraction(1)], 2), "length mismatch between vector and weights"),
+        # Fraction(inf) overflows and Fraction(nan) fails unnamed: each is refused by its index
+        (lambda: q_norm([1.0, 1.0], [Fraction(1, 2), math.inf], 2), "weight 1 is inf: weights must be finite numbers"),
+        (lambda: q_norm([1.0, 1.0], [math.nan, Fraction(1, 2)], 1), "weight 0 is nan: weights must be finite numbers"),
         (lambda: operators.non_self_adjoint_witness(broadcast(3), 3), "index 3 out of range for n=3"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
-            "bilinear_length", "q_norm_length", "witness_index"])
+            "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
