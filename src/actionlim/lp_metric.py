@@ -5,21 +5,17 @@ integer max-flow (Strassen's theorem) over the measures' masses scaled to one
 common denominator, in Python ints at every scale, until the minimum feasible
 epsilon is located (Garel & Masse, AStA 2009).  The distance-0 edges open
 first, and the mass they leave unmatched bounds d_LP from above, so the rest
-of the sweep runs under that ceiling.  The sweep takes its edges in
-the order of one stable sort by distance (ties row-major), but puts them in
-order a chunk at a time: a pair with more than 2(|A| + |B|) candidate edges
-sorts only the edges up to the 2(|A| + |B|)-th smallest distance, then twice
-as many, and so on, so a sweep that stops early (a basic coupling has at most
-|A| + |B| - 1 edges) leaves most of its m^2 distances unsorted.  A pair whose
-whole matrix fits in that first chunk (|A||B| <= 2(|A| + |B|)) sorts
-(distance, i, j) tuples from Python lists instead, the same order without
-numpy's per-call cost on a few numbers.  A subset-enumeration oracle covers
-small supports: it tests Strassen's condition on every union of the smaller
-side's atoms, one way only (for probability measures the largest deficit is
-the same both ways, by a complement argument), at the distance levels its
-binary search probes (the largest deficit never rises from one level to the
-next, so O(log L) of the L levels settle the answer).  The Hausdorff
-distance between finite measure sets is built on top.
+of the sweep runs under that ceiling and sorts only the few edges below it,
+in one stable sort by distance (ties row-major).  A small pair (|A||B| <=
+2(|A| + |B|)) sorts (distance, i, j) tuples from Python lists instead, the
+same order without numpy's per-call cost on a few numbers.  A
+subset-enumeration oracle covers small supports: it tests Strassen's
+condition on every union of the smaller side's atoms, one way only (for
+probability measures the largest deficit is the same both ways, by a
+complement argument), at the distance levels its binary search probes (the
+largest deficit never rises from one level to the next, so O(log L) of the L
+levels settle the answer).  The Hausdorff distance between finite measure
+sets is built on top.
 """
 from __future__ import annotations
 
@@ -171,35 +167,9 @@ class _Pair:
 def _sorted_edges(pair: _Pair, mask: np.ndarray):
     """The edges (distance, i, j) where mask holds, in the order of one stable
     argsort by distance over np.nonzero(mask): by distance, then row-major.
-
-    Yields them as sorted chunks, each only when the caller reaches it.  The
-    first chunk holds the edges up to the size-th smallest distance, size =
-    2(|A| + |B|), whole tie runs included (the sweep opens a distance's edges
-    together and pushes along them in this order); a basic coupling has at
-    most |A| + |B| - 1 edges, so the size comes from the pair, not from a
-    tuning constant.  The size then
-    doubles for each later chunk, and a rest that fits is one last chunk.
-    An empty mask yields nothing.  pair.edges_sorted counts the edges sorted.
-    A pair whose whole matrix fits in the first chunk (dist.size <= size)
-    never reaches the partition step; `_distance_upto` sorts such a pair's
-    edges from Python lists (`_upto_lists`) and calls this only for larger
-    pairs.
-    """
-    if not mask.any():
-        return
+    pair.edges_sorted counts the edges sorted."""
     ii, jj = np.nonzero(mask)
     dists = pair.dist[ii, jj]
-    size = 2 * sum(mask.shape)
-    while len(dists) > size:
-        take = dists <= np.partition(dists, size - 1)[size - 1]
-        yield _in_order(pair, dists[take], ii[take], jj[take])
-        rest = ~take
-        dists, ii, jj, size = dists[rest], ii[rest], jj[rest], 2 * size
-    yield _in_order(pair, dists, ii, jj)
-
-
-def _in_order(pair: _Pair, dists: np.ndarray, ii: np.ndarray, jj: np.ndarray):
-    """One chunk's edges sorted stably by distance, counted in pair.edges_sorted."""
     order = np.argsort(dists, kind="stable")
     pair.edges_sorted += len(order)
     return zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
@@ -231,13 +201,11 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> float | None:
     edge, and only the distance-0 edges go unsorted.
 
     The edges come in one order, by distance and then row-major, from one
-    of two paths chosen by the pair's size.  A pair whose whole matrix fits
-    in `_sorted_edges`' first chunk (|A||B| <= 2(|A| + |B|)) would sort every
-    candidate at once anyway, so `_upto_lists` sorts Python tuples from one
-    `dist.tolist()`, where numpy's per-call cost outweighs its few numbers;
-    a larger pair takes `_upto_arrays`, whose numpy masks and chunked sort
-    leave most of a long candidate list unsorted when the sweep stops
-    early.  Both give the same values, trees and counts.
+    of two paths chosen by the pair's size.  A small pair (|A||B| <= 2(|A| +
+    |B|)) takes `_upto_lists`, which sorts Python tuples from one
+    `dist.tolist()`, where numpy's per-call cost outweighs a few numbers; a
+    larger pair takes `_upto_arrays`, whose numpy mask and argsort cost less
+    per edge.  Both give the same values, trees and counts.
     """
     dist = pair.dist
     if dist.size <= 2 * sum(dist.shape):
@@ -257,13 +225,11 @@ def _upto_lists(pair: _Pair, ceiling: float) -> float | None:
     top = ceiling if ceiling < 1 else math.nextafter(1.0, 0.0)
     edges = sorted([(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if 0.0 < d <= top])
     pair.edges_sorted += len(edges)
-    return _sweep(pair, (edges,), ceiling)
+    return _sweep(pair, edges, ceiling)
 
 
 def _upto_arrays(pair: _Pair, ceiling: float) -> float | None:
-    """`_distance_upto` over numpy masks, its edges sorted a chunk at a time by
-    `_sorted_edges`; a tie run never straddles two chunks, so each chunk is
-    grouped by distance on its own."""
+    """`_distance_upto` over numpy masks, its edges sorted by `_sorted_edges`."""
     dist = pair.dist
     zeros = np.count_nonzero(dist) < dist.size
     if zeros:
@@ -287,24 +253,23 @@ def _open_zeros(pair: _Pair, edges, ceiling: float) -> float:
     return min(ceiling, up)
 
 
-def _sweep(pair: _Pair, chunks, ceiling: float) -> float | None:
+def _sweep(pair: _Pair, edges, ceiling: float) -> float | None:
     """The breakpoint sweep of `_distance_upto` over the positive-distance edges,
-    given as chunks of (distance, i, j) in order."""
+    given as (distance, i, j) in order."""
     scale = pair.scale
     if ceiling < 1:
         cn, cd = ceiling.as_integer_ratio()
     else:
         cn, cd = 1, 0  # no bound: every d_LP <= 1 is returned
     b = 0.0
-    for chunk in chunks:
-        for nxt, group in itertools.groupby(chunk, key=itemgetter(0)):  # each nxt > b
-            pair.breakpoints += 1
-            rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
-            n, d = nxt.as_integer_ratio()
-            if rest * d < n * scale:
-                return _max_float(b, rest, scale)
-            b = nxt
-            pair.open((i, j) for _, i, j in group)
+    for nxt, group in itertools.groupby(edges, key=itemgetter(0)):  # each nxt > b
+        pair.breakpoints += 1
+        rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
+        n, d = nxt.as_integer_ratio()
+        if rest * d < n * scale:
+            return _max_float(b, rest, scale)
+        b = nxt
+        pair.open((i, j) for _, i, j in group)
     pair.breakpoints += 1
     rest = scale - pair.max_flow()
     return _max_float(b, rest, scale) if rest * cd <= cn * scale else None

@@ -32,18 +32,26 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
     """Each weight as (numerator, denominator) in lowest terms, both Python ints.
 
     Each weight is taken through Fraction (ints, floats at their exact binary
-    value, Fractions, "num/den" strings).  A numpy integer keeps its fixed
-    width inside a Fraction, so the exact sums built from it could wrap;
-    operator.index turns each part into a Python int.  Non-finite weights
-    (a JSON 1e400 reads as inf) are refused with their index.
+    value, Fractions, "num/den" strings), a numpy float through its exact
+    as_integer_ratio (Fraction takes float64, a float subclass, but no other
+    width).  A numpy integer keeps its fixed width inside a Fraction, so the
+    exact sums built from it could wrap; operator.index turns each part into a
+    Python int.  Non-finite weights (a JSON 1e400 reads as inf), bools (JSON
+    true) and non-numbers (JSON null) are refused with their index.
     """
     ratios = []
     for i, w in enumerate(weights):
         try:
-            f = w if isinstance(w, Fraction) else Fraction(w)  # Fraction(w) would copy a Fraction
-        except (OverflowError, ValueError):  # Fraction(inf) overflows, Fraction(nan) is a ValueError
+            if isinstance(w, bool):  # Fraction(True) is 1, but JSON true is no weight
+                raise TypeError
+            if isinstance(w, np.floating):
+                n, d = w.as_integer_ratio()
+            else:
+                f = w if isinstance(w, Fraction) else Fraction(w)  # Fraction(w) would copy a Fraction
+                n, d = f.numerator, f.denominator
+        except (OverflowError, ValueError, TypeError):  # inf overflows, nan is a ValueError, None a TypeError
             raise ValueError(f"weight {i} is {w!r}: weights must be finite numbers") from None
-        ratios.append((operator.index(f.numerator), operator.index(f.denominator)))
+        ratios.append((operator.index(n), operator.index(d)))
     return ratios
 
 

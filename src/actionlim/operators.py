@@ -526,13 +526,24 @@ def non_self_adjoint_witness(B: WeightedOperator, i_star: int) -> float:
     return abs(bilinear(B, f, ones) - bilinear(B, ones, f))
 
 
-def c_regularity(A: WeightedOperator, tol: float = 1e-9) -> Optional[float]:
-    """Eigenvalue of the all-ones vector, if it is an eigenvector within tol."""
-    d = apply(A, np.ones(A.n))
-    c = float(d.mean())
-    if np.max(np.abs(d - c)) <= tol:
-        return c
-    return None
+def c_regularity(A: WeightedOperator) -> Optional[float]:
+    """Eigenvalue c of the all-ones vector, correctly rounded, if every row of A
+    sums to exactly c; else None.
+
+    Each entry is n / d with d a power of two, so the largest d is a common
+    denominator and each exact row sum is one integer over it.  A sum past
+    the float range rounds to an infinity of its sign.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in A.matrix.tolist()]
+    den = max(d for row in ratios for _, d in row)
+    sums = {sum(n * (den // d) for n, d in row) for row in ratios}
+    if len(sums) != 1:
+        return None
+    total = sums.pop()
+    try:
+        return total / den  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def positivity_defect(A: WeightedOperator) -> float:

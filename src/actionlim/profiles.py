@@ -165,7 +165,7 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
     k, n = F.shape
     if n != A.n:
         raise ValueError(f"test vectors have length {n}, operator has n={A.n}")
-    if not (np.abs(F) <= 1 + 1e-9).all():  # NaN fails the comparison too
+    if not (np.abs(F) <= 1).all():  # NaN fails the comparison too
         raise ValueError("test vector entries must lie in [-1, 1]")
     Y = F @ A.matrix.T  # row i: A f_i evaluated at each coordinate
     # atom j: the point (F[:, j], Y[:, j]) with the mass of coordinate j

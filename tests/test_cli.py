@@ -264,11 +264,16 @@ class TestRefusedByTheLibrary:
          "argument file_b: measure file 'weight_inf.json': weight 0 is inf: weights must be finite numbers"),
         (["limit", "op_weight_inf.json"],
          "argument spec: operator spec 'op_weight_inf.json': weight 1 is inf: weights must be finite numbers"),
+        # JSON true is no weight, though Fraction(True) is 1
+        (["dist", "lp", "line.json", "weight_bool.json"],
+         "argument file_b: measure file 'weight_bool.json': weight 0 is True: weights must be finite numbers"),
+        (["limit", "op_weight_bool.json"],
+         "argument spec: operator spec 'op_weight_bool.json': weight 0 is True: weights must be finite numbers"),
     ], ids=["sizes_empty", "sizes_repeated", "K_0", "count_negative", "strategy_unknown", "probe_not_int",
             "probe_out_of_range", "template_token", "template_token_in_config", "experiment_out_is_a_file",
             "actiondist_seed", "actiondist_count", "actiondist_K", "profile_seed", "profile_k", "profile_count",
             "profile_out_is_a_file", "measure_dim_overflows", "measure_dim_fractional", "measure_weight_overflows",
-            "operator_weight_overflows"])
+            "operator_weight_overflows", "measure_weight_bool", "operator_weight_bool"])
     def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "template.cfg").write_text("graph_b=star:{m}\nsizes=4\ncount=2\nK=1\n")
@@ -279,6 +284,8 @@ class TestRefusedByTheLibrary:
         (tmp_path / "dim_half.json").write_text(f'{{"dim": 1.5, "atoms": {dirac}}}')
         (tmp_path / "weight_inf.json").write_text('{"dim": 1, "atoms": [{"p": [0], "w": 1e400}]}')
         (tmp_path / "op_weight_inf.json").write_text('{"matrix": [[0, 1], [1, 0]], "weights": [0.5, 1e400]}')
+        (tmp_path / "weight_bool.json").write_text('{"dim": 1, "atoms": [{"p": [0], "w": true}]}')
+        (tmp_path / "op_weight_bool.json").write_text('{"matrix": [[1]], "weights": [true]}')
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

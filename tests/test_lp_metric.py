@@ -778,13 +778,13 @@ def grid(shift):
 
 
 # two measures of 12-40 draws on a grid, the second moved by up to 3/4: most distances
-# are below 1 and tie, and a larger shift makes the sweep run through several chunks
+# are below 1 and tie, and a larger shift leaves more of them under the TV ceiling
 many_atoms = st.tuples(st.integers(1, 2), st.integers(0, 12).map(lambda i: i / 16)).flatmap(
     lambda dim_shift: st.tuples(dyadic_measures(dim_shift[0], 40, grid(0.0), min_atoms=12),
                                 dyadic_measures(dim_shift[0], 40, grid(dim_shift[1]), min_atoms=12)))
 
 
-# the same, of 1-6 atoms: most pairs fit in `_sorted_edges`' first chunk
+# the same, of 1-6 atoms: most pairs take the lists path (|A||B| <= 2(|A| + |B|))
 few_atoms = st.tuples(st.integers(1, 2), st.integers(0, 12).map(lambda i: i / 16)).flatmap(
     lambda dim_shift: st.tuples(dyadic_measures(dim_shift[0], 6, grid(0.0)),
                                 dyadic_measures(dim_shift[0], 6, grid(dim_shift[1]))))
@@ -803,29 +803,27 @@ def tv_ceiling(a, b):
 
 def assert_sweep_matches_reference(a, b):
     """`_distance_upto` against the one-sort reference at ceilings around d_LP and at
-    breakpoints: the same value, opened edges, flows and counters.  A one-chunk pair
-    sorts every edge at a positive distance under the lowered ceiling, no more, no less."""
+    breakpoints: the same value, opened edges, flows and counters.  Every pair sorts
+    every edge at a positive distance under the lowered ceiling, no more, no less.
+    A larger pair is probed at every fourth breakpoint: all of them would cost seconds."""
     dist = new_pair(a, b).dist
-    one_chunk = dist.size <= 2 * sum(dist.shape)
     tv = tv_ceiling(a, b)
     d = one_sort_distance_upto(new_pair(a, b))
     breaks = sorted({x for x in dist.ravel().tolist() if x < 1})
-    for c in {math.inf, 0.0, d, float(d), math.nextafter(float(d), 0.0), *(breaks if one_chunk else breaks[::4])}:
+    small = dist.size <= 2 * sum(dist.shape)
+    for c in {math.inf, 0.0, d, float(d), math.nextafter(float(d), 0.0), *(breaks if small else breaks[::4])}:
         pair, ref = new_pair(a, b), new_pair(a, b)
         got, want = _distance_upto(pair, c), one_sort_distance_upto(ref, c)
         assert got == (None if want is None else float(want))
         assert flow_state(pair) == flow_state(ref)
-        if one_chunk:
-            assert pair.edges_sorted == sum(0.0 < x <= tv and (x <= c if c < 1 else x < 1.0)
-                                            for x in dist.ravel().tolist())
-        else:
-            assert pair.edges_sorted <= candidate_mask(dist, c).sum()
+        assert pair.edges_sorted == sum(0.0 < x <= tv and (x <= c if c < 1 else x < 1.0)
+                                        for x in dist.ravel().tolist())
 
 
 # Within one distance, pushes along edges that share no atom commute, so any order that
 # keeps each row's and each column's edges in index order pushes the same.  A batch with
 # no push instead queues its reached A-atoms for the tree search, and their order decides
-# the augmenting path: in this one-chunk 3x5 pair the edges at 1/8 open with no push, and
+# the augmenting path: in this small 3x5 pair the edges at 1/8 open with no push, and
 # opening them column-major puts other flows on the edges than row-major (random small
 # pairs reach this rarely)
 TIE_ORDER_PAIR = (
@@ -833,6 +831,11 @@ TIE_ORDER_PAIR = (
     DiscreteMeasure(1, [((float(k),), Fraction(m, 33)) for k, m in enumerate((8, 6, 5, 8, 6))]),
     np.array([[0, 3, 1, 1, 0], [0, 1, 1, 0, 0], [1, 0, 3, 1, 0]]) / 8,
 )
+
+
+# 30 atoms 1/64 apart against the same atoms moved by 1/128: the 59 edges at 1/128 carry
+# the whole mass, so d_LP = 1/128, and all 900 distances are below 1 with no atom shared
+STOPS_EARLY_PAIR = (empirical([(i / 64,) for i in range(30)]), empirical([(i / 64 + 1 / 128,) for i in range(30)]))
 
 
 @st.composite
@@ -853,8 +856,9 @@ def flow_pairs_with_edge_cases(draw):
 
 
 class TestChunkedOrder:
-    """`_sorted_edges` sorts a long candidate list a chunk at a time; the sweep must
-    see the order of one stable sort, ties and all."""
+    """Both paths sort a pair's candidate edges once; the sweep must see the order of
+    one stable sort, ties and all.  A "one chunk" pair below is one small enough for
+    the lists path (|A||B| <= 2(|A| + |B|))."""
 
     @given(tied_distance_matrices(), st.sampled_from([math.inf, 1.0, 0.875, 0.5, 0.375, 0.0]))
     @settings(max_examples=150, deadline=None)
@@ -864,7 +868,7 @@ class TestChunkedOrder:
         ii, jj = np.nonzero(mask)
         order = np.argsort(dist[ii, jj], kind="stable")
         expected = list(zip(dist[ii, jj][order].tolist(), ii[order].tolist(), jj[order].tolist()))
-        assert list(itertools.chain.from_iterable(_sorted_edges(pair, mask))) == expected
+        assert list(_sorted_edges(pair, mask)) == expected
         assert pair.edges_sorted == len(expected)
 
     @given(many_atoms)
@@ -900,6 +904,7 @@ class TestChunkedOrder:
 
     @given(flow_pairs_with_edge_cases(), st.sampled_from([math.inf, 1.0, 0.875, 0.5, 0.375, 1e-200, 0.0]))
     @example(TIE_ORDER_PAIR, math.inf)
+    @example((*STOPS_EARLY_PAIR, new_pair(*STOPS_EARLY_PAIR).dist), math.inf)
     @settings(max_examples=150, deadline=None)
     def test_both_paths_agree(self, case, ceiling):
         # every pair through both paths, whatever its size, with distance-0, tiny and
@@ -908,22 +913,15 @@ class TestChunkedOrder:
         lists, arrays = _Pair(a, b, dist), _Pair(a, b, dist)
         assert _upto_lists(lists, ceiling) == _upto_arrays(arrays, ceiling)
         assert flow_state(lists) == flow_state(arrays)
-        if dist.size <= 2 * sum(dist.shape):  # one chunk: both sort every candidate
-            assert lists.edges_sorted == arrays.edges_sorted
-        else:  # the arrays path leaves the chunks past the sweep's stop unsorted
-            assert lists.edges_sorted >= arrays.edges_sorted
+        assert lists.edges_sorted == arrays.edges_sorted
 
-    def test_sweep_that_stops_early_sorts_one_chunk(self):
-        # 30 atoms 1/64 apart against the same atoms moved by 1/128: the 59 edges at 1/128
-        # carry the whole mass, so d_LP = 1/128.  All 900 distances are below 1; the first
-        # chunk runs to the 120th smallest, 5/128 (59 + 57 edges at 1/128 and 3/128), and
-        # takes all 55 edges at 5/128 with it: 171 edges sorted, none past them
-        a = empirical([(i / 64,) for i in range(30)])
-        b = empirical([(i / 64 + 1 / 128,) for i in range(30)])
-        pair, ref = new_pair(a, b), new_pair(a, b)
+    def test_sweep_that_stops_early_sorts_every_candidate_once(self):
+        # no atom is shared, so no ceiling falls: each of the 900 distances is sorted once,
+        # though the sweep stops after the first
+        pair, ref = new_pair(*STOPS_EARLY_PAIR), new_pair(*STOPS_EARLY_PAIR)
         assert _distance_upto(pair) == one_sort_distance_upto(ref) == Fraction(1, 128)
         assert flow_state(pair) == flow_state(ref)
-        assert pair.edges_sorted == 171
+        assert pair.edges_sorted == 900
 
 
 class TestZeroDistanceFirst:

@@ -15,6 +15,7 @@ from actionlim import (
     shift,
 )
 from actionlim import cli
+from actionlim.measures import weight_ratios
 
 # dyadic coordinates make float translation exact
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
@@ -142,6 +143,17 @@ class TestCanonicalForm:
         assert (masses, denom) == ([1, 2], 3) and all(type(m) is int for m in masses) and type(denom) is int
         mu = DiscreteMeasure(1, [((0.0,), np.int64(1))])
         assert type(mu.masses[0]) is int and type(mu.denom) is int
+
+    def test_numpy_float_weights_are_read_exactly(self):
+        # Fraction takes np.float64, a float subclass, but no other numpy float width
+        for x in (np.float16(0.1), np.float32(0.1), np.float64(0.1), np.longdouble(1) / 3):
+            [(num, den)] = weight_ratios([x])
+            assert type(num) is type(den) is int and math.gcd(num, den) == 1
+            assert np.longdouble(num) / np.longdouble(den) == x  # num < 2^64: both convert exactly
+        assert weight_ratios([np.float32(0.1)]) == [Fraction(float(np.float32(0.1))).as_integer_ratio()]
+        assert integer_masses([np.float32(0.25), np.float16(0.75)]) == ([1, 3], 4)
+        mu = DiscreteMeasure(1, [((0.0,), np.float32(0.5)), ((1.0,), np.longdouble(0.5))])
+        assert mu.masses == (1, 1) and mu.denom == 2
 
     def test_huge_denominator_stays_exact(self):
         tiny = Fraction(1, 3**60)
@@ -356,10 +368,17 @@ class TestRefusals:
         (lambda: DiscreteMeasure(1.0, [((0.0,), 1)]), "dim must be an integer, got 1.0"),
         (lambda: DiscreteMeasure(2.5, [((0.0, 0.0), 1)]), "dim must be an integer, got 2.5"),
         (lambda: DiscreteMeasure("1", [((0.0,), 1)]), "dim must be an integer, got '1'"),
+        # Fraction(True) is 1, but JSON true is no weight, as it is no dim; null is no number
+        (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [0], "w": True}]}),
+         "weight 0 is True: weights must be finite numbers"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 0.5}, {"p": [1], "w": null}]}'),
+         "weight 1 is None: weights must be finite numbers"),
+        (lambda: integer_masses([np.float32("inf")]), f"weight 0 is {np.float32('inf')!r}: weights must be finite numbers"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
-            "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string"])
+            "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string",
+            "json_weight_bool", "json_weight_null", "weight_float32_inf"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

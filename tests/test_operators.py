@@ -403,6 +403,11 @@ class TestNorms:
             ([1, 3, 2], [np.int32(1), np.int64(3), np.int64(2)]),
             ([Fraction(1, 4), Fraction(3, 4)], [Fraction(np.int64(1), np.int64(4)), Fraction(np.int32(3), 4)]),
             ([0.25, 0.125, 0.625], list(np.array([0.25, 0.125, 0.625]))),
+            # Fraction takes only float64; the other widths are read at their exact values
+            ([0.25, 0.125, 0.625], list(np.array([0.25, 0.125, 0.625], dtype=np.float32))),
+            ([0.25, 0.125, 0.625], list(np.array([0.25, 0.125, 0.625], dtype=np.float16))),
+            ([0.25, 0.125, 0.625], list(np.array([0.25, 0.125, 0.625], dtype=np.longdouble))),
+            ([float(np.float32(0.1)), 0.75], [np.float32(0.1), np.float32(0.75)]),
         ):
             want = q_norm(f[: len(python)], python, q)
             got = q_norm(f[: len(python)], numpy_weights, q)
@@ -536,6 +541,18 @@ class TestStructure:
         assert c_regularity(adjacency(GraphSpec("star", 5))) is None
         assert c_regularity(broadcast(7, 2)) == 1.0
 
+    def test_c_regularity_from_exact_row_sums(self):
+        # row sums 1 and 1 + 1e-10 differ, however close: no c
+        assert c_regularity(WeightedOperator([[1.0, 0.0], [0.0, 1 + 1e-10]])) is None
+        # 0.1, 0.2 and 0.3 in three orders: one exact row sum, whose float is 0.6, though
+        # A @ 1 rounds the first row to 0.6000000000000001
+        A = WeightedOperator([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]])
+        assert (A.matrix @ np.ones(3)).tolist()[0] == 0.6000000000000001
+        assert c_regularity(A) == float(Fraction(0.1) + Fraction(0.2) + Fraction(0.3)) == 0.6
+        # an exact row sum past the float range rounds to an infinity of its sign
+        assert c_regularity(WeightedOperator([[1e308, 1e308], [1e308, 1e308]])) == math.inf
+        assert c_regularity(WeightedOperator([[-1e308, -1e308], [-1e308, -1e308]])) == -math.inf
+
     def test_positivity_defect(self):
         cyc4 = adjacency(GraphSpec("cycle", 4))
         assert positivity_defect(cyc4) == 0.0
@@ -564,8 +581,15 @@ class TestRefusals:
         (lambda: q_norm([1.0, 1.0], [Fraction(1, 2), math.inf], 2), "weight 1 is inf: weights must be finite numbers"),
         (lambda: q_norm([1.0, 1.0], [math.nan, Fraction(1, 2)], 1), "weight 0 is nan: weights must be finite numbers"),
         (lambda: operators.non_self_adjoint_witness(broadcast(3), 3), "index 3 out of range for n=3"),
+        # Fraction(True) is 1 and Fraction(np.float32) fails unnamed: each is refused by its index
+        (lambda: WeightedOperator([[1.0]], [True]), "weight 0 is True: weights must be finite numbers"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[1.0]], "weights": [None]}),
+         "weight 0 is None: weights must be finite numbers"),
+        (lambda: q_norm([1.0, 1.0], [np.float32(0.5), np.float32("nan")], 1),
+         f"weight 1 is {np.float32('nan')!r}: weights must be finite numbers"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
-            "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index"])
+            "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
+            "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

@@ -144,6 +144,17 @@ class TestMeasureOf:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             measure_of(A, [[2.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("x", [1 + 1e-10, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0)])
+    def test_rejects_entries_just_past_one(self, x):
+        A = adjacency(GraphSpec("star", 3))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            measure_of(A, [[x, 0.0, 0.0]])
+
+    def test_accepts_plus_and_minus_one(self):
+        A = adjacency(GraphSpec("star", 3))
+        mu = measure_of(A, [[1.0, -1.0, 1.0]])
+        assert mu.mass((1.0, 0.0)) == Fraction(1, 3)  # the centre: f = 1, Af = -1 + 1
+
     def test_rejects_nan_entries(self):
         A = adjacency(GraphSpec("star", 3))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
