@@ -164,15 +164,15 @@ class _Pair:
         return self.flow
 
 
-def _sorted_edges(pair: _Pair, mask: np.ndarray):
-    """The edges (distance, i, j) where mask holds, in the order of one stable
-    argsort by distance over np.nonzero(mask): by distance, then row-major.
-    pair.edges_sorted counts the edges sorted."""
-    ii, jj = np.nonzero(mask)
-    dists = pair.dist[ii, jj]
+def _sorted_edges(pair: _Pair, flat: np.ndarray):
+    """The edges (distance, i, j) at flat, ascending row-major indices into
+    dist, in the order of one stable argsort by distance: by distance, then
+    row-major.  pair.edges_sorted counts the edges sorted."""
+    dists = pair.dist.ravel()[flat]
     order = np.argsort(dists, kind="stable")
     pair.edges_sorted += len(order)
-    return zip(dists[order].tolist(), ii[order].tolist(), jj[order].tolist())
+    ii, jj = np.divmod(flat[order], pair.dist.shape[1])
+    return zip(dists[order].tolist(), ii.tolist(), jj.tolist())
 
 
 def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> float | None:
@@ -216,7 +216,7 @@ def _distance_upto(pair: _Pair, ceiling: float = math.inf) -> float | None:
 def _upto_lists(pair: _Pair, ceiling: float) -> float | None:
     """`_distance_upto` over the rows of dist as Python lists.  Sorting (d, i, j)
     tuples orders by distance, then row-major, as one stable argsort over
-    np.nonzero does, and tolist gives the same float64 values."""
+    row-major flat indices does, and tolist gives the same float64 values."""
     rows = pair.dist.tolist()
     zeros = [(i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if d == 0.0]
     if zeros:
@@ -229,16 +229,17 @@ def _upto_lists(pair: _Pair, ceiling: float) -> float | None:
 
 
 def _upto_arrays(pair: _Pair, ceiling: float) -> float | None:
-    """`_distance_upto` over numpy masks, its edges sorted by `_sorted_edges`."""
-    dist = pair.dist
-    zeros = np.count_nonzero(dist) < dist.size
-    if zeros:
-        zi, zj = np.nonzero(dist == 0)
-        ceiling = _open_zeros(pair, zip(zi.tolist(), zj.tolist()), ceiling)
-    mask = dist <= ceiling if ceiling < 1 else dist < 1.0
-    if zeros:
-        mask[zi, zj] = False
-    return _sweep(pair, _sorted_edges(pair, mask), ceiling)
+    """`_distance_upto` over numpy masks of dist's row-major flat view (flat
+    index k is edge divmod(k, |B|), in np.nonzero's order), its edges sorted
+    by `_sorted_edges`."""
+    flat = pair.dist.ravel()
+    cols = pair.dist.shape[1]
+    zeros = np.flatnonzero(flat == 0.0)
+    if len(zeros):
+        ceiling = _open_zeros(pair, (divmod(k, cols) for k in zeros.tolist()), ceiling)
+    mask = flat <= ceiling if ceiling < 1 else flat < 1.0
+    mask[zeros] = False
+    return _sweep(pair, _sorted_edges(pair, np.flatnonzero(mask)), ceiling)
 
 
 def _open_zeros(pair: _Pair, edges, ceiling: float) -> float:

@@ -55,6 +55,25 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
     return ratios
 
 
+def refuse_non_numbers(rows, where: str, what: str) -> None:
+    """Refuse a non-number among the entries of JSON rows (a list of lists).
+
+    np.asarray(..., dtype=float) reads JSON true as 1.0, "1" as 1.0 and null
+    as nan, and raises an OverflowError on an integer past the float range,
+    so each of these is refused here with a ValueError that names the entry
+    by where.format(i, j); what names the entries in the message.  Rows, or
+    a row, that are not a list are left to the array shape checks.
+    """
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        for j, x in enumerate(row if isinstance(row, list) else ()):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"{where.format(i, j)} is {x!r}: {what} must be numbers")
+            try:
+                float(x)
+            except OverflowError:  # a JSON integer too large for a float
+                raise ValueError(f"{where.format(i, j)} is an integer past the float range") from None
+
+
 def integer_masses(weights: Iterable) -> tuple[list[int], int]:
     """Probability weights as integer masses over one denominator.
 
@@ -194,7 +213,9 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        return cls(d["dim"], [(a["p"], a["w"]) for a in d["atoms"]])
+        atoms = [(a["p"], a["w"]) for a in d["atoms"]]
+        refuse_non_numbers([p for p, _ in atoms], "atom {} coordinate {}", "coordinates")
+        return cls(d["dim"], atoms)
 
     @classmethod
     def from_json(cls, s: str) -> "DiscreteMeasure":

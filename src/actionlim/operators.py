@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import integer_masses, weight_ratios
+from .measures import integer_masses, refuse_non_numbers, weight_ratios
 
 __all__ = [
     "WeightedOperator",
@@ -58,7 +58,15 @@ class UnsupportedNormError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedOperator:
-    """Coordinate i carries weight masses[i] / denom (positive masses, gcd 1)."""
+    """Coordinate i carries weight masses[i] / denom (positive masses, gcd 1).
+
+    The matrix is held read-only.  A read-only float64 ndarray that owns its
+    memory (`base is None`), as each builder here makes, is taken as it is,
+    so building an n-vertex operator holds one n x n array at peak; anything
+    else (a list, a writeable array, a view) is copied, so the caller's
+    array stays its own.  Finiteness is read from the matrix's min and max,
+    through which a NaN propagates, with no n x n temporary.
+    """
 
     n: int
     matrix: np.ndarray
@@ -67,14 +75,17 @@ class WeightedOperator:
     name: str = ""
 
     def __init__(self, matrix, weights=None, name: str = ""):
-        m = np.array(matrix, dtype=float)
+        m = matrix
+        owned = type(m) is np.ndarray and m.dtype == np.float64 and m.base is None
+        if not owned or m.flags.writeable:
+            m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
         n = m.shape[0]
         if n == 0:
             raise ValueError("operator needs at least one coordinate, got a 0 x 0 matrix")
+        if not math.isfinite(m.min()) or not math.isfinite(m.max()):  # NaN propagates through both
+            raise ValueError("matrix entries must be finite")
         masses, denom = ([1] * n, n) if weights is None else integer_masses(weights)
         if len(masses) != n:
             raise ValueError(f"{len(masses)} weights for n={n}")
@@ -110,6 +121,7 @@ class WeightedOperator:
         name = d.get("name", "")
         if not isinstance(name, str):
             raise ValueError(f"operator 'name' must be a string, got {name!r}")
+        refuse_non_numbers(d["matrix"], "matrix row {} column {}", "matrix entries")
         return cls(d["matrix"], d.get("weights"), name)
 
 
@@ -185,6 +197,7 @@ def adjacency(spec: GraphSpec) -> WeightedOperator:
     m = np.zeros((spec.n, spec.n))
     for u, v in _edge_set(spec):
         m[u, v] = m[v, u] = 1.0
+    m.setflags(write=False)  # handed to the operator, not copied
     return WeightedOperator(m, name=spec.label())
 
 
@@ -196,6 +209,7 @@ def gplus(spec: GraphSpec) -> WeightedOperator:
         m[u, v] = m[v, u] = 1.0
     m[n, :n] = 1.0
     m[:n, n] = 1.0
+    m.setflags(write=False)
     return WeightedOperator(m, name=f"gplus:{spec.label()}")
 
 
@@ -205,6 +219,7 @@ def broadcast(n: int, i_star: int = 0) -> WeightedOperator:
         raise ValueError(f"distinguished index {i_star} out of range for n={n}")
     m = np.zeros((n, n))
     m[:, i_star] = 1.0
+    m.setflags(write=False)
     return WeightedOperator(m, name=f"broadcast:{n}:{i_star}")
 
 
@@ -216,6 +231,7 @@ def signed_limit(A: WeightedOperator, i_star: int, sign: int) -> WeightedOperato
         raise ValueError(f"distinguished index {i_star} out of range for n={A.n}")
     m = A.matrix.copy()
     m[:, i_star] += float(sign)
+    m.setflags(write=False)
     tag = "+" if sign == 1 else "-"
     return WeightedOperator(m, A.weights, name=f"signed:{tag}:{i_star}:{A.name}")
 
@@ -505,7 +521,9 @@ def adjoint(A: WeightedOperator) -> WeightedOperator:
     Scaled by the integer masses, so uniform weights give the exact transpose.
     """
     w = np.array(A.masses, dtype=float)
-    m = A.matrix.T * w[None, :] / w[:, None]
+    m = A.matrix.T * w[None, :]
+    m /= w[:, None]  # in place, in the order of A^T W then W^{-1}
+    m.setflags(write=False)
     return WeightedOperator(m, A.weights, name=f"adjoint({A.name})" if A.name else "")
 
 

@@ -269,11 +269,20 @@ class TestRefusedByTheLibrary:
          "argument file_b: measure file 'weight_bool.json': weight 0 is True: weights must be finite numbers"),
         (["limit", "op_weight_bool.json"],
          "argument spec: operator spec 'op_weight_bool.json': weight 0 is True: weights must be finite numbers"),
+        # np.asarray would read true and "1" as 1.0 and null as nan
+        (["dist", "lp", "coord_bool.json", "line.json"],
+         "argument file_a: measure file 'coord_bool.json': atom 0 coordinate 0 is True: coordinates must be numbers"),
+        (["dist", "lp", "line.json", "coord_null.json"],
+         "argument file_b: measure file 'coord_null.json': atom 0 coordinate 0 is None: coordinates must be numbers"),
+        (["limit", "op_entry_string.json"],
+         "argument spec: operator spec 'op_entry_string.json': "
+         "matrix row 0 column 0 is '1': matrix entries must be numbers"),
     ], ids=["sizes_empty", "sizes_repeated", "K_0", "count_negative", "strategy_unknown", "probe_not_int",
             "probe_out_of_range", "template_token", "template_token_in_config", "experiment_out_is_a_file",
             "actiondist_seed", "actiondist_count", "actiondist_K", "profile_seed", "profile_k", "profile_count",
             "profile_out_is_a_file", "measure_dim_overflows", "measure_dim_fractional", "measure_weight_overflows",
-            "operator_weight_overflows", "measure_weight_bool", "operator_weight_bool"])
+            "operator_weight_overflows", "measure_weight_bool", "operator_weight_bool", "measure_coordinate_bool",
+            "measure_coordinate_null", "operator_entry_string"])
     def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "template.cfg").write_text("graph_b=star:{m}\nsizes=4\ncount=2\nK=1\n")
@@ -286,6 +295,9 @@ class TestRefusedByTheLibrary:
         (tmp_path / "op_weight_inf.json").write_text('{"matrix": [[0, 1], [1, 0]], "weights": [0.5, 1e400]}')
         (tmp_path / "weight_bool.json").write_text('{"dim": 1, "atoms": [{"p": [0], "w": true}]}')
         (tmp_path / "op_weight_bool.json").write_text('{"matrix": [[1]], "weights": [true]}')
+        (tmp_path / "coord_bool.json").write_text('{"dim": 1, "atoms": [{"p": [true], "w": 1}]}')
+        (tmp_path / "coord_null.json").write_text('{"dim": 1, "atoms": [{"p": [null], "w": 1}]}')
+        (tmp_path / "op_entry_string.json").write_text('{"matrix": [["1"]]}')
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

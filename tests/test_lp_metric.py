@@ -868,7 +868,7 @@ class TestChunkedOrder:
         ii, jj = np.nonzero(mask)
         order = np.argsort(dist[ii, jj], kind="stable")
         expected = list(zip(dist[ii, jj][order].tolist(), ii[order].tolist(), jj[order].tolist()))
-        assert list(_sorted_edges(pair, mask)) == expected
+        assert list(_sorted_edges(pair, np.flatnonzero(mask))) == expected
         assert pair.edges_sorted == len(expected)
 
     @given(many_atoms)

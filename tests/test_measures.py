@@ -374,11 +374,21 @@ class TestRefusals:
         (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 0.5}, {"p": [1], "w": null}]}'),
          "weight 1 is None: weights must be finite numbers"),
         (lambda: integer_masses([np.float32("inf")]), f"weight 0 is {np.float32('inf')!r}: weights must be finite numbers"),
+        # np.asarray reads JSON true and "0.5" as numbers and null as nan, and overflows on a huge integer
+        (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [True], "w": 1}]}),
+         "atom 0 coordinate 0 is True: coordinates must be numbers"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 2, "atoms": [{"p": [0, 0], "w": 0.5}, {"p": [0, "0.5"], "w": 0.5}]}'),
+         "atom 1 coordinate 1 is '0.5': coordinates must be numbers"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [null], "w": 1}]}'),
+         "atom 0 coordinate 0 is None: coordinates must be numbers"),
+        (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [-10**400], "w": 1}]}),
+         "atom 0 coordinate 0 is an integer past the float range"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
             "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string",
-            "json_weight_bool", "json_weight_null", "weight_float32_inf"])
+            "json_weight_bool", "json_weight_null", "weight_float32_inf", "json_coordinate_bool",
+            "json_coordinate_string", "json_coordinate_null", "json_coordinate_huge_int"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

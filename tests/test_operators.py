@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from actionlim import (
     pq_norm,
     q_norm,
     self_adjoint_defect,
+    signed_limit,
 )
 from actionlim import operators
 from actionlim.operators import parse_operator_spec
@@ -142,6 +144,76 @@ class TestWeightedOperator:
         assert np.array_equal(A.matrix, B.matrix)
         assert A.weights == B.weights
         assert B.name == "x"
+
+
+class TestMatrixOwnership:
+    """A read-only float64 array that owns its memory is taken as it is; anything else
+    is copied.  Each builder hands over the one array it made."""
+
+    # numpy reports its buffers to tracemalloc; signed_limit and adjoint start from a
+    # weighted star operator built before the trace
+    @pytest.mark.parametrize("build", [
+        lambda A: adjacency(GraphSpec("star", A.n)),
+        lambda A: gplus(GraphSpec("star", A.n - 1)),
+        lambda A: broadcast(A.n),
+        lambda A: signed_limit(A, 0, -1),
+        lambda A: adjoint(A),
+    ], ids=["adjacency", "gplus", "broadcast", "signed_limit", "adjoint"])
+    def test_build_holds_one_matrix_at_peak(self, build):
+        n = 1000
+        weights = [Fraction(1 + (i == 0), n + 1) for i in range(n)]
+        A = WeightedOperator(adjacency(GraphSpec("star", n)).matrix, weights)
+        tracemalloc.start()
+        try:
+            B = build(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert B.n == n
+        assert not B.matrix.flags.writeable and B.matrix.base is None
+        assert peak <= 1.25 * n * n * 8
+
+    def test_read_only_owner_taken_as_is(self):
+        m = np.eye(3)
+        m.setflags(write=False)
+        assert WeightedOperator(m).matrix is m
+
+    def test_writeable_array_copied(self):
+        m = np.eye(3)
+        A = WeightedOperator(m)
+        assert m.flags.writeable
+        m[0, 0] = 5.0
+        assert A.matrix[0, 0] == 1.0
+
+    def test_read_only_view_copied(self):
+        base = np.eye(3)
+        view = base[:]
+        view.setflags(write=False)
+        A = WeightedOperator(view)
+        assert A.matrix is not view
+        base[0, 0] = 5.0
+        assert A.matrix[0, 0] == 1.0
+
+    def test_read_only_float32_converted(self):
+        m = np.eye(3, dtype=np.float32)
+        m.setflags(write=False)
+        assert WeightedOperator(m).matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("owned", [False, True], ids=["copied", "owned"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_refused(self, bad, owned):
+        m = np.eye(3)
+        m[1, 2] = bad
+        if owned:
+            m.setflags(write=False)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            WeightedOperator(m)
+
+    def test_empty_owner_refused_by_its_own_message(self):
+        m = np.zeros((0, 0))
+        m.setflags(write=False)  # no copy, and min / max would fail on no entries
+        with pytest.raises(ValueError, match="at least one coordinate, got a 0 x 0 matrix"):
+            WeightedOperator(m)
 
 
 class TestGraphs:
@@ -587,9 +659,19 @@ class TestRefusals:
          "weight 0 is None: weights must be finite numbers"),
         (lambda: q_norm([1.0, 1.0], [np.float32(0.5), np.float32("nan")], 1),
          f"weight 1 is {np.float32('nan')!r}: weights must be finite numbers"),
+        # np.asarray reads JSON true and "1" as 1.0 and null as nan, and overflows on a huge integer
+        (lambda: WeightedOperator.from_dict({"matrix": [[True]]}),
+         "matrix row 0 column 0 is True: matrix entries must be numbers"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[0, 1], ["1", 0]]}),
+         "matrix row 1 column 0 is '1': matrix entries must be numbers"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[0, None], [1, 0]]}),
+         "matrix row 0 column 1 is None: matrix entries must be numbers"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[10**400]]}),
+         "matrix row 0 column 0 is an integer past the float range"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
             "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
-            "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan"])
+            "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan", "json_entry_bool",
+            "json_entry_string", "json_entry_null", "json_entry_huge_int"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
