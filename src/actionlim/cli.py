@@ -153,7 +153,7 @@ def _read_measure(args, name: str, path: str | None = None) -> measures.Discrete
     path = path or getattr(args, name)
     try:
         return measures.DiscreteMeasure.from_json(Path(path).read_text())
-    except (ValueError, TypeError, KeyError, OSError) as exc:  # KeyError: a missing "dim" or "atoms"
+    except (ValueError, OSError) as exc:
         args.error(f"argument {name}: measure file {path!r}: {exc}")
 
 

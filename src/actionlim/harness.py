@@ -165,7 +165,7 @@ def _norms() -> list[VerificationRecord]:
     records = []
     for n in (4, 10, 100, 1000):
         got = operators.pq_norm(operators.adjacency(operators.GraphSpec("star", n)), math.inf, 1)
-        want = float(Fraction(2 * n - 2, n))
+        want = (2 * n - 2) / n
         records.append(
             VerificationRecord(
                 f"norms.star_inf1.n{n}", ANCHORS["star_norm"], f"2 - 2/{n} = {want!r}", repr(got), got == want
@@ -291,7 +291,7 @@ def _norm_gap() -> list[VerificationRecord]:
             profiles.profile_sample(operators.adjacency(operators.GraphSpec("star", n)), 1, strat)
         )
         bcast_norm = profiles.norm_from_profile(profiles.profile_sample(operators.broadcast(n, 0), 1, strat))
-        want = float(Fraction(2 * n - 2, n))
+        want = (2 * n - 2) / n
         ok = star_norm == want and bcast_norm == 1.0
         records.append(
             VerificationRecord(

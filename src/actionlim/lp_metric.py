@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, dyadic
 
 __all__ = [
     "LpResult",
@@ -340,9 +340,10 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     if nu.support_size < mu.support_size:  # d_LP is symmetric: enumerate the smaller side
         mu, nu = nu, mu
 
-    ratios = [[(d if d < 1.0 else 1.0).as_integer_ratio() for d in row] for row in cdist(mu.points(), nu.points()).tolist()]
-    scale = math.lcm(mu.denom, nu.denom, *(den for row in ratios for _, den in row))
-    dist = [[num * (scale // den) for num, den in row] for row in ratios]
+    nums, den = dyadic(np.minimum(cdist(mu.points(), nu.points()), 1.0).ravel().tolist())
+    scale = math.lcm(mu.denom, nu.denom, den)
+    k = nu.support_size
+    dist = [[x * (scale // den) for x in nums[i : i + k]] for i in range(0, len(nums), k)]
 
     def subset_masses(m: DiscreteMeasure) -> list[int]:
         table = [0]  # table[T]: mass of the atoms whose bits are set in T

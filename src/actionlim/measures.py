@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "DiscreteMeasure",
+    "dyadic",
     "integer_masses",
     "weight_ratios",
     "empirical",
@@ -55,23 +56,43 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
     return ratios
 
 
-def refuse_non_numbers(rows, where: str, what: str) -> None:
-    """Refuse a non-number among the entries of JSON rows (a list of lists).
+def dyadic(values: Iterable[float]) -> tuple[list[int], int]:
+    """Floats as integer numerators over one denominator: value i is nums[i] / den exactly.
+    A finite float is n / 2^e, so the largest of these denominators (1 for no values) is common
+    to all; an inf or NaN raises as float.as_integer_ratio does (OverflowError, ValueError)."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max((d for _, d in ratios), default=1)
+    return [n * (den // d) for n, d in ratios], den
 
-    np.asarray(..., dtype=float) reads JSON true as 1.0, "1" as 1.0 and null
-    as nan, and raises an OverflowError on an integer past the float range,
-    so each of these is refused here with a ValueError that names the entry
-    by where.format(i, j); what names the entries in the message.  Rows, or
-    a row, that are not a list are left to the array shape checks.
+
+def float_rows(rows, where: str, what: str) -> np.ndarray:
+    """Rows of real numbers as a float64 array, refusing every other entry.
+
+    An integer or float ndarray is converted on its dtype alone (a float64
+    one is returned as it is).  Any other rows are read entry by entry first,
+    since np.asarray(..., dtype=float) reads True (JSON true) and "1" as
+    1.0 and None (JSON null) as nan, and raises an OverflowError on an
+    integer past the float range: each of these is refused with a ValueError
+    that names the entry by where.format(i, j); what names the entries in
+    the message.  Python and numpy ints and floats are numbers.  Rows, or a
+    row, that are not sequences are left to the callers' shape checks.
     """
-    for i, row in enumerate(rows if isinstance(rows, list) else ()):
-        for j, x in enumerate(row if isinstance(row, list) else ()):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind in "iuf":
+            return np.asarray(rows, dtype=float)
+        rows = rows.tolist()  # bools, strings and objects as Python values
+    for i, row in enumerate(rows if isinstance(rows, (list, tuple)) else ()):
+        for j, x in enumerate(row if isinstance(row, (list, tuple, np.ndarray)) else ()):
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{where.format(i, j)} is {x!r}: {what} must be numbers")
             try:
                 float(x)
-            except OverflowError:  # a JSON integer too large for a float
+            except OverflowError:  # an integer too large for a float
                 raise ValueError(f"{where.format(i, j)} is an integer past the float range") from None
+    try:
+        return np.array(rows, dtype=float)
+    except TypeError as exc:  # a row that is neither a number nor a sequence, e.g. a JSON object
+        raise ValueError(f"{what} must be numbers: {exc}") from None
 
 
 def integer_masses(weights: Iterable) -> tuple[list[int], int]:
@@ -108,7 +129,8 @@ class DiscreteMeasure:
     one exact pass over index arrays: one lexsort of every row, then one
     `np.add.reduceat` over the masses held as Python ints, so no mass
     overflows at any size; a point whose merged mass is 0 is dropped after.
-    Non-finite coordinates are rejected, since NaN atoms would never merge.
+    Non-finite coordinates are rejected, since NaN atoms would never merge,
+    and so is a coordinate that is no number (`float_rows`).
     """
 
     dim: int
@@ -138,7 +160,7 @@ class DiscreteMeasure:
         if atoms is not None:
             atoms = list(atoms)
             points = [p for p, _ in atoms] or np.empty((0, dim))
-        pts = np.asarray(points, dtype=float)
+        pts = float_rows(points, "atom {} coordinate {}", "coordinates")
         if pts.ndim != 2 or pts.shape[1] != dim:
             raise ValueError(f"points must have {dim} coordinates, got an array of shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -213,13 +235,25 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        atoms = [(a["p"], a["w"]) for a in d["atoms"]]
-        refuse_non_numbers([p for p, _ in atoms], "atom {} coordinate {}", "coordinates")
-        return cls(d["dim"], atoms)
+        dim, atoms = _fields(d, "measure JSON", "dim", "atoms")
+        if not isinstance(atoms, list):
+            raise ValueError(f"measure 'atoms' must be a list, got {atoms!r}")
+        return cls(dim, [_fields(a, f"atom {i}", "p", "w") for i, a in enumerate(atoms)])
 
     @classmethod
     def from_json(cls, s: str) -> "DiscreteMeasure":
         return cls.from_dict(json.loads(s))
+
+
+def _fields(d, what: str, *keys: str) -> list:
+    """The values of the keys in the JSON object d; a d that is no object, or lacks a key,
+    is refused with a ValueError that names what and the key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} has no {key!r}")
+    return [d[key] for key in keys]
 
 
 def empirical(points: Sequence[Sequence[float]]) -> DiscreteMeasure:
@@ -253,11 +287,8 @@ def mean_abs(mu: DiscreteMeasure, coord: int) -> float:
     """Exact weighted mean of |x_coord|, returned as the nearest float."""
     if not 0 <= coord < mu.dim:
         raise ValueError(f"coordinate {coord} out of range for dim {mu.dim}")
-    # each |x| is n / d with d a power of two, so the largest d is a common denominator
-    ratios = [abs(x).as_integer_ratio() for x in mu.points()[:, coord].tolist()]
-    den = max(d for _, d in ratios)
-    total = sum(m * n * (den // d) for m, (n, d) in zip(mu.masses, ratios))
-    return float(Fraction(total, den * mu.denom))
+    nums, den = dyadic(np.abs(mu.points()[:, coord]).tolist())
+    return sum(map(operator.mul, mu.masses, nums)) / (den * mu.denom)  # int / int rounds correctly
 
 
 def discretize(

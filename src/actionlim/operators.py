@@ -17,12 +17,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import integer_masses, refuse_non_numbers, weight_ratios
+from .measures import dyadic, float_rows, integer_masses, weight_ratios
 
 __all__ = [
     "WeightedOperator",
@@ -64,7 +65,8 @@ class WeightedOperator:
     memory (`base is None`), as each builder here makes, is taken as it is,
     so building an n-vertex operator holds one n x n array at peak; anything
     else (a list, a writeable array, a view) is copied, so the caller's
-    array stays its own.  Finiteness is read from the matrix's min and max,
+    array stays its own.  An entry that is no number is refused by
+    `float_rows`.  Finiteness is read from the matrix's min and max,
     through which a NaN propagates, with no n x n temporary.
     """
 
@@ -75,9 +77,8 @@ class WeightedOperator:
     name: str = ""
 
     def __init__(self, matrix, weights=None, name: str = ""):
-        m = matrix
-        owned = type(m) is np.ndarray and m.dtype == np.float64 and m.base is None
-        if not owned or m.flags.writeable:
+        m = float_rows(matrix, "matrix row {} column {}", "matrix entries")
+        if m.base is not None or (m is matrix and m.flags.writeable):  # the caller's memory
             m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
@@ -102,6 +103,19 @@ class WeightedOperator:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(m, self.denom) for m in self.masses)
 
+    @cached_property
+    def _integer_bound(self) -> float:
+        """n * max|a_ij| * denom if every entry is an integer, else inf.
+
+        Below 2^53, every sum of entries weighted by the integer masses is an integer a
+        float64 holds exactly, in any order.  Computed once per operator, 64 rows at a time,
+        so no n x n temporary is made.
+        """
+        m = self.matrix
+        if not all(np.array_equal(c, np.round(c)) for c in (m[i : i + 64] for i in range(0, self.n, 64))):
+            return math.inf
+        return self.n * int(max(-m.min(), m.max())) * self.denom
+
     @property
     def weights_float(self) -> np.ndarray:
         return np.array([m / self.denom for m in self.masses])  # int / int rounds correctly
@@ -121,8 +135,11 @@ class WeightedOperator:
         name = d.get("name", "")
         if not isinstance(name, str):
             raise ValueError(f"operator 'name' must be a string, got {name!r}")
-        refuse_non_numbers(d["matrix"], "matrix row {} column {}", "matrix entries")
-        return cls(d["matrix"], d.get("weights"), name)
+        op = cls(d["matrix"], d.get("weights"), name)
+        n = d.get("n", op.n)
+        if type(n) is not int or n != op.n:  # to_dict writes n; JSON true is no n
+            raise ValueError(f"operator 'n' is {n!r}, but its matrix is {op.n} x {op.n}")
+        return op
 
 
 @dataclass(frozen=True)
@@ -334,8 +351,8 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
 
     Each weight is read as a Python-int ratio by `weight_ratios`, and the
     weights go over the lcm of their denominators as integer masses.  The
-    norm is then taken by the one power-sum core that `pq_norm` also calls
-    with an operator's masses (`_mass_norm`, which gives its exactness).
+    norm is then taken by `_mass_norm`, whose exact core `_dyadic_norm`
+    `pq_norm` also calls with an operator's row sums and masses.
 
     Refused with a ValueError that names the input: an infinite or NaN
     weight, a negative weight, and whatever `_mass_norm` refuses.
@@ -356,21 +373,15 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
 def _mass_norm(v: list[float], masses: Sequence[int], denom: int, q: float) -> float:
     """Weighted q-norm of the floats v, entry i weighted masses[i] / denom.
 
-    The masses and denom are nonnegative Python ints, and q >= 1.  For
-    integer q the power sum is one exact integer over one denominator: each
-    |v_i| is n_i / d_i with d_i a power of two, so the largest d_i is a
-    common denominator.  The quotient is rounded to the nearest float once,
-    and for q > 1 its q-th root taken.  A quotient that rounds to inf, or to
-    0 while some weighted entry is nonzero, is scaled by 2^(q*s) instead, s
-    chosen so that the integer q-th root of the scaled quotient has about 57
-    bits; that root over 2^s gives the norm correctly rounded.  Other q sum
-    in float64, weight i as the correctly rounded masses[i] / denom.
+    The masses and denom are nonnegative Python ints, and q >= 1.  Integer q
+    takes the exact core `_dyadic_norm` on the |v_i| read by `dyadic`.  Other
+    q sum in float64, weight i as the correctly rounded masses[i] / denom.
 
     Refused with a ValueError that names the input: a NaN entry (the max at
-    q=inf would depend on the order), an infinite entry at finite q, a norm
-    at integer q that rounds to inf or to 0 while some weighted entry is
-    nonzero, and at other q a power sum that does (its q-th root would be
-    inf or 0, not the norm).
+    q=inf would depend on the order), an infinite entry at finite q, what
+    `_dyadic_norm` refuses at integer q, and at other q a power sum that
+    rounds to inf, or to 0 while some weighted entry is nonzero (its q-th
+    root would be inf or 0, not the norm).
     """
     for i, x in enumerate(v):
         if math.isnan(x):
@@ -380,41 +391,7 @@ def _mass_norm(v: list[float], masses: Sequence[int], denom: int, q: float) -> f
     if math.isinf(q):
         return max((abs(x) for x in v), default=0.0)
     if float(q).is_integer():
-        qi = int(q)
-        ratios = [abs(x).as_integer_ratio() for x in v]
-        den = max((d for _, d in ratios), default=1)
-        total = sum(m * (n * (den // d)) ** qi for m, (n, d) in zip(masses, ratios))
-        scale = denom * den**qi
-        try:
-            norm = (total / scale) ** (1.0 / q)  # int / int rounds correctly; x ** 1.0 is x
-        except OverflowError:  # an int quotient past the float range
-            norm = math.inf
-        if norm == math.inf or (norm == 0.0 and total):  # the power sum left the float range
-            # r = floor of the norm times 2^s, from the power sum times 2^(q*s) by Newton's
-            # method; s puts r near 2^56, at least 2 bits past a float's 53, so no float
-            # rounding boundary lies strictly between r and r + 1, and (r + 1/2) / 2^s
-            # (r / 2^s if r is the exact root) rounds to the norm's float.  scale is
-            # denom * 2^(q*e), so the power sum times 2^(q*s) is total * 2^shift / denom,
-            # shift = q*(s - e), and only denom divides
-            e = den.bit_length() - 1
-            log_norm = (math.log2(total) - math.log2(denom)) / qi - e
-            s = 56 - math.floor(log_norm)
-            shift = qi * (s - e)
-            big = (total << shift if shift >= 0 else total >> -shift) // denom
-            r = int(2.0 ** (log_norm + s))
-            r = ((qi - 1) * r + big // r ** (qi - 1)) // qi  # >= floor(big^(1/q)), by AM-GM
-            while (lower := ((qi - 1) * r + big // r ** (qi - 1)) // qi) < r:
-                r = lower
-            power = r**qi * denom
-            exact = power == total << shift if shift >= 0 else power << -shift == total
-            odd = 2 * r + (not exact)
-            try:
-                norm = odd / (1 << s + 1) if s >= -1 else float(odd << -s - 1)  # rounds correctly
-            except OverflowError:  # the norm itself past the float range
-                norm = math.inf
-            if norm in (0.0, math.inf):
-                raise ValueError(f"the norm of f at q={q!r} is outside the float range")
-        return norm
+        return _dyadic_norm(*dyadic([abs(x) for x in v]), masses, denom, q)
     try:
         mean = float(sum(m / denom * abs(x) ** q for x, m in zip(v, masses)))
     except OverflowError:  # a float power past the float range
@@ -422,6 +399,76 @@ def _mass_norm(v: list[float], masses: Sequence[int], denom: int, q: float) -> f
     if mean == math.inf or (mean == 0.0 and any(x and m for x, m in zip(v, masses))):
         raise ValueError(f"the power sum of f at q={q!r} is outside the float range")
     return mean ** (1.0 / q)
+
+
+def _dyadic_norm(nums: list[int], den: int, masses: Sequence[int], denom: int, q: float) -> float:
+    """Weighted q-norm, correctly rounded, of the exact values nums[i] / den, weighted
+    masses[i] / denom: all nonnegative Python ints, den > 0, q an integer >= 1 or inf.
+
+    At q=inf it is the largest value, an infinity past the float range (where a float sum
+    of the values would overflow too).  At integer q the power sum is one exact integer
+    over one denominator; the quotient is rounded to the nearest float once, and for q > 1
+    its q-th root taken.  A quotient that rounds to inf, or to 0 while some weighted entry
+    is nonzero, is scaled by 2^(q*s) instead, s chosen so that the integer q-th root of the
+    scaled quotient has about 57 bits; that root over 2^s gives the norm correctly rounded.
+    A norm at integer q that still rounds to inf or to 0 is refused with a ValueError.
+    """
+    if math.isinf(q):
+        return _nearest(max(nums, default=0), den)
+    qi = int(q)
+    total = sum(m * n**qi for m, n in zip(masses, nums))
+    scale = denom * den**qi
+    try:
+        norm = (total / scale) ** (1.0 / q)  # int / int rounds correctly; x ** 1.0 is x
+    except OverflowError:  # an int quotient past the float range
+        norm = math.inf
+    if norm == math.inf or (norm == 0.0 and total):  # the power sum left the float range
+        # r = floor of the norm times 2^s, from the power sum times 2^(q*s) by Newton's
+        # method; s puts r near 2^56, at least 2 bits past a float's 53, so no float
+        # rounding boundary lies strictly between r and r + 1, and (r + 1/2) / 2^s
+        # (r / 2^s if r is the exact root) rounds to the norm's float.  scale is
+        # denom * 2^(q*e), so the power sum times 2^(q*s) is total * 2^shift / denom,
+        # shift = q*(s - e), and only denom divides
+        e = den.bit_length() - 1
+        log_norm = (math.log2(total) - math.log2(denom)) / qi - e
+        s = 56 - math.floor(log_norm)
+        shift = qi * (s - e)
+        big = (total << shift if shift >= 0 else total >> -shift) // denom
+        r = int(2.0 ** (log_norm + s))
+        r = ((qi - 1) * r + big // r ** (qi - 1)) // qi  # >= floor(big^(1/q)), by AM-GM
+        while (lower := ((qi - 1) * r + big // r ** (qi - 1)) // qi) < r:
+            r = lower
+        power = r**qi * denom
+        exact = power == total << shift if shift >= 0 else power << -shift == total
+        odd = 2 * r + (not exact)
+        try:
+            norm = odd / (1 << s + 1) if s >= -1 else float(odd << -s - 1)  # rounds correctly
+        except OverflowError:  # the norm itself past the float range
+            norm = math.inf
+        if norm in (0.0, math.inf):
+            raise ValueError(f"the norm of f at q={q!r} is outside the float range")
+    return norm
+
+
+def _nearest(num: int, den: int) -> float:
+    """num / den correctly rounded; past the float range, an infinity of num's sign."""
+    try:
+        return num / den  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _row_sums(A: WeightedOperator) -> tuple[list[int], int]:
+    """A's exact row sums, as integers over one power-of-two denominator.
+
+    Each row is read by `dyadic` on its own, so its sum is an integer over a power of two
+    and the largest of these is common to all; row by row, no n x n list is made.
+    """
+    if A._integer_bound < 2**53:  # every partial sum is an integer a float64 holds
+        return [int(x) for x in (A.matrix @ np.ones(A.n)).tolist()], 1
+    rows = [(sum(nums), den) for nums, den in (dyadic(row.tolist()) for row in A.matrix)]
+    den = max(d for _, d in rows)
+    return [s * (den // d) for s, d in rows], den
 
 
 def _sup_inf_to_1(A: WeightedOperator) -> float:
@@ -438,9 +485,10 @@ def _sup_inf_to_1(A: WeightedOperator) -> float:
     2^low entries are contiguous, which measured faster than column-major
     storage for both the broadcast add and the weighted sum.
     For an integer-valued matrix with bound = n * max|a_ij| * denom < 2^53
-    the result is the exact norm, correctly rounded: weighted by the integer
-    masses, every block entry, offset, shifted entry, product and partial
-    sum is an integer of magnitude at most bound.  A float type holds every
+    (`WeightedOperator._integer_bound`) the result is the exact norm,
+    correctly rounded: weighted by the integer masses, every block entry,
+    offset, shifted entry, product and partial sum is an integer of
+    magnitude at most bound.  A float type holds every
     such integer when bound is within its exact-integer range, so any
     summation order (a BLAS gemv or an FMA included) gives the same integer.
     The loop runs in float32 when bound <= 2^24, float32's range, and in
@@ -450,8 +498,7 @@ def _sup_inf_to_1(A: WeightedOperator) -> float:
     n = A.n
     if n > 20:
         raise UnsupportedNormError("exact (inf,1) enumeration limited to n <= 20")
-    integral = np.array_equal(A.matrix, np.round(A.matrix))
-    bound = n * int(np.max(np.abs(A.matrix))) * A.denom if integral else math.inf
+    bound = A._integer_bound
     exact = bound < 2**53
     dtype = np.float32 if bound <= 2**24 else np.float64
     m = A.matrix.astype(dtype, copy=False)
@@ -471,17 +518,19 @@ def _sup_inf_to_1(A: WeightedOperator) -> float:
         np.add(block, offset[:, None], out=buf)
         np.abs(buf, out=buf)
         best = max(best, float((w @ buf).max()))
-    return float(Fraction(int(best), A.denom)) if exact else best
+    return int(best) / A.denom if exact else best  # int / int rounds correctly
 
 
 def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
     """Operator (p,q)-norm in the supported regimes.
 
     Supported: (a) entrywise-nonnegative A with p=inf and any q >= 1,
-    where the norm is the weighted q-norm of A applied to the all-ones
-    vector, taken from A's integer masses by the power-sum core q_norm
-    also calls (`_mass_norm`: exact power sums at integer q; a power sum
-    outside the float range is refused with a ValueError); (b) any A with
+    where the norm is the weighted q-norm of A's exact row sums
+    (`_row_sums`), weighted by A's integer masses: correctly rounded at
+    integer q and q=inf, where the sums go to the exact core q_norm also
+    calls (`_dyadic_norm`); at other q the correctly rounded sums are summed
+    in float64 (`_mass_norm`).  A norm or power sum outside the float range
+    is refused with a ValueError; (b) any A with
     p=inf, q=1 and n <= 20, by enumeration over sign vectors in blocks of
     low-sign sums built by doubling, plus one offset per code of the high
     signs (_sup_inf_to_1).  That is exact for integer-valued A with
@@ -493,7 +542,10 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
         if not value >= 1:  # NaN fails it too
             raise ValueError(f"{name} must be >= 1, got {name}={value!r}")
     if math.isinf(p) and A.matrix.min() >= 0:  # the matrix is finite, so no NaN entry
-        return _mass_norm(apply(A, np.ones(A.n)).tolist(), A.masses, A.denom, q)
+        sums, den = _row_sums(A)
+        if math.isinf(q) or float(q).is_integer():
+            return _dyadic_norm(sums, den, A.masses, A.denom, q)
+        return _mass_norm([_nearest(s, den) for s in sums], A.masses, A.denom, q)
     if math.isinf(p) and q == 1:
         return _sup_inf_to_1(A)
     raise UnsupportedNormError(
@@ -507,12 +559,8 @@ def bilinear(A: WeightedOperator, f: Sequence[float], g: Sequence[float]) -> flo
     gf = np.asarray(g, dtype=float)
     if gf.shape != (A.n,):
         raise ValueError(f"vector length {gf.shape} does not match n={A.n}")
-    af = apply(A, f)
-    total = sum(
-        (w * Fraction(float(x)) * Fraction(float(y)) for w, x, y in zip(A.weights, af, gf)),
-        Fraction(0),
-    )
-    return float(total)
+    (na, da), (nb, db) = dyadic(apply(A, f).tolist()), dyadic(gf.tolist())
+    return sum(m * x * y for m, x, y in zip(A.masses, na, nb)) / (A.denom * da * db)  # int / int rounds correctly
 
 
 def adjoint(A: WeightedOperator) -> WeightedOperator:
@@ -548,20 +596,11 @@ def c_regularity(A: WeightedOperator) -> Optional[float]:
     """Eigenvalue c of the all-ones vector, correctly rounded, if every row of A
     sums to exactly c; else None.
 
-    Each entry is n / d with d a power of two, so the largest d is a common
-    denominator and each exact row sum is one integer over it.  A sum past
-    the float range rounds to an infinity of its sign.
+    The row sums are exact (`_row_sums`); one past the float range rounds to
+    an infinity of its sign.
     """
-    ratios = [[x.as_integer_ratio() for x in row] for row in A.matrix.tolist()]
-    den = max(d for row in ratios for _, d in row)
-    sums = {sum(n * (den // d) for n, d in row) for row in ratios}
-    if len(sums) != 1:
-        return None
-    total = sums.pop()
-    try:
-        return total / den  # int / int rounds correctly
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
+    sums, den = _row_sums(A)
+    return _nearest(sums[0], den) if len(set(sums)) == 1 else None
 
 
 def positivity_defect(A: WeightedOperator) -> float:

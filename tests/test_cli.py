@@ -41,6 +41,22 @@ class TestVerify:
         assert not (tmp_path / "records.jsonl").exists()
 
 
+# pairs of 1-d measures, as (point, weight) atoms, on which the flow engine and the oracle must
+# give the same bits: the flow engine sorts a pair with |A||B| <= 2(|A| + |B|) from Python lists
+# and a larger one with numpy (5+5 atoms lie above that bound, 4+4 on it and 9+1 below it);
+# round_up's distance-0 edge leaves 1/s unmatched with float(1/s) below 1/s, so the flow
+# engine's ceiling must round up; underflow's atoms 1e-200 from 0 are at distance 0.0
+AGREEING_PAIRS = {
+    "five": ([(0, "5/13"), (0.25, "1/13"), (0.5, "4/13"), (0.75, "1/13"), (1, "2/13")],
+             [(0.125, "1/11"), (0.375, "6/11"), (0.625, "1/11"), (0.875, "1/11"), (1.125, "2/11")]),
+    "four": ([(0, "4/22"), (0.125, "9/22"), (0.25, "3/22"), (0.5, "6/22")],
+             [(0, "8/19"), (0.1875, "2/19"), (0.25, "1/19"), (0.625, "8/19")]),
+    "nine_one": ([(k / 8, f"{w}/36") for k, w in enumerate([3, 1, 4, 1, 5, 9, 2, 6, 5])], [(0.4375, "1/1")]),
+    "round_up": ([(0, "1/1")], [(0, "2147483639/2147483640"), (0.015625, "1/2147483640")]),
+    "underflow": ([(0, "1/1")], [(1e-200, "7/8"), (0.5, "1/8")]),
+}
+
+
 class TestProfileAndDist:
     def test_profile_then_distances(self, capsys, tmp_path):
         dir_a = tmp_path / "a"
@@ -92,6 +108,17 @@ class TestProfileAndDist:
         _, out_flow = run(capsys, "--json", "dist", "lp", str(f1), str(f2))
         _, out_bf = run(capsys, "--json", "dist", "lp", str(f1), str(f2), "--brute-force")
         assert json.loads(out_flow)["value"] == json.loads(out_bf)["value"] == 0.5
+
+    @pytest.mark.parametrize("pair", AGREEING_PAIRS)
+    def test_flow_and_brute_force_give_the_same_bits(self, capsys, tmp_path, pair):
+        for name, atoms in zip("ab", AGREEING_PAIRS[pair]):
+            payload = {"dim": 1, "atoms": [{"p": [p], "w": w} for p, w in atoms]}
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        for x, y in ("ab", "ba"):  # the oracle enumerates the smaller side's unions only
+            files = [str(tmp_path / f"{x}.json"), str(tmp_path / f"{y}.json")]
+            _, flow = run(capsys, "--json", "dist", "lp", *files)
+            _, brute = run(capsys, "--json", "dist", "lp", *files, "--brute-force")
+            assert repr(json.loads(flow)["value"]) == repr(json.loads(brute)["value"])
 
     def test_overflowing_distances_give_one(self, capsys, tmp_path):
         # cdist overflows to inf between the two diracs; every engine answers 1.0, and the
@@ -198,7 +225,8 @@ class TestBadInput:
         (["dist", "hausdorff", "empty", "empty"],
          "actionlim dist hausdorff: error: argument dir_a: no measure files in 'empty'"),
         (["dist", "hausdorff", "no_atoms", "no_atoms"],
-         "actionlim dist hausdorff: error: argument dir_a: measure file 'no_atoms/m.json': 'atoms'"),
+         "actionlim dist hausdorff: error: argument dir_a: "
+         "measure file 'no_atoms/m.json': measure JSON has no 'atoms'"),
         (["experiment", "--config", "sizes_x.cfg"],
          "actionlim experiment: error: argument --config: config file 'sizes_x.cfg': "
          "config key 'sizes' needs integers, got 'x'"),
@@ -277,12 +305,20 @@ class TestRefusedByTheLibrary:
         (["limit", "op_entry_string.json"],
          "argument spec: operator spec 'op_entry_string.json': "
          "matrix row 0 column 0 is '1': matrix entries must be numbers"),
+        # a JSON value of the wrong shape is refused by the key it lacks or holds wrongly
+        (["dist", "lp", "line.json", "no_w.json"], "argument file_b: measure file 'no_w.json': atom 0 has no 'w'"),
+        (["dist", "lp", "list.json", "line.json"],
+         "argument file_a: measure file 'list.json': measure JSON must be an object, got list"),
+        (["limit", "op_n.json"],
+         "argument spec: operator spec 'op_n.json': operator 'n' is 7, but its matrix is 1 x 1"),
+        (["limit", "edge_list:5"], "argument spec: operator spec 'edge_list:5': unknown graph kind 'edge_list'"),
     ], ids=["sizes_empty", "sizes_repeated", "K_0", "count_negative", "strategy_unknown", "probe_not_int",
             "probe_out_of_range", "template_token", "template_token_in_config", "experiment_out_is_a_file",
             "actiondist_seed", "actiondist_count", "actiondist_K", "profile_seed", "profile_k", "profile_count",
             "profile_out_is_a_file", "measure_dim_overflows", "measure_dim_fractional", "measure_weight_overflows",
             "operator_weight_overflows", "measure_weight_bool", "operator_weight_bool", "measure_coordinate_bool",
-            "measure_coordinate_null", "operator_entry_string"])
+            "measure_coordinate_null", "operator_entry_string", "measure_atom_no_w", "measure_list", "operator_n",
+            "graph_kind_edge_list"])
     def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "template.cfg").write_text("graph_b=star:{m}\nsizes=4\ncount=2\nK=1\n")
@@ -298,6 +334,9 @@ class TestRefusedByTheLibrary:
         (tmp_path / "coord_bool.json").write_text('{"dim": 1, "atoms": [{"p": [true], "w": 1}]}')
         (tmp_path / "coord_null.json").write_text('{"dim": 1, "atoms": [{"p": [null], "w": 1}]}')
         (tmp_path / "op_entry_string.json").write_text('{"matrix": [["1"]]}')
+        (tmp_path / "no_w.json").write_text('{"dim": 1, "atoms": [{"p": [0]}]}')
+        (tmp_path / "list.json").write_text(f'[{dirac}]')
+        (tmp_path / "op_n.json").write_text('{"n": 7, "matrix": [[1]]}')
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

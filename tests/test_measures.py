@@ -14,7 +14,7 @@ from actionlim import (
     mean_abs,
     shift,
 )
-from actionlim import cli
+from actionlim import cli, measures
 from actionlim.measures import weight_ratios
 
 # dyadic coordinates make float translation exact
@@ -237,6 +237,13 @@ GOLDEN_PROFILE = {
 
 
 class TestSerialization:
+    def test_numpy_numbers_are_coordinates(self):
+        # numpy scalars are numbers (np.int64 is no int); a float64 array is taken on its dtype
+        mu = DiscreteMeasure(1, [([np.int64(1)], Fraction(1, 2)), ((np.float32(0.5),), Fraction(1, 2))])
+        assert mu.support.tolist() == [[0.5], [1.0]]
+        pts = np.array([[0.5], [1.0]])
+        assert measures.float_rows(pts, "atom {} coordinate {}", "coordinates") is pts
+
     def test_profile_json_matches_golden(self, tmp_path, capsys):
         argv = ["profile", "--graph", "star:5", "-k", "1", "--count", "4", "--seed", "1", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -293,6 +300,21 @@ class TestOperations:
                              denom=sum(m for _, m in atoms))
         exact = sum((m * abs(Fraction(x)) for m, x in zip(mu.masses, mu.points()[:, 0].tolist())), Fraction(0))
         assert mean_abs(mu, 0) == float(exact / mu.denom)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_dyadic_is_exact_over_one_power_of_two(self, xs):
+        nums, den = measures.dyadic(xs)
+        assert den & (den - 1) == 0 and all(type(k) is int for k in nums)
+        assert [Fraction(k, den) for k in nums] == [Fraction(x) for x in xs]
+
+    def test_dyadic_refuses_non_finite_as_as_integer_ratio_does(self):
+        assert measures.dyadic([]) == ([], 1)
+        assert measures.dyadic([0.5, -3.0, 0.125]) == ([4, -24, 1], 8)
+        with pytest.raises(OverflowError):
+            measures.dyadic([1.0, math.inf])
+        with pytest.raises(ValueError):
+            measures.dyadic([math.nan])
 
     @given(dyadic_measures(2), st.tuples(dyadic, dyadic))
     @settings(max_examples=50, deadline=None)
@@ -383,12 +405,32 @@ class TestRefusals:
          "atom 0 coordinate 0 is None: coordinates must be numbers"),
         (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [-10**400], "w": 1}]}),
          "atom 0 coordinate 0 is an integer past the float range"),
+        # the constructor holds the same gate as from_dict, for atoms and for a points array
+        (lambda: DiscreteMeasure(1, [([True], 1)]), "atom 0 coordinate 0 is True: coordinates must be numbers"),
+        (lambda: DiscreteMeasure(1, [(["0.5"], 1)]), "atom 0 coordinate 0 is '0.5': coordinates must be numbers"),
+        (lambda: DiscreteMeasure(2, points=[(0.0, 1.0), (0.5, None)], masses=[1, 1], denom=2),
+         "atom 1 coordinate 1 is None: coordinates must be numbers"),
+        (lambda: DiscreteMeasure(1, points=np.array([[True]]), masses=[1], denom=1),
+         "atom 0 coordinate 0 is True: coordinates must be numbers"),
+        # a JSON value of the wrong shape is refused by the key it lacks or holds wrongly
+        (lambda: DiscreteMeasure.from_json('[1, 2]'), "measure JSON must be an object, got list"),
+        (lambda: DiscreteMeasure.from_json('{"atoms": []}'), "measure JSON has no 'dim'"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1}'), "measure JSON has no 'atoms'"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": {"p": [0], "w": 1}}'),
+         "measure 'atoms' must be a list, got {'p': [0], 'w': 1}"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 1}, 3]}'),
+         "atom 1 must be an object, got int"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0]}]}'), "atom 0 has no 'w'"),
+        (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": {"x": 0}, "w": 1}]}'),
+         "coordinates must be numbers: float() argument must be a string or a real number, not 'dict'"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
             "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string",
             "json_weight_bool", "json_weight_null", "weight_float32_inf", "json_coordinate_bool",
-            "json_coordinate_string", "json_coordinate_null", "json_coordinate_huge_int"])
+            "json_coordinate_string", "json_coordinate_null", "json_coordinate_huge_int", "coordinate_bool",
+            "coordinate_string", "points_none", "points_bool_array", "json_list", "json_no_dim", "json_no_atoms",
+            "json_atoms_object", "json_atom_int", "json_atom_no_w", "json_point_object"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

@@ -90,6 +90,29 @@ Q_NORM_ENTRIES = st.one_of(
 )
 
 
+def nonnegative_norm(m, weights, q) -> float:
+    """pq_norm(A, inf, q) of a nonnegative matrix, from its row sums taken as Fractions: their
+    max at q=inf, their power sum rounded once and then its root at integer q, and q_norm of
+    the correctly rounded sums at any other q."""
+    rows = [sum(map(Fraction, row), Fraction(0)) for row in m]
+    if math.isinf(q):
+        return float(max(rows))
+    if float(q).is_integer():
+        return power_sum_norm(rows, weights, int(q))
+    return q_norm([float(r) for r in rows], weights, q)
+
+
+@st.composite
+def nonnegative_fractional_matrices(draw):
+    """A nonnegative matrix with some entry that is not an integer, and rational weights."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]), st.floats(1e-3, 1e3))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(any(not x.is_integer() for row in m for x in row))
+    raw = [Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 20))) for _ in range(n)]
+    return m, [r / sum(raw) for r in raw]
+
+
 def exact_inf_one_norm(m, weights) -> Fraction:
     """The (inf,1)-norm of an integer matrix by enumerating every sign vector in exact arithmetic."""
     return max(
@@ -184,6 +207,15 @@ class TestMatrixOwnership:
         assert m.flags.writeable
         m[0, 0] = 5.0
         assert A.matrix[0, 0] == 1.0
+
+    def test_numpy_numbers_taken(self):
+        # numpy integer and float arrays and scalars are numbers; np.int64 is no Python int
+        for m in (np.array([[1, 2], [3, 4]]), [[np.int64(1), np.float32(2)], [3, 4.0]], np.float32([[1, 2], [3, 4]])):
+            assert WeightedOperator(m).matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        sub = np.eye(2).view(type("Sub", (np.ndarray,), {}))  # a subclass is copied, not held as a view
+        A = WeightedOperator(sub)
+        sub[0, 0] = 5.0
+        assert type(A.matrix) is np.ndarray and A.matrix[0, 0] == 1.0
 
     def test_read_only_view_copied(self):
         base = np.eye(3)
@@ -395,8 +427,8 @@ class TestNorms:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 2.5, math.inf])
     def test_nonnegative_norm_is_the_q_norm_of_the_degrees(self, q):
-        # zero and -0.0 entries are nonnegative too; the power sum from the operator's masses
-        # must give q_norm's value from its Fraction weights
+        # zero and -0.0 entries are nonnegative too; the norm is that of the exact degrees (row
+        # sums) under the operator's Fraction weights
         m = np.random.default_rng(7).uniform(0.0, 2.0, size=(5, 5))
         m[1, 2] = -0.0
         m[3, :] = 0.0
@@ -405,7 +437,43 @@ class TestNorms:
             WeightedOperator(m, [Fraction(k, 15) for k in range(1, 6)]),
             WeightedOperator([[-0.0, 1.0], [3.0, 0.5]], [Fraction(1, 3), Fraction(2, 3)]),
         ):
-            assert pq_norm(A, math.inf, q) == q_norm(apply(A, np.ones(A.n)), A.weights, q)
+            assert pq_norm(A, math.inf, q) == nonnegative_norm(A.matrix.tolist(), A.weights, q)
+
+    def test_nonnegative_norm_from_exact_row_sums(self):
+        # a float sum of each row rounds: 0.6 + 0.9 + 0.3 gives 1.8000000000000003, and the
+        # (inf,1)-norm came out 1.7000000000000002 where the exact value rounds to 1.7
+        A = WeightedOperator([[0.6, 0.9, 0.3], [0.8, 0.7, 0.1], [0.4, 0.8, 0.5]])
+        assert pq_norm(A, math.inf, 1) == 1.7
+        B = WeightedOperator([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]],
+                             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+        assert pq_norm(B, math.inf, 2) == 0.6
+        # integers, but n * max|a_ij| * denom >= 2^53: a float sum gives 2^53 + 1 + 1 = 2^53
+        C = WeightedOperator([[2.0**53, 1.0, 1.0]] * 3)
+        assert pq_norm(C, math.inf, math.inf) == pq_norm(C, math.inf, 1) == 2.0**53 + 2
+        # integer rows but the last, past the first 64-row block of the integer test
+        m = np.zeros((100, 100))
+        m[99, :3] = [0.1, 0.2, 0.3]
+        assert pq_norm(WeightedOperator(m), math.inf, math.inf) == 0.6
+
+    @given(nonnegative_fractional_matrices(), st.sampled_from([1, 2, 3, math.inf]))
+    @example(([[0.6, 0.9, 0.3], [0.8, 0.7, 0.1], [0.4, 0.8, 0.5]], [Fraction(1, 3)] * 3), 1)
+    @example(([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]],
+              [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), 2)
+    @settings(max_examples=200, deadline=None)
+    def test_nonnegative_norm_matches_fraction_reference(self, case, q):
+        m, w = case
+        assert pq_norm(WeightedOperator(m, w), math.inf, q) == nonnegative_norm(m, w, q)
+
+    def test_nonnegative_norm_makes_no_n_by_n_temporary(self):
+        # the integer test behind the exact row sums runs 64 rows at a time
+        A = adjacency(GraphSpec("star", 1000))
+        tracemalloc.start()
+        try:
+            assert pq_norm(A, math.inf, 1) == 1.998
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * A.n * A.n * 8
 
     def test_adjoint_duality_exact_at_n20(self):
         A = WeightedOperator(np.random.default_rng(20).choice([-1.0, 1.0], size=(20, 20)))
@@ -668,10 +736,20 @@ class TestRefusals:
          "matrix row 0 column 1 is None: matrix entries must be numbers"),
         (lambda: WeightedOperator.from_dict({"matrix": [[10**400]]}),
          "matrix row 0 column 0 is an integer past the float range"),
+        # the constructor holds the same gate as from_dict, for lists and for arrays
+        (lambda: WeightedOperator([[True]]), "matrix row 0 column 0 is True: matrix entries must be numbers"),
+        (lambda: WeightedOperator(np.array([[True]])), "matrix row 0 column 0 is True: matrix entries must be numbers"),
+        (lambda: WeightedOperator([[0.0, "1"], [1.0, 0.0]]),
+         "matrix row 0 column 1 is '1': matrix entries must be numbers"),
+        # to_dict writes n, so an n that is not the matrix's size is refused
+        (lambda: WeightedOperator.from_dict({"n": 7, "matrix": [[1]]}), "operator 'n' is 7, but its matrix is 1 x 1"),
+        (lambda: WeightedOperator.from_dict({"n": True, "matrix": [[1]]}),
+         "operator 'n' is True, but its matrix is 1 x 1"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
             "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
             "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan", "json_entry_bool",
-            "json_entry_string", "json_entry_null", "json_entry_huge_int"])
+            "json_entry_string", "json_entry_null", "json_entry_huge_int", "entry_bool", "entry_bool_array",
+            "entry_string", "json_n_mismatch", "json_n_bool"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
