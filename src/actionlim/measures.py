@@ -20,6 +20,7 @@ __all__ = [
     "DiscreteMeasure",
     "dyadic",
     "integer_masses",
+    "weight_masses",
     "weight_ratios",
     "empirical",
     "shift",
@@ -38,10 +39,18 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
     width).  A numpy integer keeps its fixed width inside a Fraction, so the
     exact sums built from it could wrap; operator.index turns each part into a
     Python int.  Non-finite weights (a JSON 1e400 reads as inf), bools (JSON
-    true) and non-numbers (JSON null) are refused with their index.
+    true) and non-numbers (JSON null) are refused with their index; a str,
+    bytes or dict (read one character or key at a time) or a non-iterable
+    weights argument is refused whole.
     """
+    try:
+        if isinstance(weights, (str, bytes, dict)):
+            raise TypeError
+        items = iter(weights)
+    except TypeError:
+        raise ValueError(f"weights must be a sequence of numbers, got {weights!r}") from None
     ratios = []
-    for i, w in enumerate(weights):
+    for i, w in enumerate(items):
         try:
             if isinstance(w, bool):  # Fraction(True) is 1, but JSON true is no weight
                 raise TypeError
@@ -50,7 +59,7 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
             else:
                 f = w if isinstance(w, Fraction) else Fraction(w)  # Fraction(w) would copy a Fraction
                 n, d = f.numerator, f.denominator
-        except (OverflowError, ValueError, TypeError):  # inf overflows, nan is a ValueError, None a TypeError
+        except (OverflowError, ValueError, TypeError, ZeroDivisionError):  # inf, nan, None, "1/0"
             raise ValueError(f"weight {i} is {w!r}: weights must be finite numbers") from None
         ratios.append((operator.index(n), operator.index(d)))
     return ratios
@@ -95,20 +104,29 @@ def float_rows(rows, where: str, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be numbers: {exc}") from None
 
 
+def weight_masses(weights: Iterable) -> tuple[list[int], int]:
+    """Nonnegative weights as integer masses over the lcm of their denominators.
+
+    Each weight is read by `weight_ratios`; a negative one is refused with its
+    index.  Returns (masses, denom) with weight i = masses[i] / denom, both
+    Python ints; the weights need not sum to 1.
+    """
+    ratios = weight_ratios(weights)
+    for i, (n, d) in enumerate(ratios):
+        if n < 0:
+            raise ValueError(f"weight {i} is {Fraction(n, d)}: weights must be nonnegative")
+    denom = math.lcm(*(d for _, d in ratios))
+    return [n * (denom // d) for n, d in ratios], denom
+
+
 def integer_masses(weights: Iterable) -> tuple[list[int], int]:
     """Probability weights as integer masses over one denominator.
 
-    Each weight is read by `weight_ratios`.  Returns (masses, denom) with
+    The weights are read by `weight_masses`.  Returns (masses, denom) with
     weight i = masses[i] / denom, where the masses are nonnegative Python
-    ints with gcd 1.  Non-finite weights, negative weights and weights not
-    summing to exactly 1 are refused.
+    ints with gcd 1.  Weights not summing to exactly 1 are refused.
     """
-    ratios = weight_ratios(weights)
-    for n, d in ratios:
-        if n < 0:
-            raise ValueError(f"negative weight {Fraction(n, d)}: weights must be positive or zero")
-    denom = math.lcm(*(d for _, d in ratios))
-    masses = [n * (denom // d) for n, d in ratios]
+    masses, denom = weight_masses(weights)
     if sum(masses) != denom:
         raise ValueError(f"weights sum to {Fraction(sum(masses), denom)}, expected exactly 1")
     g = math.gcd(*masses)

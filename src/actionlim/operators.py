@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import dyadic, float_rows, integer_masses, weight_ratios
+from .measures import dyadic, float_rows, integer_masses, weight_masses
 
 __all__ = [
     "WeightedOperator",
@@ -199,13 +199,10 @@ def _edge_set(spec: GraphSpec) -> list[tuple[int, int]]:
     if spec.kind == "edge_list":
         return [(min(u, v), max(u, v)) for u, v in spec.edges]
     if spec.kind == "erdos_renyi":
-        rng = np.random.default_rng(spec.seed)
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < spec.p:
-                    edges.append((i, j))
-        return edges
+        # one draw per vertex pair i < j, in row-major order, all from one call
+        i, j = np.triu_indices(n, 1)
+        keep = np.random.default_rng(spec.seed).random(len(i)) < spec.p
+        return list(zip(i[keep].tolist(), j[keep].tolist()))
     raise AssertionError(spec.kind)
 
 
@@ -308,7 +305,7 @@ def parse_operator_spec(spec: str) -> WeightedOperator:
             i_star = _int_field(i_s, "index")
             return signed_limit(adjacency(_parse_graph_spec(inner)), i_star, sign)
         return adjacency(_parse_graph_spec(spec))
-    except (ValueError, TypeError, OSError) as exc:  # TypeError: a JSON value of the wrong type
+    except (ValueError, OSError) as exc:
         raise ValueError(f"operator spec {spec!r}: {exc}") from exc
 
 
@@ -349,104 +346,89 @@ def apply(A: WeightedOperator, f: Sequence[float]) -> np.ndarray:
 def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     """Weighted q-norm (sum_i w_i |f_i|^q)^(1/q); essential sup for q=inf.
 
-    Each weight is read as a Python-int ratio by `weight_ratios`, and the
-    weights go over the lcm of their denominators as integer masses.  The
-    norm is then taken by `_mass_norm`, whose exact core `_dyadic_norm`
-    `pq_norm` also calls with an operator's row sums and masses.
+    The entries of f are numbers (`float_rows`), and the weights become
+    integer masses (`weight_masses`).  The norm is that of `_norm` on the
+    |f_i| read exactly by `dyadic`: correctly rounded at q=inf and at
+    integer q.  An entry with zero weight counts at no q.
 
-    Refused with a ValueError that names the input: an infinite or NaN
-    weight, a negative weight, and whatever `_mass_norm` refuses.
+    Refused with a ValueError that names the input: an f or weights that is
+    no sequence of numbers, an infinite, NaN or negative weight, a NaN
+    entry (the max at q=inf would depend on the order), an infinite entry at
+    finite q, and whatever `_norm` refuses.
     """
     if not q >= 1:  # NaN fails it too
         raise ValueError(f"q must be >= 1, got q={q!r}")
-    v = [float(x) for x in f]
-    ratios = weight_ratios(weights)
-    if len(v) != len(ratios):
+    v = float_rows([f], "entry {1} of f", "entries of f")
+    if v.ndim != 2:
+        raise ValueError(f"f must be a sequence of numbers, got {f!r}")
+    v = v[0].tolist()
+    masses, denom = weight_masses(weights)
+    if len(v) != len(masses):
         raise ValueError("length mismatch between vector and weights")
-    for i, (n, d) in enumerate(ratios):
-        if n < 0:
-            raise ValueError(f"weight {i} is {Fraction(n, d)}: weights must be nonnegative")
-    denom = math.lcm(*(d for _, d in ratios))
-    return _mass_norm(v, [n * (denom // d) for n, d in ratios], denom, q)
-
-
-def _mass_norm(v: list[float], masses: Sequence[int], denom: int, q: float) -> float:
-    """Weighted q-norm of the floats v, entry i weighted masses[i] / denom.
-
-    The masses and denom are nonnegative Python ints, and q >= 1.  Integer q
-    takes the exact core `_dyadic_norm` on the |v_i| read by `dyadic`.  Other
-    q sum in float64, weight i as the correctly rounded masses[i] / denom.
-
-    Refused with a ValueError that names the input: a NaN entry (the max at
-    q=inf would depend on the order), an infinite entry at finite q, what
-    `_dyadic_norm` refuses at integer q, and at other q a power sum that
-    rounds to inf, or to 0 while some weighted entry is nonzero (its q-th
-    root would be inf or 0, not the norm).
-    """
     for i, x in enumerate(v):
         if math.isnan(x):
             raise ValueError(f"entry {i} of f is nan: a NaN entry has no norm")
         if math.isinf(x) and not math.isinf(q):
             raise ValueError(f"entry {i} of f is {x!r}: finite q={q!r} needs finite entries")
-    if math.isinf(q):
-        return max((abs(x) for x in v), default=0.0)
-    if float(q).is_integer():
-        return _dyadic_norm(*dyadic([abs(x) for x in v]), masses, denom, q)
-    try:
-        mean = float(sum(m / denom * abs(x) ** q for x, m in zip(v, masses)))
-    except OverflowError:  # a float power past the float range
-        mean = math.inf
-    if mean == math.inf or (mean == 0.0 and any(x and m for x, m in zip(v, masses))):
-        raise ValueError(f"the power sum of f at q={q!r} is outside the float range")
-    return mean ** (1.0 / q)
+    if any(math.isinf(x) and m for x, m in zip(v, masses)):  # only at q=inf: the sup
+        return math.inf
+    # an entry of zero weight counts at no q, so an infinite one is read as 0
+    return _norm(*dyadic([abs(x) if m else 0.0 for x, m in zip(v, masses)]), masses, denom, q)
 
 
-def _dyadic_norm(nums: list[int], den: int, masses: Sequence[int], denom: int, q: float) -> float:
-    """Weighted q-norm, correctly rounded, of the exact values nums[i] / den, weighted
-    masses[i] / denom: all nonnegative Python ints, den > 0, q an integer >= 1 or inf.
+def _norm(nums: list[int], den: int, masses: Sequence[int], denom: int, q: float) -> float:
+    """Weighted q-norm of the exact values nums[i] / den, value i weighted masses[i] / denom.
 
-    At q=inf it is the largest value, an infinity past the float range (where a float sum
-    of the values would overflow too).  At integer q the power sum is one exact integer
-    over one denominator; the quotient is rounded to the nearest float once, and for q > 1
-    its q-th root taken.  A quotient that rounds to inf, or to 0 while some weighted entry
-    is nonzero, is scaled by 2^(q*s) instead, s chosen so that the integer q-th root of the
-    scaled quotient has about 57 bits; that root over 2^s gives the norm correctly rounded.
-    A norm at integer q that still rounds to inf or to 0 is refused with a ValueError.
+    nums and masses are nonnegative Python ints, den a power of two, denom > 0 and q >= 1.
+    The path is chosen from q here, once:
+    - q=inf: the largest value with positive mass, correctly rounded; an infinity past the
+      float range.
+    - integer q: the power sum is one exact integer over one denominator, and the norm the
+      integer q-th root of it scaled by 2^(q*s), over 2^s, s chosen so that the root has
+      about 57 bits: the one rounding, to the float nearest the exact norm, is the last step.
+    - any other q: the power sum in float64, weight i as the correctly rounded
+      masses[i] / denom and value i as the correctly rounded nums[i] / den.
+    Refused with a ValueError: a norm at integer q that rounds to inf, or to 0 while some
+    weighted value is nonzero; at other q a power sum that does so (its q-th root would be
+    inf or 0, not the norm).
     """
     if math.isinf(q):
-        return _nearest(max(nums, default=0), den)
+        return _nearest(max((n for n, m in zip(nums, masses) if m), default=0), den)
+    if not float(q).is_integer():
+        try:
+            mean = sum(m / denom * (n / den) ** q for n, m in zip(nums, masses))
+        except OverflowError:  # a value or its float power past the float range
+            mean = math.inf
+        if mean == math.inf or (mean == 0.0 and any(n and m for n, m in zip(nums, masses))):
+            raise ValueError(f"the power sum of f at q={q!r} is outside the float range")
+        return mean ** (1.0 / q)
     qi = int(q)
     total = sum(m * n**qi for m, n in zip(masses, nums))
-    scale = denom * den**qi
+    if not total:
+        return 0.0
+    # r = floor of the norm times 2^s, from the power sum times 2^(q*s) by Newton's method;
+    # s puts r near 2^56, at least 2 bits past a float's 53, so no float rounding boundary
+    # lies strictly between r and r + 1, and (r + 1/2) / 2^s (r / 2^s if r is the exact
+    # root) rounds to the norm's float.  den is 2^e, so the power sum times 2^(q*s) is
+    # total * 2^shift / denom, shift = q*(s - e), and only denom divides
+    e = den.bit_length() - 1
+    log_norm = (math.log2(total) - math.log2(denom)) / qi - e
+    s = 56 - math.floor(log_norm)
+    shift = qi * (s - e)
+    big = (total << shift if shift >= 0 else total >> -shift) // denom
+    r = int(2.0 ** (log_norm + s))
+    r = ((qi - 1) * r + big // r ** (qi - 1)) // qi  # >= floor(big^(1/q)), by AM-GM
+    while (lower := ((qi - 1) * r + big // r ** (qi - 1)) // qi) < r:
+        r = lower
+    power = r**qi * denom
+    exact = power == total << shift if shift >= 0 else power << -shift == total
+    odd = 2 * r + (not exact)
     try:
-        norm = (total / scale) ** (1.0 / q)  # int / int rounds correctly; x ** 1.0 is x
-    except OverflowError:  # an int quotient past the float range
+        norm = odd / (1 << s + 1) if s >= -1 else float(odd << -s - 1)  # rounds correctly
+    except OverflowError:  # the norm itself past the float range
         norm = math.inf
-    if norm == math.inf or (norm == 0.0 and total):  # the power sum left the float range
-        # r = floor of the norm times 2^s, from the power sum times 2^(q*s) by Newton's
-        # method; s puts r near 2^56, at least 2 bits past a float's 53, so no float
-        # rounding boundary lies strictly between r and r + 1, and (r + 1/2) / 2^s
-        # (r / 2^s if r is the exact root) rounds to the norm's float.  scale is
-        # denom * 2^(q*e), so the power sum times 2^(q*s) is total * 2^shift / denom,
-        # shift = q*(s - e), and only denom divides
-        e = den.bit_length() - 1
-        log_norm = (math.log2(total) - math.log2(denom)) / qi - e
-        s = 56 - math.floor(log_norm)
-        shift = qi * (s - e)
-        big = (total << shift if shift >= 0 else total >> -shift) // denom
-        r = int(2.0 ** (log_norm + s))
-        r = ((qi - 1) * r + big // r ** (qi - 1)) // qi  # >= floor(big^(1/q)), by AM-GM
-        while (lower := ((qi - 1) * r + big // r ** (qi - 1)) // qi) < r:
-            r = lower
-        power = r**qi * denom
-        exact = power == total << shift if shift >= 0 else power << -shift == total
-        odd = 2 * r + (not exact)
-        try:
-            norm = odd / (1 << s + 1) if s >= -1 else float(odd << -s - 1)  # rounds correctly
-        except OverflowError:  # the norm itself past the float range
-            norm = math.inf
-        if norm in (0.0, math.inf):
-            raise ValueError(f"the norm of f at q={q!r} is outside the float range")
+    if norm in (0.0, math.inf):
+        raise ValueError(f"the norm of f at q={q!r} is outside the float range")
     return norm
 
 
@@ -525,12 +507,10 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
     """Operator (p,q)-norm in the supported regimes.
 
     Supported: (a) entrywise-nonnegative A with p=inf and any q >= 1,
-    where the norm is the weighted q-norm of A's exact row sums
-    (`_row_sums`), weighted by A's integer masses: correctly rounded at
-    integer q and q=inf, where the sums go to the exact core q_norm also
-    calls (`_dyadic_norm`); at other q the correctly rounded sums are summed
-    in float64 (`_mass_norm`).  A norm or power sum outside the float range
-    is refused with a ValueError; (b) any A with
+    where the norm is `_norm` of A's exact row sums (`_row_sums`) under A's
+    integer masses, the core q_norm also calls: correctly rounded at q=inf
+    and integer q, and summed in float64 at other q; a norm or power sum
+    outside the float range is refused with a ValueError; (b) any A with
     p=inf, q=1 and n <= 20, by enumeration over sign vectors in blocks of
     low-sign sums built by doubling, plus one offset per code of the high
     signs (_sup_inf_to_1).  That is exact for integer-valued A with
@@ -542,10 +522,7 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
         if not value >= 1:  # NaN fails it too
             raise ValueError(f"{name} must be >= 1, got {name}={value!r}")
     if math.isinf(p) and A.matrix.min() >= 0:  # the matrix is finite, so no NaN entry
-        sums, den = _row_sums(A)
-        if math.isinf(q) or float(q).is_integer():
-            return _dyadic_norm(sums, den, A.masses, A.denom, q)
-        return _mass_norm([_nearest(s, den) for s in sums], A.masses, A.denom, q)
+        return _norm(*_row_sums(A), A.masses, A.denom, q)
     if math.isinf(p) and q == 1:
         return _sup_inf_to_1(A)
     raise UnsupportedNormError(

@@ -396,6 +396,10 @@ class TestRefusals:
         (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 0.5}, {"p": [1], "w": null}]}'),
          "weight 1 is None: weights must be finite numbers"),
         (lambda: integer_masses([np.float32("inf")]), f"weight 0 is {np.float32('inf')!r}: weights must be finite numbers"),
+        # one reader, one message for a negative weight, and a weights argument read whole
+        (lambda: integer_masses([Fraction(3, 2), Fraction(-1, 2)]), "weight 1 is -1/2: weights must be nonnegative"),
+        (lambda: integer_masses(5), "weights must be a sequence of numbers, got 5"),
+        (lambda: integer_masses(b"1"), "weights must be a sequence of numbers, got b'1'"),
         # np.asarray reads JSON true and "0.5" as numbers and null as nan, and overflows on a huge integer
         (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [True], "w": 1}]}),
          "atom 0 coordinate 0 is True: coordinates must be numbers"),
@@ -427,7 +431,8 @@ class TestRefusals:
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
             "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string",
-            "json_weight_bool", "json_weight_null", "weight_float32_inf", "json_coordinate_bool",
+            "json_weight_bool", "json_weight_null", "weight_float32_inf", "weight_negative", "weights_int",
+            "weights_bytes", "json_coordinate_bool",
             "json_coordinate_string", "json_coordinate_null", "json_coordinate_huge_int", "coordinate_bool",
             "coordinate_string", "points_none", "points_bool_array", "json_list", "json_no_dim", "json_no_atoms",
             "json_atoms_object", "json_atom_int", "json_atom_no_w", "json_point_object"])

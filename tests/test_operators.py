@@ -70,10 +70,14 @@ def power_sum(f, weights, q: int) -> Fraction:
     return sum((Fraction(w) * abs(Fraction(x)) ** q for x, w in zip(f, weights)), Fraction(0))
 
 
-def power_sum_norm(f, weights, q: int) -> float:
-    """The weighted q-norm from its power sum taken as one Fraction."""
-    total = power_sum(f, weights, q)
-    return float(total) if q == 1 else float(total) ** (1.0 / q)
+def rounds_root(z: float, total: Fraction, q: int) -> bool:
+    """Whether z is the float nearest the q-th root of total, ties to even: the midpoints lo
+    and hi between z and its neighbours bracket the root, and a root on a midpoint needs z's
+    last bit even."""
+    lo = (Fraction(z) + Fraction(math.nextafter(z, 0.0))) / 2
+    hi = Fraction(z) + Fraction(math.ulp(z)) / 2  # the largest float's upper midpoint too
+    even = Fraction(z) / Fraction(math.ulp(z)) % 2 == 0
+    return lo**q < total < hi**q or (even and total in (lo**q, hi**q))
 
 
 def log_norm(f, weights, q: int) -> float:
@@ -81,6 +85,13 @@ def log_norm(f, weights, q: int) -> float:
     total = power_sum(f, weights, q)
     return (math.log(total.numerator) - math.log(total.denominator)) / q if total else -math.inf
 
+
+# any JSON value, nested a little
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6,
+)
 
 # every float class q_norm must take exactly: signed zeros, subnormals, normals and entries near the top
 Q_NORM_ENTRIES = st.one_of(
@@ -90,23 +101,24 @@ Q_NORM_ENTRIES = st.one_of(
 )
 
 
-def nonnegative_norm(m, weights, q) -> float:
-    """pq_norm(A, inf, q) of a nonnegative matrix, from its row sums taken as Fractions: their
-    max at q=inf, their power sum rounded once and then its root at integer q, and q_norm of
-    the correctly rounded sums at any other q."""
+def is_nonnegative_norm(got: float, m, weights, q) -> bool:
+    """Whether got is pq_norm(A, inf, q) of a nonnegative matrix, from its row sums taken as
+    Fractions: their max at q=inf, the correctly rounded root of their power sum at integer q,
+    and q_norm of the correctly rounded sums at any other q."""
     rows = [sum(map(Fraction, row), Fraction(0)) for row in m]
     if math.isinf(q):
-        return float(max(rows))
+        return got == float(max(rows))
     if float(q).is_integer():
-        return power_sum_norm(rows, weights, int(q))
-    return q_norm([float(r) for r in rows], weights, q)
+        return rounds_root(got, power_sum(rows, weights, int(q)), int(q))
+    return got == q_norm([float(r) for r in rows], weights, q)
 
 
 @st.composite
 def nonnegative_fractional_matrices(draw):
     """A nonnegative matrix with some entry that is not an integer, and rational weights."""
     n = draw(st.integers(1, 6))
-    entry = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]), st.floats(1e-3, 1e3))
+    # 1e300 and 1e-200 take the power sum out of the float range at q >= 2
+    entry = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1e300, 1e-200]), st.floats(1e-3, 1e3))
     m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     assume(any(not x.is_integer() for row in m for x in row))
     raw = [Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 20))) for _ in range(n)]
@@ -130,7 +142,7 @@ class TestWeightedOperator:
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="sum"):
             WeightedOperator(np.eye(2), [Fraction(1, 2), Fraction(1, 3)])
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="weight 1 is -1/2: weights must be nonnegative"):
             WeightedOperator(np.eye(2), [Fraction(3, 2), Fraction(-1, 2)])
 
     def test_matrix_immutable(self):
@@ -292,6 +304,15 @@ class TestGraphs:
         assert np.array_equal(A.matrix, parse_operator_spec("er:12:0.5").matrix)
         assert np.array_equal(A.matrix, parse_operator_spec(A.name).matrix)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 101])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_erdos_renyi_edges_from_one_draw(self, n, p, seed):
+        # the one draw consumes the stream of one rng.random() per pair i < j, in row-major order
+        rng = np.random.default_rng(seed)
+        loop = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        assert operators._edge_set(GraphSpec("erdos_renyi", n, p=p, seed=seed)) == loop
+
     @pytest.mark.parametrize("seed", [None, 1.5, "3"])
     def test_erdos_renyi_seed_must_be_an_integer(self, seed):
         # a seed of None would draw a new graph on each call, and 1.5 would label a graph no spec names
@@ -437,7 +458,7 @@ class TestNorms:
             WeightedOperator(m, [Fraction(k, 15) for k in range(1, 6)]),
             WeightedOperator([[-0.0, 1.0], [3.0, 0.5]], [Fraction(1, 3), Fraction(2, 3)]),
         ):
-            assert pq_norm(A, math.inf, q) == nonnegative_norm(A.matrix.tolist(), A.weights, q)
+            assert is_nonnegative_norm(pq_norm(A, math.inf, q), A.matrix.tolist(), A.weights, q)
 
     def test_nonnegative_norm_from_exact_row_sums(self):
         # a float sum of each row rounds: 0.6 + 0.9 + 0.3 gives 1.8000000000000003, and the
@@ -447,6 +468,9 @@ class TestNorms:
         B = WeightedOperator([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]],
                              [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
         assert pq_norm(B, math.inf, 2) == 0.6
+        # the power sum 1801/60 rounded before its cube root gives 3.0693711701638917, one ulp low
+        D = WeightedOperator([[-0.0, 1.0], [3.0, 0.5]], [Fraction(1, 3), Fraction(2, 3)])
+        assert pq_norm(D, math.inf, 3) == 3.069371170163892
         # integers, but n * max|a_ij| * denom >= 2^53: a float sum gives 2^53 + 1 + 1 = 2^53
         C = WeightedOperator([[2.0**53, 1.0, 1.0]] * 3)
         assert pq_norm(C, math.inf, math.inf) == pq_norm(C, math.inf, 1) == 2.0**53 + 2
@@ -455,14 +479,17 @@ class TestNorms:
         m[99, :3] = [0.1, 0.2, 0.3]
         assert pq_norm(WeightedOperator(m), math.inf, math.inf) == 0.6
 
-    @given(nonnegative_fractional_matrices(), st.sampled_from([1, 2, 3, math.inf]))
+    @given(nonnegative_fractional_matrices(), st.sampled_from([1, 2, 3, 4, 7, math.inf]))
     @example(([[0.6, 0.9, 0.3], [0.8, 0.7, 0.1], [0.4, 0.8, 0.5]], [Fraction(1, 3)] * 3), 1)
     @example(([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]],
               [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), 2)
+    # the power sum 1801/60 was rounded, then its cube root: 3.0693711701638917, one ulp low
+    @example(([[-0.0, 1.0], [3.0, 0.5]], [Fraction(1, 3), Fraction(2, 3)]), 3)
+    @example(([[1e300, 0.5], [1e-200, 0.0]], [Fraction(1, 3), Fraction(2, 3)]), 2)
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_norm_matches_fraction_reference(self, case, q):
         m, w = case
-        assert pq_norm(WeightedOperator(m, w), math.inf, q) == nonnegative_norm(m, w, q)
+        assert is_nonnegative_norm(pq_norm(WeightedOperator(m, w), math.inf, q), m, w, q)
 
     def test_nonnegative_norm_makes_no_n_by_n_temporary(self):
         # the integer test behind the exact row sums runs 64 rows at a time
@@ -582,10 +609,7 @@ class TestNorms:
     ])
     def test_q_norm_outside_float_range_is_correctly_rounded(self, f, w, q):
         # the exact power sum lies between the q-th powers of the midpoints around the answer
-        z = q_norm(f, w, q)
-        lo = (Fraction(z) + Fraction(math.nextafter(z, 0.0))) / 2
-        hi = (Fraction(z) + Fraction(math.nextafter(z, math.inf))) / 2
-        assert lo**q <= power_sum(f, w, q) <= hi**q
+        assert rounds_root(q_norm(f, w, q), power_sum(f, w, q), q)
 
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("z, q", [(1e300, 2), (1e-200, 3), (1e-201, 3)])  # even, even, odd last bits
@@ -613,7 +637,7 @@ class TestNorms:
 
     @given(
         st.lists(st.tuples(Q_NORM_ENTRIES, st.fractions(min_value=0, max_denominator=10**6)), max_size=8),
-        st.integers(1, 4),
+        st.sampled_from([1, 2, 3, 4, 7]),
     )
     @example([(-0.0, Fraction(1))], 1)
     @example([(5e-324, Fraction(1, 2)), (2.2250738585072014e-308, Fraction(1, 2))], 1)
@@ -622,28 +646,27 @@ class TestNorms:
     @example([(1e-200, Fraction(1, 2))], 2)  # the power sum rounds to 0, the norm does not
     @example([(5e-324, Fraction(1, 3))], 1)  # refused: the norm (the mean at q=1) rounds to 0
     @example([(1e300, Fraction(10**20))], 2)  # refused: the norm is past the largest float
+    # 3.069371170163892; the root of the power sum 1801/60 rounded first is one ulp low
+    @example([(1.0, Fraction(1, 3)), (3.5, Fraction(2, 3))], 3)
     @settings(max_examples=300, deadline=None)
     def test_q_norm_is_the_fraction_power_sum(self, entries, q):
-        # a power sum inside the float range: the bits of its rounded root; outside it, the
-        # norm to 1e-12 relative (or to the least subnormal), or a refusal where the norm is
-        # itself outside the float range
+        # the correctly rounded root of the exact power sum, in the float range or out of it, or
+        # a refusal where the norm is itself outside the float range
         f, w = [x for x, _ in entries], [v for _, v in entries]
         try:
-            want = power_sum_norm(f, w, q)
-        except OverflowError:
-            want = math.inf
-        if want == math.inf or (want == 0.0 and any(x and v for x, v in zip(f, w))):
+            got = q_norm(f, w, q)
+        except ValueError as exc:
+            assert "is outside the float range" in str(exc)
             log_want = log_norm(f, w, q)
-            try:
-                got = q_norm(f, w, q)
-            except ValueError as exc:
-                assert "is outside the float range" in str(exc)
-                assert log_want > math.log(sys.float_info.max) - 1e-12 or log_want < math.log(5e-324) + 1e-12
-                return
-            assert got == pytest.approx(math.exp(log_want), rel=1e-12, abs=5e-324)
+            assert log_want > math.log(sys.float_info.max) - 1e-12 or log_want < math.log(5e-324) + 1e-12
             return
-        got = q_norm(f, w, q)
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert rounds_root(got, power_sum(f, w, q), q) and math.copysign(1.0, got) == 1.0
+
+    def test_q_norm_inf_ignores_zero_weight_entries(self):
+        # the essential sup: an entry with zero weight counts at q=inf as at every other q
+        assert q_norm([5.0, 1.0], [0, 1], math.inf) == 1.0
+        assert q_norm([math.inf, 1.0], [0, 1], math.inf) == 1.0
+        assert q_norm([math.inf, 1.0], [1, 0], math.inf) == math.inf
 
 
 class TestStructure:
@@ -745,12 +768,49 @@ class TestRefusals:
         (lambda: WeightedOperator.from_dict({"n": 7, "matrix": [[1]]}), "operator 'n' is 7, but its matrix is 1 x 1"),
         (lambda: WeightedOperator.from_dict({"n": True, "matrix": [[1]]}),
          "operator 'n' is True, but its matrix is 1 x 1"),
+        # a weights argument that is no sequence, or a string read one character at a time
+        (lambda: WeightedOperator([[1.0]], 5), "weights must be a sequence of numbers, got 5"),
+        (lambda: q_norm([1.0], 5, 1), "weights must be a sequence of numbers, got 5"),
+        (lambda: q_norm([3.0, 4.0], "11", 1), "weights must be a sequence of numbers, got '11'"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[2.0]], "weights": "1"}),
+         "weights must be a sequence of numbers, got '1'"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[2.0]], "weights": {"1": 0}}),
+         "weights must be a sequence of numbers, got {'1': 0}"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[2.0]], "weights": ["1/0"]}),
+         "weight 0 is '1/0': weights must be finite numbers"),
+        # the entries of f pass the gate of matrix entries
+        (lambda: q_norm("12", [0.5, 0.5], 1), "f must be a sequence of numbers, got '12'"),
+        (lambda: q_norm([1.0, True], [0.5, 0.5], 1), "entry 1 of f is True: entries of f must be numbers"),
+        (lambda: q_norm([None], [1], math.inf), "entry 0 of f is None: entries of f must be numbers"),
+        (lambda: q_norm(["1"], [1], 2), "entry 0 of f is '1': entries of f must be numbers"),
+        (lambda: q_norm([10**400], [1], 2), "entry 0 of f is an integer past the float range"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
             "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
             "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan", "json_entry_bool",
             "json_entry_string", "json_entry_null", "json_entry_huge_int", "entry_bool", "entry_bool_array",
-            "entry_string", "json_n_mismatch", "json_n_bool"])
+            "entry_string", "json_n_mismatch", "json_n_bool", "operator_weights_int", "q_norm_weights_int",
+            "q_norm_weights_string", "json_weights_string", "json_weights_object", "json_weight_zero_denominator",
+            "q_norm_f_string", "q_norm_entry_bool", "q_norm_entry_null", "q_norm_entry_string",
+            "q_norm_entry_huge_int"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+    @given(st.dictionaries(st.sampled_from(["matrix", "weights", "n", "name"]), st.one_of(
+        JSON_VALUES,
+        st.lists(st.lists(st.one_of(JSON_VALUES, st.floats()), max_size=3), max_size=3),
+        st.lists(st.one_of(st.fractions().map(str), st.floats(), JSON_VALUES), max_size=3),
+    )))
+    @example({"matrix": [[1.0]], "weights": 5})
+    @example({"matrix": [[1.0]], "weights": ["1/0"]})
+    @example({"matrix": {"a": 1}})
+    @example({"matrix": [{"a": 1}]})
+    @example({"matrix": [[1.0], 2]})
+    @settings(max_examples=300, deadline=None)
+    def test_operator_json_refused_only_by_value_error(self, d):
+        # any JSON value in any field: an operator, or a ValueError, never another exception
+        try:
+            WeightedOperator.from_dict(d)
+        except ValueError:
+            pass
