@@ -66,10 +66,10 @@ class HausdorffResult:
     witness: tuple[int, int]
     # candidates = gap_skips + pairs, pairs = prunes + exact; a candidate is a visited
     # (i, j) whose distance was not yet known; pushes (along single opened edges),
-    # augmentations (along longer tree paths), rebuilds (breadth-first trees grown) and
-    # breakpoints (sweep steps whose flow was tested) and edges_sorted (candidate edges
-    # at positive distance the sweep put in order; distance-0 edges open unsorted) are
-    # summed over the pairs
+    # augmentations (along longer tree paths), rebuilds (breadth-first trees a search
+    # used; a tree is built only when a search needs one) and breakpoints (sweep steps
+    # whose flow was tested) and edges_sorted (candidate edges at positive distance the
+    # sweep put in order; distance-0 edges open unsorted) are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -77,9 +77,12 @@ class _Pair:
     """One (mu, nu) pair as an incremental max-flow in Python ints: source ->
     A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
     sink (nu's masses), all masses over one common scale; `dist` is the caller's
-    cdist(mu.points(), nu.points()).  It counts its direct pushes, its tree-path
-    augmentations, the breadth-first trees it builds, and the breakpoints
-    `_distance_upto` tests on it and the edges it puts in order."""
+    cdist(mu.points(), nu.points()).  The breadth-first tree of the search is
+    built only when a search needs it: a push batch or an augmentation changes
+    the residuals it was built on and marks it stale, and the next search builds
+    it afresh.  The pair counts its direct pushes, its tree-path augmentations,
+    the trees its searches used, and the breakpoints `_distance_upto` tests on
+    it and the edges it puts in order."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -90,12 +93,13 @@ class _Pair:
         self.flow = 0
         self.dist = dist
         self.pushes = self.augmentations = self.rebuilds = self.breakpoints = self.edges_sorted = 0
-        self._new_tree()
+        self.stale = True  # no tree yet: the first search builds one
 
     def _new_tree(self) -> None:
         # breadth-first tree from the source: reach_a[i] is -1 (the source) or the B-atom
         # that reached A_i, reach_b[j] the A-atom that reached B_j
         self.rebuilds += 1
+        self.stale = False
         self.reach_a = [-1 if c else None for c in self.src]
         self.reach_b: list[int | None] = [None] * len(self.snk)
         self.scanned = [0] * len(self.src)  # out-edges of each A-atom searched
@@ -104,10 +108,14 @@ class _Pair:
     def open(self, edges) -> None:
         """Add A -> B edges, pushing min(src[i], snk[j]) straight along each one
         (source -> A_i -> B_j -> sink is an augmenting path).  A push changes
-        residuals the tree was built on, so a batch with one ends in a new tree;
-        otherwise a reached A-atom resumes its search from its new edges (the
-        queue holds only reached A-atoms with edges left to scan)."""
-        src, snk, into, out, reach_a, queue = self.src, self.snk, self.into, self.out, self.reach_a, self.queue
+        residuals the tree was built on, so a batch with one leaves the tree
+        stale, for the next search to build afresh over every opened edge;
+        otherwise a reached A-atom of a current tree resumes its search from
+        its new edges (the queue holds only reached A-atoms with edges left to
+        scan)."""
+        src, snk, into, out = self.src, self.snk, self.into, self.out
+        tree = not self.stale
+        reach_a, queue = (self.reach_a, self.queue) if tree else (None, None)
         pushes = flow = 0
         for i, j in edges:
             out[i].append(j)
@@ -117,15 +125,18 @@ class _Pair:
                 into[j][i] = push
                 flow += push
                 pushes += 1
-            elif reach_a[i] is not None:
+            elif tree and reach_a[i] is not None:
                 queue.append(i)
         if pushes:
             self.pushes += pushes
             self.flow += flow
-            self._new_tree()
+            self.stale = True
 
     def _search(self) -> int | None:
-        """Grow the tree until it reaches a B-atom with residual sink capacity."""
+        """Grow the tree, built first if stale, until it reaches a B-atom with
+        residual sink capacity."""
+        if self.stale:
+            self._new_tree()
         out, into, reach_a, reach_b, scanned, queue, snk = (
             self.out, self.into, self.reach_a, self.reach_b, self.scanned, self.queue, self.snk)
         while queue:
@@ -160,7 +171,7 @@ class _Pair:
                     del self.into[b][i]
             self.flow += push
             self.augmentations += 1
-            self._new_tree()
+            self.stale = True
         return self.flow
 
 
@@ -376,8 +387,8 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
 
 
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
-              known: np.ndarray, counts: dict):
-    """sup over a of inf over b of d_LP(a, b), with witness indices.
+              known: np.ndarray, counts: dict, floor: float = -1.0):
+    """max(floor, sup over a of inf over b of d_LP(a, b)), with witness indices.
 
     Candidate b's are tried starting at the index paired with a; each is
     dropped as soon as it is shown not to lower the current best cur.
@@ -393,8 +404,16 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
     as soon as cur <= the running sup (early break, Taha & Hanbury, TPAMI
     2015): its inf is at most cur, and the sup moves only on a strictly larger
     row, so value and witness are those of the full loop.
+
+    The running sup starts at floor, so a row also ends once cur <= floor.
+    Where the directed sup exceeds floor, value and witness are still those of
+    the full loop: a row whose inf is <= floor cannot attain that sup, and a
+    row whose inf is above floor never meets the floor (cur is never below
+    the inf), so it is scanned as before.  Where no row exceeds floor, the
+    result is (floor, (0, 0)).  `hausdorff` passes the forward value as the
+    reverse pass's floor (at the default -1 every row counts).
     """
-    best_val = -1.0
+    best_val = floor
     best_witness = (0, 0)
     for i, a in enumerate(A):
         order = itertools.chain([i], range(i), range(i + 1, len(B))) if i < len(B) else range(len(B))
@@ -435,7 +454,8 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     The two directed passes share one (len(A), len(B)) array of exact
     distances; the reverse pass reads its transpose, so a distance computed in
     one pass is not recomputed in the other.  A pair skipped or pruned in one
-    pass is settled afresh, by its gap or a flow, if the other visits it.
+    pass is settled afresh, by its gap or a flow, if the other visits it.  The
+    reverse pass starts its running sup at the forward value (`_directed`'s floor).
     """
     A, B = list(A), list(B)
     if not A or not B:
@@ -447,7 +467,7 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     counts = dict.fromkeys(("candidates", "gap_skips", "pairs", "prunes", "exact",
                             "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"), 0)
     left, w_left = _directed(A, B, known, counts)
-    right, w_right = _directed(B, A, known.T, counts)
+    right, w_right = _directed(B, A, known.T, counts, left)
     if left >= right:
         return HausdorffResult(left, "left", w_left, counts)
     return HausdorffResult(right, "right", (w_right[1], w_right[0]), counts)

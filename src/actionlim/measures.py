@@ -34,14 +34,16 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
     """Each weight as (numerator, denominator) in lowest terms, both Python ints.
 
     Each weight is taken through Fraction (ints, floats at their exact binary
-    value, Fractions, "num/den" strings), a numpy float through its exact
-    as_integer_ratio (Fraction takes float64, a float subclass, but no other
-    width).  A numpy integer keeps its fixed width inside a Fraction, so the
-    exact sums built from it could wrap; operator.index turns each part into a
-    Python int.  Non-finite weights (a JSON 1e400 reads as inf), bools (JSON
-    true) and non-numbers (JSON null) are refused with their index; a str,
-    bytes or dict (read one character or key at a time) or a non-iterable
-    weights argument is refused whole.
+    value, Fractions, integer, plain decimal and "num/den" strings), a numpy
+    float through its exact as_integer_ratio (Fraction takes float64, a float
+    subclass, but no other width).  A numpy integer keeps its fixed width
+    inside a Fraction, so the exact sums built from it could wrap;
+    operator.index turns each part into a Python int.  Non-finite weights (a
+    JSON 1e400 reads as inf), bools (JSON true) and non-numbers (JSON null)
+    are refused with their index, and so is a string with an exponent
+    ("1e999999999"), which Fraction would expand into an exact int of that
+    many digits; a str, bytes or dict (read one character or key at a time)
+    or a non-iterable weights argument is refused whole.
     """
     try:
         if isinstance(weights, (str, bytes, dict)):
@@ -51,6 +53,8 @@ def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
         raise ValueError(f"weights must be a sequence of numbers, got {weights!r}") from None
     ratios = []
     for i, w in enumerate(items):
+        if isinstance(w, str) and ("e" in w or "E" in w):
+            raise ValueError(f"weight {i} is {w!r}: weight strings must have no exponent")
         try:
             if isinstance(w, bool):  # Fraction(True) is 1, but JSON true is no weight
                 raise TypeError
@@ -145,8 +149,11 @@ class DiscreteMeasure:
     equal points, drops zero masses and sorts the rows lexicographically
     (-0.0 stored as 0.0), so equal measures have equal fields.  The merge is
     one exact pass over index arrays: one lexsort of every row, then one
-    `np.add.reduceat` over the masses held as Python ints, so no mass
-    overflows at any size; a point whose merged mass is 0 is dropped after.
+    `np.add.reduceat` over the masses.  Masses are summed as int64 when
+    denom < 2**63, where every partial sum is at most denom and so fits, and
+    as Python ints above, so no mass overflows at any size; either way they
+    are stored as Python ints.  A point whose merged mass is 0 is dropped
+    after.
     Non-finite coordinates are rejected, since NaN atoms would never merge,
     and so is a coordinate that is no number (`float_rows`).
     """
@@ -191,13 +198,14 @@ class DiscreteMeasure:
                 raise ValueError(f"{len(masses)} masses for {len(pts)} points")
             if min(masses, default=0) < 0 or sum(masses) != denom or denom < 1:
                 raise ValueError(f"masses must be nonnegative and sum to denom {denom} >= 1")
-        mass = np.array(masses, dtype=object)  # Python ints, exact at any size
+        # each mass and every partial sum is <= denom, so int64 is exact below 2**63
+        mass = np.array(masses, dtype=np.int64 if denom < 2**63 else object)
         # lexicographic; a column-major points array (as measure_of passes) gives contiguous keys
         order = np.lexsort(pts.T[::-1])
-        pts = pts[order] + 0.0  # + 0.0 turns -0.0 into 0.0
+        pts = pts.take(order, axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
         first = np.ones(len(order), dtype=bool)
         first[1:] = (pts[1:] != pts[:-1]).any(axis=1)  # rows that start a run of equal points
-        merged = np.add.reduceat(mass[order], np.flatnonzero(first)).tolist()
+        merged = np.add.reduceat(mass.take(order), np.flatnonzero(first)).tolist()
         pts = pts[first]
         if 0 in merged:  # points that carry no mass
             pts = pts[[m != 0 for m in merged]]

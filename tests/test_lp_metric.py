@@ -388,6 +388,14 @@ def measure_set_pair(draw):
     return draw(pick), draw(pick)
 
 
+def forward_counts(A, B):
+    """The counts of hausdorff's forward pass alone."""
+    counts = dict.fromkeys(("candidates", "gap_skips", "pairs", "prunes", "exact",
+                            "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"), 0)
+    lp_metric._directed(A, B, np.full((len(A), len(B)), np.nan), counts)
+    return counts
+
+
 def assert_counts_add_up(c):
     assert c["candidates"] == c["gap_skips"] + c["pairs"]
     assert c["pairs"] == c["prunes"] + c["exact"]
@@ -492,31 +500,51 @@ class TestHausdorff:
         assert res.counts["prunes"] == 1
         assert res == unpruned_hausdorff(A, B)
 
-    def test_reverse_pass_settles_forward_skips_afresh(self):
+    def test_tie_ends_reverse_rows_at_their_known_values(self):
         # A[0] = 1/4 at 0.0625 + 3/4 at 0.5625, A[1] = dirac(0.0625); B[0] = 1/4 at 0.0625
         # + 3/4 at 0.5, B[1] = dirac(0.25).  Forward: row 0 computes B[0] (0.0625) and
         # gap-skips B[1] (gap 0.1875); row 1 computes B[1] (0.1875), then B[0] shares an
-        # atom with A[1] (gap 0) but sits at d_LP 0.4375, so it is pruned.  Reverse: row
-        # B[0] has A[0] known (cur = 0.0625) and meets the forward prune A[1] with cur
-        # finite: gap 0 < cur, so a pair is built and pruned again; row B[1] has A[1] known
-        # (0.1875) and gap-skips A[0] again (gap 0.1875 >= cur).  Sup 0.1875 both ways, a
-        # tie the left side wins.  Pair (0, 0) pushes at breakpoints 0 and 0.0625 and stops
-        # at 0.4375 (two pushes, three trees, two breakpoints tested); the exact dirac pair
-        # pushes once (two trees, two breakpoints); each prune opens only the distance-0 edge,
-        # pushes 1/4 along it and fails the one test at its ceiling (two trees, one breakpoint).
-        # Edges sorted: the distance-0 edges open first and are never sorted, and their flow
-        # 1/4 lowers each pair's ceiling to at most 3/4, so pair (0, 0) sorts its 3 positive
-        # distances (all below 3/4), the dirac pair its 1, and each prune none (its one
-        # positive distance, 0.4375, is above its ceiling).
+        # atom with A[1] (gap 0) but sits at d_LP 0.4375, so it is pruned.  Sup 0.1875.
+        # Reverse, with its running sup started at 0.1875: row B[0] ends at its known
+        # first candidate A[0] (0.0625) and row B[1] at its known A[1] (0.1875), so the
+        # forward skip and prune are never visited again.  Sup 0.1875 both ways, a tie the
+        # left side wins.  (A reverse pass that settles a forward prune afresh, where
+        # right > left, is test_forward_prune_is_computed_exactly_in_reverse.)  Pair (0, 0)
+        # pushes 1/4 along its distance-0 edge, then at breakpoint 0.0625, and stops at
+        # 0.4375 (two pushes, two trees, two breakpoints tested); the exact dirac pair
+        # pushes once (two trees: one searched at breakpoint 0 before any edge opens, one
+        # after the push; two breakpoints); the prune opens only the distance-0 edge,
+        # pushes 1/4 along it and fails the one test at its ceiling (one tree, one
+        # breakpoint).  Edges sorted: the distance-0 edges open first and are never
+        # sorted, and their flow 1/4 lowers each pair's ceiling to at most 3/4, so pair
+        # (0, 0) sorts its 3 positive distances (all below 3/4), the dirac pair its 1, and
+        # the prune none (its one positive distance, 0.4375, is above its ceiling).
         A = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5625,), Fraction(3, 4))]), dirac(0.0625)]
         B = [DiscreteMeasure(1, [((0.0625,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))]), dirac(0.25)]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.1875, "left", (1, 1))
         assert res == unpruned_hausdorff(A, B)
-        assert res.counts == {"candidates": 6, "gap_skips": 2, "pairs": 4, "prunes": 2, "exact": 2,
-                              "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 6,
+        assert res.counts == {"candidates": 4, "gap_skips": 1, "pairs": 3, "prunes": 1, "exact": 2,
+                              "pushes": 4, "augmentations": 0, "rebuilds": 5, "breakpoints": 5,
                               "edges_sorted": 4}
+        assert res.counts == forward_counts(A, B)  # the reverse pass visits no unknown candidate
         assert_counts_add_up(res.counts)
+
+    def test_tie_reverse_rows_end_past_a_larger_known_value(self):
+        # diracs A at 0, 0.75, 0.5 and B at 0.5, 0.25.  Forward: row 0 computes B[0] (0.5)
+        # and B[1] (0.25); row 1 computes B[1] (0.5), then B[0] (0.25) ties the sup and
+        # ends the row; row 2 computes B[0] (0) and ends.  Sup 0.25.  Reverse, with its
+        # running sup started at 0.25: row B[0] reads A[0] (0.5), then A[1] (0.25) and
+        # ends there, before A[2]; row B[1] reads A[1] (0.5), then A[0] (0.25) and ends
+        # there, before A[2], whose distance was never computed (a reverse pass started
+        # at -1 would visit it, and gap-skip it).  Sup 0.25 both ways: the left side wins.
+        A = [dirac(0.0), dirac(0.75), dirac(0.5)]
+        B = [dirac(0.5), dirac(0.25)]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.25, "left", (0, 1))
+        assert res == unpruned_hausdorff(A, B)
+        assert res.counts == forward_counts(A, B)
+        assert res.counts["candidates"] == res.counts["exact"] == 5
 
     def test_counts_on_a_hand_sized_example(self):
         # forward row A[0] = dirac(0): B[0] is exact (0.25) and sets cur; B[1] straddles 0,
@@ -526,8 +554,9 @@ class TestHausdorff:
         # row with cur = inf, so the forward prune of B[3] is settled afresh.  Every pair
         # opens its edges in one batch and pushes along each of them directly: one push per
         # pair, but two for B[1]'s two half atoms, and no longer tree path is left to augment.
-        # Each pair builds one tree up front and one after its batch of pushes, and
-        # tests two breakpoints: 0 and the one distance at which its edges open.  Each sorts
+        # Each pair searches two trees, one at breakpoint 0 before any edge opens and one
+        # after its batch of pushes, and tests two breakpoints: 0 and the one distance at
+        # which its edges open.  Each sorts
         # its edges below 1 (at or below cur for the prune): one, but two for B[1]; B[3]'s
         # edge at distance 1.0 is never a candidate.
         B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
@@ -545,21 +574,25 @@ class TestHausdorff:
         # first candidate B[1] is 0.1875, above the sup, so the row goes on to B[0] (0);
         # a break on cur <= 1.5 * sup would stop it at 0.1875.  Row 2's first candidate
         # B[2] is 0.125, a tie with the sup, so the row breaks after it; a break on
-        # cur < sup would go on and gap-skip B[0] and B[1].  Reverse: row B[0] breaks at
-        # its known A[1] (0) by the cur == 0 clause, as the pass has no sup yet, so A[2]
-        # is never visited; row B[1] has A[1] and A[0] known and gap-skips A[2] (gap
-        # 0.375 >= 0.125): sup 0.125, a tie the left side wins; row B[2] breaks at its
-        # known first candidate A[2] (0.125).  Every pair is two diracs: one push, two
-        # trees, two breakpoints and one edge sorted, but the pair at distance 0 tests one
-        # breakpoint and sorts nothing, as its edge opens before the sweep sorts any.
+        # cur < sup would go on and gap-skip B[0] and B[1].  Reverse, with its running
+        # sup started at the forward 0.125: row B[0] reads its known A[0] (0.3125) and
+        # breaks at its known A[1] (0), so A[2] is never visited; row B[1] reads A[1]
+        # (0.1875) and breaks at A[0] (0.125), before A[2], which a pass started at -1
+        # would gap-skip; row B[2] breaks at its known first candidate A[2] (0.125).  So
+        # the reverse pass visits no unknown candidate: sup 0.125, a tie the left side
+        # wins.  Every pair is two diracs: one push, two trees (one searched at breakpoint
+        # 0 before its edge opens, one after the push), two breakpoints and one edge
+        # sorted, but the pair at distance 0 pushes along its edge before the sweep, so it
+        # searches one tree, tests one breakpoint and sorts nothing.
         A = [dirac(0.0), dirac(0.3125), dirac(0.5)]
         B = [dirac(0.3125), dirac(0.125), dirac(0.375)]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.125, "left", (0, 1))
         assert res == unpruned_hausdorff(A, B)
-        assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 0, "exact": 5,
-                              "pushes": 5, "augmentations": 0, "rebuilds": 10, "breakpoints": 9,
+        assert res.counts == {"candidates": 6, "gap_skips": 1, "pairs": 5, "prunes": 0, "exact": 5,
+                              "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 9,
                               "edges_sorted": 4}
+        assert res.counts == forward_counts(A, B)
         assert_counts_add_up(res.counts)
 
 
@@ -708,6 +741,23 @@ class TestFlowEngine:
         assert pair.scale == 21
         assert flows == [7, 15]
         assert (pair.pushes, pair.augmentations) == (2, 1)
+
+    def test_trees_are_built_when_a_search_needs_one(self):
+        # a fresh pair has no tree; one push batch then max_flow builds one, and a second
+        # max_flow with nothing opened in between searches the same tree
+        pair = new_pair(empirical([(0.0,), (1.0,)]), empirical([(0.0,), (1.0,)]))
+        assert pair.rebuilds == 0
+        pair.open([(0, 0), (1, 1)])
+        assert (pair.pushes, pair.rebuilds) == (2, 0)
+        assert pair.max_flow() == pair.scale
+        assert pair.max_flow() == pair.scale
+        assert pair.rebuilds == 1
+        # the reroute below: each batch's push and the augmentation leave the tree stale,
+        # and the search after each builds one, three in all
+        pair, _ = self.flows_after_batches(
+            [Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)],
+            [[(0, 2), (0, 0)], [(1, 2)]])
+        assert (pair.pushes, pair.augmentations, pair.rebuilds) == (2, 1, 3)
 
     def test_push_is_capped_by_both_ends(self):
         # scale 4: src (3, 1), snk (2, 2); A0 -> B0 carries only B0's 2, leaving 1 of A0

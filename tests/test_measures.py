@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -65,6 +66,10 @@ class TestConstruction:
     def test_string_weights(self):
         mu = DiscreteMeasure(1, [((0.0,), "1/3"), ((1.0,), "2/3")])
         assert mu.mass((1.0,)) == Fraction(2, 3)
+        # integer, plain decimal and num/den strings read exactly; a JSON 1e-3 is a float,
+        # read at its binary value, so only a string is refused for its exponent
+        assert weight_ratios(json.loads('["12", "0.125", "3/4", 1e-3]')) == [
+            (12, 1), (1, 8), (3, 4), (0.001).as_integer_ratio()]
 
     def test_empirical_uniform(self):
         mu = empirical([(0.0,), (1.0,), (2.0,)])
@@ -194,6 +199,34 @@ def raw_atoms(draw):
     return dim, points, masses
 
 
+def dict_canonical(points, masses, denom):
+    """Reference merge in Python ints: a dict keyed on row tuples (-0.0 + 0.0 is 0.0,
+    so the two zeros share a key), zero masses dropped, rows sorted, masses reduced by
+    their gcd: (support rows, masses, denom)."""
+    merged = {}
+    for row, m in zip(points, masses):
+        key = tuple(x + 0.0 for x in row)
+        merged[key] = merged.get(key, 0) + m
+    rows = sorted(key for key, m in merged.items() if m)
+    g = math.gcd(*(merged[key] for key in rows))
+    return [list(key) for key in rows], tuple(merged[key] // g for key in rows), denom // g
+
+
+@st.composite
+def int64_edge_atoms(draw):
+    """(dim, points, masses, denom) with denom just below 2^63, at or just above it, or
+    small: the masses split denom at sorted cuts, so a repeated cut gives a zero mass,
+    over few coordinates, so rows repeat and -0.0 meets 0.0."""
+    dim = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 10))
+    denom = draw(st.one_of(st.integers(2**63 - 16, 2**63 - 1), st.integers(2**63, 2**63 + 16),
+                           st.integers(1, 12)))
+    cuts = sorted(draw(st.lists(st.integers(0, denom), min_size=m - 1, max_size=m - 1)))
+    masses = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denom])]
+    points = [[draw(coordinate) for _ in range(dim)] for _ in range(m)]
+    return dim, points, masses, denom
+
+
 class TestMergeReference:
     @given(raw_atoms())
     @settings(max_examples=150, deadline=None)
@@ -210,6 +243,14 @@ class TestMergeReference:
         weights = [Fraction(m, sum(masses)) for m in masses]
         mu = DiscreteMeasure(dim, zip(points, weights))
         assert (mu.support.tobytes(), mu.masses, mu.denom) == list_canonical(dim, points, *integer_masses(weights))
+        assert all(type(m) is int for m in mu.masses)
+
+    @given(int64_edge_atoms())
+    @settings(max_examples=150, deadline=None)
+    def test_merge_matches_python_int_reference_at_the_int64_edge(self, atoms):
+        dim, points, masses, denom = atoms
+        mu = DiscreteMeasure(dim, points=points, masses=masses, denom=denom)
+        assert (mu.support.tolist(), mu.masses, mu.denom) == dict_canonical(points, masses, denom)
         assert all(type(m) is int for m in mu.masses)
 
     def test_huge_masses_merge_exactly(self):
@@ -396,6 +437,11 @@ class TestRefusals:
         (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0], "w": 0.5}, {"p": [1], "w": null}]}'),
          "weight 1 is None: weights must be finite numbers"),
         (lambda: integer_masses([np.float32("inf")]), f"weight 0 is {np.float32('inf')!r}: weights must be finite numbers"),
+        # Fraction expands a decimal exponent into an exact int, 10^100000 here
+        (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [0.0], "w": "1e100000"}]}),
+         "weight 0 is '1e100000': weight strings must have no exponent"),
+        (lambda: DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"p": [0.0], "w": "1/2"}, {"p": [1.0], "w": "1E5"}]}),
+         "weight 1 is '1E5': weight strings must have no exponent"),
         # one reader, one message for a negative weight, and a weights argument read whole
         (lambda: integer_masses([Fraction(3, 2), Fraction(-1, 2)]), "weight 1 is -1/2: weights must be nonnegative"),
         (lambda: integer_masses(5), "weights must be a sequence of numbers, got 5"),
@@ -431,7 +477,8 @@ class TestRefusals:
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
             "json_weight_overflows", "dim_bool", "dim_float", "dim_fractional", "dim_string",
-            "json_weight_bool", "json_weight_null", "weight_float32_inf", "weight_negative", "weights_int",
+            "json_weight_bool", "json_weight_null", "weight_float32_inf", "json_weight_exponent",
+            "json_weight_exponent_upper", "weight_negative", "weights_int",
             "weights_bytes", "json_coordinate_bool",
             "json_coordinate_string", "json_coordinate_null", "json_coordinate_huge_int", "coordinate_bool",
             "coordinate_string", "points_none", "points_bool_array", "json_list", "json_no_dim", "json_no_atoms",

@@ -778,6 +778,11 @@ class TestRefusals:
          "weights must be a sequence of numbers, got {'1': 0}"),
         (lambda: WeightedOperator.from_dict({"matrix": [[2.0]], "weights": ["1/0"]}),
          "weight 0 is '1/0': weights must be finite numbers"),
+        # Fraction expands a decimal exponent into an exact int, 10^100000 here
+        (lambda: WeightedOperator.from_dict({"matrix": [[2.0]], "weights": ["1e100000"]}),
+         "weight 0 is '1e100000': weight strings must have no exponent"),
+        (lambda: WeightedOperator.from_dict({"matrix": [[0.0, 1.0], [1.0, 0.0]], "weights": ["1/2", "1E5"]}),
+         "weight 1 is '1E5': weight strings must have no exponent"),
         # the entries of f pass the gate of matrix entries
         (lambda: q_norm("12", [0.5, 0.5], 1), "f must be a sequence of numbers, got '12'"),
         (lambda: q_norm([1.0, True], [0.5, 0.5], 1), "entry 1 of f is True: entries of f must be numbers"),
@@ -790,6 +795,7 @@ class TestRefusals:
             "json_entry_string", "json_entry_null", "json_entry_huge_int", "entry_bool", "entry_bool_array",
             "entry_string", "json_n_mismatch", "json_n_bool", "operator_weights_int", "q_norm_weights_int",
             "q_norm_weights_string", "json_weights_string", "json_weights_object", "json_weight_zero_denominator",
+            "json_weight_exponent", "json_weight_exponent_upper",
             "q_norm_f_string", "q_norm_entry_bool", "q_norm_entry_null", "q_norm_entry_string",
             "q_norm_entry_huge_int"])
     def test_refused(self, call, message):
