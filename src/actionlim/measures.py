@@ -108,6 +108,16 @@ def float_rows(rows, where: str, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be numbers: {exc}") from None
 
 
+def float_vector(v, where: str, what: str) -> np.ndarray:
+    """One vector read by `float_rows` as a single row, entry j named by where.format(0, j).
+
+    An ndarray is passed as a one-row view, so an integer or float one is still converted on
+    its dtype alone; anything else is wrapped in a list, so its entries are read one by one.
+    The result has v's shape (a vector's is (n,)), left to the callers' shape checks.
+    """
+    return float_rows(v[None] if isinstance(v, np.ndarray) else [v], where, what)[0]
+
+
 def weight_masses(weights: Iterable) -> tuple[list[int], int]:
     """Nonnegative weights as integer masses over the lcm of their denominators.
 
@@ -145,15 +155,19 @@ class DiscreteMeasure:
     positive integers with gcd 1 and denom is their sum.  The constructor takes
     either (point, weight) atoms, whose weights it turns into integer masses
     by `integer_masses`, or a points array with nonnegative integer masses
-    summing to denom.  Both then take one canonicalisation path: it merges
+    summing to denom.  Those masses are read one by one, except a 1-D integer
+    ndarray (as `profiles.measure_of` passes), which is checked in two
+    reductions: one `min` and one sum over Python ints, which cannot
+    overflow.  Both forms then take one canonicalisation path: it merges
     equal points, drops zero masses and sorts the rows lexicographically
     (-0.0 stored as 0.0), so equal measures have equal fields.  The merge is
     one exact pass over index arrays: one lexsort of every row, then one
-    `np.add.reduceat` over the masses.  Masses are summed as int64 when
-    denom < 2**63, where every partial sum is at most denom and so fits, and
-    as Python ints above, so no mass overflows at any size; either way they
-    are stored as Python ints.  A point whose merged mass is 0 is dropped
-    after.
+    `np.add.reduceat` over the masses, skipped when no two sorted rows are
+    equal (the sorted masses are then the merged ones).  Masses are summed
+    as int64 when denom < 2**63, where every partial sum is at most denom
+    and so fits, and as Python ints above, so no mass overflows at any size;
+    either way they are stored as Python ints.  A point whose merged mass is
+    0 is dropped after.
     Non-finite coordinates are rejected, since NaN atoms would never merge,
     and so is a coordinate that is no number (`float_rows`).
     """
@@ -193,30 +207,44 @@ class DiscreteMeasure:
         if atoms is not None:
             masses, denom = integer_masses([w for _, w in atoms])
         else:
-            masses = list(map(operator.index, masses))
+            array = isinstance(masses, np.ndarray) and masses.ndim == 1 and masses.dtype.kind in "iu"
+            if not array:
+                masses = list(map(operator.index, masses))
             if len(masses) != len(pts):
                 raise ValueError(f"{len(masses)} masses for {len(pts)} points")
-            if min(masses, default=0) < 0 or sum(masses) != denom or denom < 1:
+            if array:  # two reductions; a sum over Python ints cannot overflow
+                low, total = masses.min(initial=0), sum(masses.tolist())
+            else:
+                low, total = min(masses, default=0), sum(masses)
+            if low < 0 or total != denom or denom < 1:
                 raise ValueError(f"masses must be nonnegative and sum to denom {denom} >= 1")
         # each mass and every partial sum is <= denom, so int64 is exact below 2**63
-        mass = np.array(masses, dtype=np.int64 if denom < 2**63 else object)
+        # (an int64 array is taken as it is)
+        mass = np.asarray(masses, dtype=np.int64) if denom < 2**63 else np.array(masses, dtype=object)
         # lexicographic; a column-major points array (as measure_of passes) gives contiguous keys
         order = np.lexsort(pts.T[::-1])
-        pts = pts.take(order, axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (pts[1:] != pts[:-1]).any(axis=1)  # rows that start a run of equal points
-        merged = np.add.reduceat(mass.take(order), np.flatnonzero(first)).tolist()
-        pts = pts[first]
+        pts = pts.take(order, axis=0)
+        pts += 0.0  # turns -0.0 into 0.0, in place on the gathered copy
+        mass = mass.take(order)
+        new = (pts[1:] != pts[:-1]).any(axis=1)  # row i + 1 starts a run of equal points
+        if new.all():  # no point repeats: the gathered masses are the merged ones
+            merged = mass.tolist()
+        else:
+            first = np.concatenate(([True], new))
+            merged = np.add.reduceat(mass, np.flatnonzero(first)).tolist()
+            pts = pts[first]
         if 0 in merged:  # points that carry no mass
             pts = pts[[m != 0 for m in merged]]
             merged = [m for m in merged if m]
         g = math.gcd(*merged)
+        if g != 1:
+            # a list, not a generator: tuple() resizes as a generator yields, and with a
+            # generator here perfbench star read 1.6 MB more peak RSS
+            merged = [m // g for m in merged]
         pts.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "support", pts)
-        # a list, not a generator: tuple() resizes as a generator yields, and with a
-        # generator here perfbench star read 1.6 MB more peak RSS
-        object.__setattr__(self, "masses", tuple([m // g for m in merged]))
+        object.__setattr__(self, "masses", tuple(merged))
         object.__setattr__(self, "denom", denom // g)
 
     def __eq__(self, other):

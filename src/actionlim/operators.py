@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import dyadic, float_rows, integer_masses, weight_masses
+from .measures import dyadic, float_rows, float_vector, integer_masses, weight_masses
 
 __all__ = [
     "WeightedOperator",
@@ -115,6 +115,33 @@ class WeightedOperator:
         if not all(np.array_equal(c, np.round(c)) for c in (m[i : i + 64] for i in range(0, self.n, 64))):
             return math.inf
         return self.n * int(max(-m.min(), m.max())) * self.denom
+
+    @cached_property
+    def _mass_array(self) -> np.ndarray | tuple[int, ...]:
+        """The masses as one read-only int64 array if denom < 2^63, else the masses tuple.
+
+        Every mass is at most denom, so the array holds each exactly; `profiles.measure_of`
+        hands it to every measure it builds, whose constructor checks it in two reductions.
+        """
+        if self.denom >= 2**63:
+            return self.masses
+        a = np.array(self.masses, dtype=np.int64)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def _row_sums(self) -> tuple[tuple[int, ...], int]:
+        """The exact row sums, as integers over one power-of-two denominator.
+
+        Each row is read by `dyadic` on its own, so its sum is an integer over a power of two
+        and the largest of these is common to all; row by row, no n x n list is made.
+        Computed once per operator, for `pq_norm` and `c_regularity`.
+        """
+        if self._integer_bound < 2**53:  # every partial sum is an integer a float64 holds
+            return tuple(int(x) for x in (self.matrix @ np.ones(self.n)).tolist()), 1
+        rows = [(sum(nums), den) for nums, den in (dyadic(row.tolist()) for row in self.matrix)]
+        den = max(d for _, d in rows)
+        return tuple(s * (den // d) for s, d in rows), den
 
     @property
     def weights_float(self) -> np.ndarray:
@@ -337,7 +364,8 @@ def _parse_graph_spec(spec: str) -> GraphSpec:
 
 
 def apply(A: WeightedOperator, f: Sequence[float]) -> np.ndarray:
-    v = np.asarray(f, dtype=float)
+    """Af; an entry of f that is no number is refused with its index (`float_vector`)."""
+    v = float_vector(f, "entry {1} of f", "entries of f")
     if v.shape != (A.n,):
         raise ValueError(f"vector length {v.shape} does not match n={A.n}")
     return A.matrix @ v
@@ -440,19 +468,6 @@ def _nearest(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _row_sums(A: WeightedOperator) -> tuple[list[int], int]:
-    """A's exact row sums, as integers over one power-of-two denominator.
-
-    Each row is read by `dyadic` on its own, so its sum is an integer over a power of two
-    and the largest of these is common to all; row by row, no n x n list is made.
-    """
-    if A._integer_bound < 2**53:  # every partial sum is an integer a float64 holds
-        return [int(x) for x in (A.matrix @ np.ones(A.n)).tolist()], 1
-    rows = [(sum(nums), den) for nums, den in (dyadic(row.tolist()) for row in A.matrix)]
-    den = max(d for _, d in rows)
-    return [s * (den // d) for s, d in rows], den
-
-
 def _sup_inf_to_1(A: WeightedOperator) -> float:
     """Sup over f in {-1,1}^n of the weighted 1-norm of Af.
 
@@ -507,13 +522,14 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
     """Operator (p,q)-norm in the supported regimes.
 
     Supported: (a) entrywise-nonnegative A with p=inf and any q >= 1,
-    where the norm is `_norm` of A's exact row sums (`_row_sums`) under A's
-    integer masses, the core q_norm also calls: correctly rounded at q=inf
-    and integer q, and summed in float64 at other q; a norm or power sum
-    outside the float range is refused with a ValueError; (b) any A with
-    p=inf, q=1 and n <= 20, by enumeration over sign vectors in blocks of
-    low-sign sums built by doubling, plus one offset per code of the high
-    signs (_sup_inf_to_1).  That is exact for integer-valued A with
+    where the norm is `_norm` of A's exact row sums (`WeightedOperator._row_sums`,
+    kept per operator) under A's integer masses, the core q_norm also
+    calls: correctly rounded at q=inf and integer q, and summed in float64
+    at other q; a norm or power sum outside the float range is refused with
+    a ValueError; (b) any A with p=inf, q=1 and n <= 20, by enumeration
+    over sign vectors in blocks of low-sign sums built by doubling, plus one
+    offset per code of the high signs (_sup_inf_to_1).  That is exact for
+    integer-valued A with
     bound = n * max|a_ij| * denom < 2^53, its sums taken in float32 when
     bound <= 2^24 and in float64 above, and float64 for any other A.
     Other regimes raise UnsupportedNormError.
@@ -522,7 +538,7 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
         if not value >= 1:  # NaN fails it too
             raise ValueError(f"{name} must be >= 1, got {name}={value!r}")
     if math.isinf(p) and A.matrix.min() >= 0:  # the matrix is finite, so no NaN entry
-        return _norm(*_row_sums(A), A.masses, A.denom, q)
+        return _norm(*A._row_sums, A.masses, A.denom, q)
     if math.isinf(p) and q == 1:
         return _sup_inf_to_1(A)
     raise UnsupportedNormError(
@@ -532,8 +548,11 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
 
 
 def bilinear(A: WeightedOperator, f: Sequence[float], g: Sequence[float]) -> float:
-    """Weighted bilinear form: expectation of (Af) * g (exact accumulation)."""
-    gf = np.asarray(g, dtype=float)
+    """Weighted bilinear form: expectation of (Af) * g (exact accumulation).
+
+    f and g are read as `apply` reads f, so an entry that is no number is refused with its index.
+    """
+    gf = float_vector(g, "entry {1} of g", "entries of g")
     if gf.shape != (A.n,):
         raise ValueError(f"vector length {gf.shape} does not match n={A.n}")
     (na, da), (nb, db) = dyadic(apply(A, f).tolist()), dyadic(gf.tolist())
@@ -573,10 +592,11 @@ def c_regularity(A: WeightedOperator) -> Optional[float]:
     """Eigenvalue c of the all-ones vector, correctly rounded, if every row of A
     sums to exactly c; else None.
 
-    The row sums are exact (`_row_sums`); one past the float range rounds to
-    an infinity of its sign.
+    The row sums are exact (`WeightedOperator._row_sums`, kept per operator, so
+    `pq_norm` reads the same ones); one past the float range rounds to an
+    infinity of its sign.
     """
-    sums, den = _row_sums(A)
+    sums, den = A._row_sums
     return _nearest(sums[0], den) if len(set(sums)) == 1 else None
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lp_metric import hausdorff
-from .measures import DiscreteMeasure, mean_abs
+from .measures import DiscreteMeasure, float_rows, float_vector, mean_abs
 from .operators import WeightedOperator
 
 __all__ = [
@@ -156,10 +156,17 @@ class DistanceReport:
 
 
 def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMeasure:
-    """Joint distribution of (f_1..f_k, Af_1..Af_k) over weighted coordinates."""
-    F = np.asarray(fs, dtype=float)
-    if F.ndim == 1:
-        F = F[None, :]
+    """Joint distribution of (f_1..f_k, Af_1..Af_k) over weighted coordinates.
+
+    fs is a (k, n) array or k rows, or one vector as k = 1; an entry that is no number
+    is refused with its index by `float_rows` (a float64 array is taken as it is).  The
+    measure gets the operator's masses as one cached int64 array
+    (`WeightedOperator._mass_array`), which `DiscreteMeasure` checks in two reductions.
+    """
+    where, what = "test vector {} entry {}", "test vector entries"
+    F = float_rows(fs, where, what)
+    if F.ndim == 1:  # one vector: read again as one row, so that its entries are checked
+        F = float_vector(fs, where, what)[None, :]
     if F.ndim != 2:
         raise ValueError(f"test vectors must form a vector or a (k, n) array, got an array of shape {F.shape}")
     k, n = F.shape
@@ -169,7 +176,7 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
         raise ValueError("test vector entries must lie in [-1, 1]")
     Y = F @ A.matrix.T  # row i: A f_i evaluated at each coordinate
     # atom j: the point (F[:, j], Y[:, j]) with the mass of coordinate j
-    return DiscreteMeasure(2 * k, points=np.concatenate((F, Y)).T, masses=A.masses, denom=A.denom)
+    return DiscreteMeasure(2 * k, points=np.concatenate((F, Y)).T, masses=A._mass_array, denom=A.denom)
 
 
 def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) -> ProfileSample:

@@ -227,6 +227,23 @@ def int64_edge_atoms(draw):
     return dim, points, masses, denom
 
 
+@st.composite
+def mass_array_atoms(draw):
+    """(dim, points, masses, denom, dtype) for an int64 or uint64 mass array: denom small,
+    just below 2^63 or anywhere below it, split at sorted cuts (so zero masses), over rows
+    that may repeat (with -0.0 beside 0.0) or, with distinct first coordinates, may not."""
+    dim = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 10))
+    denom = draw(st.one_of(st.integers(1, 12), st.integers(2**63 - 16, 2**63 - 1), st.integers(1, 2**63 - 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, denom), min_size=m - 1, max_size=m - 1)))
+    masses = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denom])]
+    points = [[draw(coordinate) for _ in range(dim)] for _ in range(m)]
+    if draw(st.booleans()):  # no two rows equal
+        for i, row in enumerate(points):
+            row[0] = i - 0.5
+    return dim, points, masses, denom, draw(st.sampled_from([np.int64, np.uint64]))
+
+
 class TestMergeReference:
     @given(raw_atoms())
     @settings(max_examples=150, deadline=None)
@@ -252,6 +269,39 @@ class TestMergeReference:
         mu = DiscreteMeasure(dim, points=points, masses=masses, denom=denom)
         assert (mu.support.tolist(), mu.masses, mu.denom) == dict_canonical(points, masses, denom)
         assert all(type(m) is int for m in mu.masses)
+
+    @given(mass_array_atoms())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_mass_array_gives_the_list_fields(self, atoms):
+        # an int64 or uint64 array is checked in two reductions, not read element by element
+        dim, points, masses, denom, dtype = atoms
+        mu = DiscreteMeasure(dim, points=points, masses=np.array(masses, dtype=dtype), denom=denom)
+        ref = DiscreteMeasure(dim, points=points, masses=masses, denom=denom)
+        assert (mu.support.tobytes(), mu.masses, mu.denom) == (ref.support.tobytes(), ref.masses, ref.denom)
+        assert all(type(m) is int for m in mu.masses) and type(mu.denom) is int
+
+    def test_integer_mass_array_past_int64_merges_exactly(self):
+        masses = np.array([2**63, 1, 1], dtype=np.uint64)  # denom 2^63 + 2 takes the Python-int merge
+        mu = DiscreteMeasure(1, points=[[0.0], [1.0], [-0.0]], masses=masses, denom=2**63 + 2)
+        assert mu.support.tolist() == [[0.0], [1.0]] and mu.masses == (2**63 + 1, 1) and mu.denom == 2**63 + 2
+        assert all(type(m) is int for m in mu.masses)
+
+    @pytest.mark.parametrize("masses, denom, message", [
+        ([1, -1, 2], 2, "masses must be nonnegative and sum to denom 2 >= 1"),
+        ([1, 1, 1], 4, "masses must be nonnegative and sum to denom 4 >= 1"),
+        ([1, 1], 2, "2 masses for 3 points"),
+    ], ids=["negative", "wrong_sum", "wrong_length"])
+    def test_integer_mass_array_refused_as_the_list(self, masses, denom, message):
+        points = [[0.0], [1.0], [2.0]]
+        for given_masses in (masses, np.array(masses, dtype=np.int64)):
+            with pytest.raises(ValueError) as exc:
+                DiscreteMeasure(1, points=points, masses=given_masses, denom=denom)
+            assert str(exc.value) == message
+
+    def test_two_dimensional_mass_array_takes_the_list_route(self):
+        # read element by element, as every masses argument but a 1-D integer array
+        with pytest.raises(TypeError, match="only integer scalar arrays can be converted to a scalar index"):
+            DiscreteMeasure(1, points=[[0.0], [1.0], [2.0]], masses=np.array([[1, 1, 1]]), denom=3)
 
     def test_huge_masses_merge_exactly(self):
         big = 2**64 + 1

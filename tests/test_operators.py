@@ -716,6 +716,17 @@ class TestStructure:
         assert c_regularity(WeightedOperator([[1e308, 1e308], [1e308, 1e308]])) == math.inf
         assert c_regularity(WeightedOperator([[-1e308, -1e308], [-1e308, -1e308]])) == -math.inf
 
+    def test_row_sums_are_read_once_per_operator(self, monkeypatch):
+        # a non-integer matrix has its rows read by dyadic, one call per row; the row sums are
+        # kept on the operator, so two pq_norm calls and one c_regularity call read them once
+        A = WeightedOperator([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]])
+        rows = []
+        real = operators.dyadic
+        monkeypatch.setattr(operators, "dyadic", lambda values: rows.append(values) or real(values))
+        assert pq_norm(A, math.inf, 1) == pq_norm(A, math.inf, 2) == 0.6
+        assert c_regularity(A) == 0.6
+        assert rows == A.matrix.tolist()
+
     def test_positivity_defect(self):
         cyc4 = adjacency(GraphSpec("cycle", 4))
         assert positivity_defect(cyc4) == 0.0
@@ -789,6 +800,11 @@ class TestRefusals:
         (lambda: q_norm([None], [1], math.inf), "entry 0 of f is None: entries of f must be numbers"),
         (lambda: q_norm(["1"], [1], 2), "entry 0 of f is '1': entries of f must be numbers"),
         (lambda: q_norm([10**400], [1], 2), "entry 0 of f is an integer past the float range"),
+        # so do the vectors of apply and bilinear, read before by np.asarray(..., dtype=float)
+        (lambda: apply(broadcast(2), [True, False]), "entry 0 of f is True: entries of f must be numbers"),
+        (lambda: bilinear(broadcast(2), [1.0, "0.5"], [1.0, 1.0]), "entry 1 of f is '0.5': entries of f must be numbers"),
+        (lambda: bilinear(broadcast(2), [1.0, 1.0], [None, 1.0]), "entry 0 of g is None: entries of g must be numbers"),
+        (lambda: apply(broadcast(2), np.array([1.0, None])), "entry 1 of f is None: entries of f must be numbers"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
             "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
             "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan", "json_entry_bool",
@@ -797,7 +813,8 @@ class TestRefusals:
             "q_norm_weights_string", "json_weights_string", "json_weights_object", "json_weight_zero_denominator",
             "json_weight_exponent", "json_weight_exponent_upper",
             "q_norm_f_string", "q_norm_entry_bool", "q_norm_entry_null", "q_norm_entry_string",
-            "q_norm_entry_huge_int"])
+            "q_norm_entry_huge_int", "apply_entry_bool", "bilinear_f_entry_string", "bilinear_g_entry_null",
+            "apply_entry_object_array"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

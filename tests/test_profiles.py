@@ -165,6 +165,19 @@ class TestMeasureOf:
         with pytest.raises(ValueError, match=r"shape \(2, 2, 5\)"):
             measure_of(A, np.zeros((2, 2, 5)))
 
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_equals_the_atoms_route(self, n):
+        # the same float rows, built through (point, weight) atoms: the operator's cached
+        # int64 masses give the fields the atoms' Fractions give, merged or not
+        strategy = TestFunctionStrategy("mixed", 64, 7)
+        for A in (adjacency(GraphSpec("star", n)), broadcast(n)):
+            for k in (1, 2, 3):
+                for fs in strategy.tuples(n, k):
+                    mu = measure_of(A, fs)
+                    rows = np.concatenate((fs, fs @ A.matrix.T)).T.tolist()
+                    ref = DiscreteMeasure(2 * k, zip(rows, A.weights))
+                    assert (mu.support.tobytes(), mu.masses, mu.denom) == (ref.support.tobytes(), ref.masses, ref.denom)
+
     def test_rejects_length_mismatch(self):
         A = adjacency(GraphSpec("star", 3))
         with pytest.raises(ValueError, match="length"):
@@ -235,7 +248,15 @@ class TestRefusals:
         (lambda: profile_sample(broadcast(3), 0, TestFunctionStrategy()), "k must be >= 1"),
         (lambda: action_distance_estimate(broadcast(3), broadcast(3), 0, TestFunctionStrategy()),
          "truncation K must be >= 1"),
-    ], ids=["strategy_count", "sample_dim", "profile_k_0", "estimate_K_0"])
+        # np.asarray(..., dtype=float) read True and "0.5" as numbers and None as nan
+        (lambda: measure_of(broadcast(2), [[True, False]]), "test vector 0 entry 0 is True: test vector entries must be numbers"),
+        (lambda: measure_of(broadcast(2), [[0.0, 1.0], ["0.5", 1.0]]),
+         "test vector 1 entry 0 is '0.5': test vector entries must be numbers"),
+        (lambda: measure_of(broadcast(2), [None, 1.0]), "test vector 0 entry 0 is None: test vector entries must be numbers"),
+        (lambda: measure_of(broadcast(2), np.array([[0.5, None]])),
+         "test vector 0 entry 1 is None: test vector entries must be numbers"),
+    ], ids=["strategy_count", "sample_dim", "profile_k_0", "estimate_K_0", "vector_entry_bool", "vector_entry_string",
+            "one_vector_entry_null", "vector_entry_object_array"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
