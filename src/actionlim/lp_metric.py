@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -299,7 +300,14 @@ def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
 
 
 def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
-    """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps."""
+    """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps.
+
+    eps is any real number and is compared as it is, so a Fraction is an exact threshold;
+    a bool (JSON true), a non-number such as "0.5" or None, a NaN and a negative eps are
+    refused with a ValueError.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        raise ValueError(f"eps must be a real number, got {eps!r}")
     if eps != eps:
         raise ValueError(f"epsilon is not a number: eps={eps!r}")
     if eps < 0:

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "DiscreteMeasure",
     "dyadic",
+    "int_value",
     "integer_masses",
     "weight_masses",
     "weight_ratios",
@@ -28,6 +29,23 @@ __all__ = [
     "mean_abs",
     "discretize",
 ]
+
+
+def int_value(value, what: str) -> int:
+    """value as a Python int: the one reader of a caller's integer.
+
+    A Python or numpy integer of any width is taken at its value, through
+    operator.index, so a numpy one neither wraps in later sums nor writes
+    as a JSON non-number.  A bool or numpy bool (JSON true), and anything
+    operator.index refuses (a float such as JSON 1.5 or 1e400, a string,
+    None, a Fraction), is refused with a ValueError that names it by what.
+    """
+    if not isinstance(value, (bool, np.bool_)):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
@@ -155,8 +173,9 @@ class DiscreteMeasure:
     positive integers with gcd 1 and denom is their sum.  The constructor takes
     either (point, weight) atoms, whose weights it turns into integer masses
     by `integer_masses`, or a points array with nonnegative integer masses
-    summing to denom.  Those masses are read one by one, except a 1-D integer
-    ndarray (as `profiles.measure_of` passes), which is checked in two
+    summing to denom.  dim, denom and each of those masses are read by
+    `int_value`, a mass named by its index, except a 1-D integer ndarray of
+    masses (as `profiles.measure_of` passes), which is checked in two
     reductions: one `min` and one sum over Python ints, which cannot
     overflow.  Both forms then take one canonicalisation path: it merges
     equal points, drops zero masses and sorts the rows lexicographically
@@ -186,12 +205,7 @@ class DiscreteMeasure:
         masses: Sequence[int] | None = None,
         denom: int | None = None,
     ):
-        try:  # stored as a Python int, so a numpy integer dim writes as JSON
-            if isinstance(dim, bool):  # operator.index(True) is 1, but JSON true is no dim
-                raise TypeError
-            dim = operator.index(dim)
-        except TypeError:  # JSON 1.5 and 1e400 read as floats
-            raise ValueError(f"dim must be an integer, got {dim!r}") from None
+        dim = int_value(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if (points is not None, masses is not None, denom is not None) != (atoms is None,) * 3:
@@ -207,9 +221,10 @@ class DiscreteMeasure:
         if atoms is not None:
             masses, denom = integer_masses([w for _, w in atoms])
         else:
+            denom = int_value(denom, "denom")
             array = isinstance(masses, np.ndarray) and masses.ndim == 1 and masses.dtype.kind in "iu"
-            if not array:
-                masses = list(map(operator.index, masses))
+            if not array:  # a Python int is taken as it is, so a name is built only for another value
+                masses = [m if type(m) is int else int_value(m, f"mass {i}") for i, m in enumerate(masses)]
             if len(masses) != len(pts):
                 raise ValueError(f"{len(masses)} masses for {len(pts)} points")
             if array:  # two reductions; a sum over Python ints cannot overflow
@@ -267,7 +282,8 @@ class DiscreteMeasure:
         return tuple(Fraction(m, self.denom) for m in self.masses)
 
     def mass(self, point: Sequence[float]) -> Fraction:
-        p = np.asarray(point, dtype=float)
+        """The exact mass at point, mu.dim numbers read by `float_vector`; 0 off the support."""
+        p = float_vector(point, "coordinate {1} of the point", "coordinates")
         if p.shape != (self.dim,):
             raise ValueError(f"point of shape {p.shape} for a measure of dim {self.dim}")
         hit = np.flatnonzero((self.support == p).all(axis=1))
@@ -311,24 +327,33 @@ def _fields(d, what: str, *keys: str) -> list:
 
 
 def empirical(points: Sequence[Sequence[float]]) -> DiscreteMeasure:
-    """Empirical measure (1/n) sum of Diracs; DiscreteMeasure(dim, atoms) takes weights."""
-    pts = [tuple(float(c) for c in p) for p in points]
-    if not pts:
+    """Empirical measure (1/n) sum of Diracs; DiscreteMeasure(dim, atoms) takes weights.
+
+    The points are read by `float_rows`, so a coordinate that is no number (True, "0.5",
+    None) is refused by point and coordinate; their length is the measure's dim.
+    """
+    pts = float_rows(points, "point {} coordinate {}", "coordinates")
+    if not len(pts):
         raise ValueError("empty point list")
-    return DiscreteMeasure(len(pts[0]), points=pts, masses=[1] * len(pts), denom=len(pts))
+    return DiscreteMeasure(pts.shape[-1], points=pts, masses=[1] * len(pts), denom=len(pts))
 
 
 def shift(mu: DiscreteMeasure, v: Sequence[float]) -> DiscreteMeasure:
-    """Translate every atom of mu by the vector v of mu.dim floats; weights unchanged."""
-    w = np.asarray(v, dtype=float)
+    """Translate every atom of mu by the vector v of mu.dim numbers; weights unchanged.
+
+    v is read by `float_vector`, so an entry that is no number (True, "0.5", None) is
+    refused by its index, and a v of any other shape by its shape.
+    """
+    w = float_vector(v, "entry {1} of v", "entries of v")
     if w.shape != (mu.dim,):
         raise ValueError(f"shift vector of shape {w.shape} for a measure of dim {mu.dim}")
     return DiscreteMeasure(mu.dim, points=mu.points() + w, masses=mu.masses, denom=mu.denom)
 
 
 def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:
-    """Project mu onto the given coordinate subset (atoms re-merged)."""
-    cs = list(coords)
+    """Project mu onto the given coordinate subset (atoms re-merged); each coordinate is read
+    by `int_value`, since numpy would read a list of bools as a mask."""
+    cs = [int_value(c, "coordinate") for c in coords]
     if not cs:
         raise ValueError("empty coordinate subset")
     for c in cs:
@@ -338,7 +363,8 @@ def marginal(mu: DiscreteMeasure, coords: Sequence[int]) -> DiscreteMeasure:
 
 
 def mean_abs(mu: DiscreteMeasure, coord: int) -> float:
-    """Exact weighted mean of |x_coord|, returned as the nearest float."""
+    """Exact weighted mean of |x_coord|, returned as the nearest float; coord is read by `int_value`."""
+    coord = int_value(coord, "coordinate")
     if not 0 <= coord < mu.dim:
         raise ValueError(f"coordinate {coord} out of range for dim {mu.dim}")
     nums, den = dyadic(np.abs(mu.points()[:, coord]).tolist())
@@ -358,19 +384,27 @@ def discretize(
     distance 1/k of mu.  With `n` given, a second stage rounds the cell
     masses to multiples of 1/n (cells with larger fractional part receive
     the extra unit first), at additional distance < m/n for m cells.
+    The box is read by `float_rows`: a bound that is no number (True, "0",
+    None) is refused by dimension and bound, and a box that is not one
+    (lo, hi) pair per dimension by its shape.
     """
     if k < 1:
         raise ValueError("resolution k must be >= 1")
-    if n is not None and n < 1:
-        raise ValueError("stage-2 sample count n must be >= 1")
+    if n is not None:
+        n = int_value(n, "stage-2 sample count n")  # a Python int, so n * mass cannot wrap
+        if n < 1:
+            raise ValueError("stage-2 sample count n must be >= 1")
     d = mu.dim
     pts = mu.points()
     if box is None:
-        box = [(float(pts[:, j].min()), float(pts[:, j].max())) for j in range(d)]
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != d:
-        raise ValueError(f"box has {len(box)} dimensions, measure has {d}")
-    lo, hi = np.array(box).T
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+    else:
+        bounds = float_rows(box, "box dimension {} bound {}", "box bounds")
+        if bounds.ndim == 2 and len(bounds) != d:
+            raise ValueError(f"box has {len(bounds)} dimensions, measure has {d}")
+        if bounds.shape != (d, 2):
+            raise ValueError(f"box must be one (lo, hi) pair per dimension, got an array of shape {bounds.shape}")
+        lo, hi = bounds.T
     outside = np.argwhere((pts < lo) | (pts > hi))
     if len(outside):
         i, j = outside[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import dyadic, float_rows, float_vector, integer_masses, weight_masses
+from .measures import dyadic, float_rows, float_vector, int_value, integer_masses, weight_masses
 
 __all__ = [
     "WeightedOperator",
@@ -67,7 +67,9 @@ class WeightedOperator:
     else (a list, a writeable array, a view) is copied, so the caller's
     array stays its own.  An entry that is no number is refused by
     `float_rows`.  Finiteness is read from the matrix's min and max,
-    through which a NaN propagates, with no n x n temporary.
+    through which a NaN propagates, with no n x n temporary; both are kept
+    as Python floats (`_low`, `_high`), so the norms and checks that need
+    the matrix's range do not scan it again.
     """
 
     n: int
@@ -85,7 +87,8 @@ class WeightedOperator:
         n = m.shape[0]
         if n == 0:
             raise ValueError("operator needs at least one coordinate, got a 0 x 0 matrix")
-        if not math.isfinite(m.min()) or not math.isfinite(m.max()):  # NaN propagates through both
+        low, high = float(m.min()), float(m.max())
+        if not math.isfinite(low) or not math.isfinite(high):  # NaN propagates through both
             raise ValueError("matrix entries must be finite")
         masses, denom = ([1] * n, n) if weights is None else integer_masses(weights)
         if len(masses) != n:
@@ -98,6 +101,10 @@ class WeightedOperator:
         object.__setattr__(self, "masses", tuple(masses))
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "name", name)
+        # the matrix's range, kept outside the dataclass fields as Python floats, so that
+        # positivity_defect, which returns one, writes as it would from the matrix
+        object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_high", high)
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -109,12 +116,12 @@ class WeightedOperator:
 
         Below 2^53, every sum of entries weighted by the integer masses is an integer a
         float64 holds exactly, in any order.  Computed once per operator, 64 rows at a time,
-        so no n x n temporary is made.
+        so no n x n temporary is made; max|a_ij| is read from the range kept at construction.
         """
         m = self.matrix
         if not all(np.array_equal(c, np.round(c)) for c in (m[i : i + 64] for i in range(0, self.n, 64))):
             return math.inf
-        return self.n * int(max(-m.min(), m.max())) * self.denom
+        return self.n * int(max(-self._low, self._high)) * self.denom
 
     @cached_property
     def _mass_array(self) -> np.ndarray | tuple[int, ...]:
@@ -171,7 +178,12 @@ class WeightedOperator:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Named generator or edge list for a finite simple graph."""
+    """Named generator or edge list for a finite simple graph.
+
+    n and seed name the graph in its label, so each is read by `int_value` and
+    stored as a Python int, as is each vertex of an edge list; a p that is a bool
+    or no real number is refused.
+    """
 
     kind: str
     n: int
@@ -180,17 +192,22 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self):
-        try:  # the seed names the graph in its label, so it must be an integer
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {self.seed!r}") from None
+        object.__setattr__(self, "n", int_value(self.n, "n"))
+        object.__setattr__(self, "seed", int_value(self.seed, "seed"))
+        # p is kept as given, so an int or Fraction p labels the graph as before
+        if self.p is not None and (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)):
+            raise ValueError(f"p must be a real number, got {self.p!r}")
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}; choose from {GRAPH_KINDS}")
         if self.n < 1:
             raise ValueError("vertex count must be >= 1")
         if self.kind == "edge_list":
+            # numpy reads a bool index as a mask, so the edge (True, 2) would fill a whole row
+            edges = tuple((int_value(u, f"edge {i} vertex"), int_value(v, f"edge {i} vertex"))
+                          for i, (u, v) in enumerate(self.edges))
+            object.__setattr__(self, "edges", edges)
             seen = set()
-            for u, v in self.edges:
+            for u, v in edges:
                 if u == v:
                     raise ValueError(f"loop at vertex {u}")
                 if not (0 <= u < self.n and 0 <= v < self.n):
@@ -255,7 +272,9 @@ def gplus(spec: GraphSpec) -> WeightedOperator:
 
 
 def broadcast(n: int, i_star: int = 0) -> WeightedOperator:
-    """Rank-one matrix sending f to f[i_star] times the all-ones vector."""
+    """Rank-one matrix sending f to f[i_star] times the all-ones vector; n and i_star
+    are read by `int_value`."""
+    n, i_star = int_value(n, "n"), int_value(i_star, "i_star")
     if not 0 <= i_star < n:
         raise ValueError(f"distinguished index {i_star} out of range for n={n}")
     m = np.zeros((n, n))
@@ -265,9 +284,10 @@ def broadcast(n: int, i_star: int = 0) -> WeightedOperator:
 
 
 def signed_limit(A: WeightedOperator, i_star: int, sign: int) -> WeightedOperator:
-    """A plus or minus the broadcast matrix on A's coordinates."""
+    """A plus or minus the broadcast matrix on A's coordinates; i_star is read by `int_value`."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    i_star = int_value(i_star, "i_star")
     if not 0 <= i_star < A.n:
         raise ValueError(f"distinguished index {i_star} out of range for n={A.n}")
     m = A.matrix.copy()
@@ -374,7 +394,8 @@ def apply(A: WeightedOperator, f: Sequence[float]) -> np.ndarray:
 def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     """Weighted q-norm (sum_i w_i |f_i|^q)^(1/q); essential sup for q=inf.
 
-    The entries of f are numbers (`float_rows`), and the weights become
+    The entries of f are numbers (`float_vector`, which takes a float64
+    array as it is), and the weights become
     integer masses (`weight_masses`).  The norm is that of `_norm` on the
     |f_i| read exactly by `dyadic`: correctly rounded at q=inf and at
     integer q.  An entry with zero weight counts at no q.
@@ -386,10 +407,10 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     """
     if not q >= 1:  # NaN fails it too
         raise ValueError(f"q must be >= 1, got q={q!r}")
-    v = float_rows([f], "entry {1} of f", "entries of f")
-    if v.ndim != 2:
+    v = float_vector(f, "entry {1} of f", "entries of f")
+    if v.ndim != 1:
         raise ValueError(f"f must be a sequence of numbers, got {f!r}")
-    v = v[0].tolist()
+    v = v.tolist()
     masses, denom = weight_masses(weights)
     if len(v) != len(masses):
         raise ValueError("length mismatch between vector and weights")
@@ -537,7 +558,7 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
     for name, value in (("p", p), ("q", q)):
         if not value >= 1:  # NaN fails it too
             raise ValueError(f"{name} must be >= 1, got {name}={value!r}")
-    if math.isinf(p) and A.matrix.min() >= 0:  # the matrix is finite, so no NaN entry
+    if math.isinf(p) and A._low >= 0:  # the matrix is finite, so no NaN entry
         return _norm(*A._row_sums, A.masses, A.denom, q)
     if math.isinf(p) and q == 1:
         return _sup_inf_to_1(A)
@@ -579,7 +600,9 @@ def self_adjoint_defect(A: WeightedOperator) -> float:
 
 
 def non_self_adjoint_witness(B: WeightedOperator, i_star: int) -> float:
-    """Asymmetry of the bilinear form on (indicator of i_star, all-ones)."""
+    """Asymmetry of the bilinear form on (indicator of i_star, all-ones); i_star is read
+    by `int_value`."""
+    i_star = int_value(i_star, "i_star")
     if not 0 <= i_star < B.n:
         raise ValueError(f"index {i_star} out of range for n={B.n}")
     f = np.zeros(B.n)
@@ -602,4 +625,4 @@ def c_regularity(A: WeightedOperator) -> Optional[float]:
 
 def positivity_defect(A: WeightedOperator) -> float:
     """Zero iff A is positivity-preserving (entrywise nonnegative)."""
-    return max(0.0, -float(A.matrix.min()))
+    return max(0.0, -A._low)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lp_metric import hausdorff
-from .measures import DiscreteMeasure, float_rows, float_vector, mean_abs
+from .measures import DiscreteMeasure, float_rows, float_vector, int_value, mean_abs
 from .operators import WeightedOperator
 
 __all__ = [
@@ -53,7 +53,12 @@ def _derived_rng(seed: int, k: int, index: int, n: int, tag: bytes = b"") -> np.
 
 @dataclass(frozen=True)
 class TestFunctionStrategy:
-    """Deterministic generator of k-tuples of test vectors in [-1, 1]^n."""
+    """Deterministic generator of k-tuples of test vectors in [-1, 1]^n.
+
+    count, seed and probe_vertex are read by `int_value` and stored as Python ints, so
+    a bool or a float is refused by name, and a numpy integer draws and fingerprints
+    as the equal Python int does.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -65,6 +70,10 @@ class TestFunctionStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {STRATEGY_KINDS}")
+        object.__setattr__(self, "count", int_value(self.count, "count"))
+        object.__setattr__(self, "seed", int_value(self.seed, "seed"))
+        if self.probe_vertex is not None:
+            object.__setattr__(self, "probe_vertex", int_value(self.probe_vertex, "probe_vertex"))
         if self.count < 0:
             raise ValueError("count must be >= 0")
         if not -(2**63) <= self.seed < 2**63:
@@ -180,6 +189,8 @@ def measure_of(A: WeightedOperator, fs: Sequence[Sequence[float]]) -> DiscreteMe
 
 
 def profile_sample(A: WeightedOperator, k: int, strategy: TestFunctionStrategy) -> ProfileSample:
+    """The k-profile measures of A, one per tuple of the strategy; k is read by `int_value`."""
+    k = int_value(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     measures = tuple(measure_of(A, fs) for fs in strategy.tuples(A.n, k))
@@ -198,8 +209,9 @@ def action_distance_estimate(
     `strategy_b` lets the two operators use differently targeted probes
     (e.g. one probing an apex vertex, the other a distinguished coordinate)
     while sharing seeds and hence base tuples.  The report's fingerprint
-    names both strategies, `a|b`, even when they are the same.
+    names both strategies, `a|b`, even when they are the same.  K is read by `int_value`.
     """
+    K = int_value(K, "K")
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     sb = strategy_b or strategy

@@ -107,6 +107,13 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="^negative epsilon$"):
             lp_feasible(dirac(0.0), dirac(0.0), -0.5)
 
+    @pytest.mark.parametrize("eps", [True, np.True_, "0.5", None], ids=repr)
+    def test_eps_that_is_no_real_number_refused(self, eps):
+        # True would read as 1, where every pair is feasible
+        with pytest.raises(ValueError) as exc:
+            lp_feasible(dirac(0.0), dirac(0.0), eps)
+        assert str(exc.value) == f"eps must be a real number, got {eps!r}"
+
 
 class TestOracleAgreement:
     @given(dyadic_measures(1), dyadic_measures(1))

@@ -16,7 +16,7 @@ from actionlim import (
     shift,
 )
 from actionlim import cli, measures
-from actionlim.measures import weight_ratios
+from actionlim.measures import int_value, weight_ratios
 
 # dyadic coordinates make float translation exact
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
@@ -300,7 +300,7 @@ class TestMergeReference:
 
     def test_two_dimensional_mass_array_takes_the_list_route(self):
         # read element by element, as every masses argument but a 1-D integer array
-        with pytest.raises(TypeError, match="only integer scalar arrays can be converted to a scalar index"):
+        with pytest.raises(ValueError, match=r"^mass 0 must be an integer, got array\(\[1, 1, 1\]\)$"):
             DiscreteMeasure(1, points=[[0.0], [1.0], [2.0]], masses=np.array([[1, 1, 1]]), denom=3)
 
     def test_huge_masses_merge_exactly(self):
@@ -523,6 +523,32 @@ class TestRefusals:
         (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": [0]}]}'), "atom 0 has no 'w'"),
         (lambda: DiscreteMeasure.from_json('{"dim": 1, "atoms": [{"p": {"x": 0}, "w": 1}]}'),
          "coordinates must be numbers: float() argument must be a string or a real number, not 'dict'"),
+        # denom and each listed mass are read by int_value, as dim is
+        (lambda: DiscreteMeasure(1, points=[[0.0]], masses=[2], denom=2.0), "denom must be an integer, got 2.0"),
+        (lambda: DiscreteMeasure(1, points=[[0.0]], masses=[1], denom="1"), "denom must be an integer, got '1'"),
+        (lambda: DiscreteMeasure(1, points=[[0.0], [1.0]], masses=[1, True], denom=2), "mass 1 must be an integer, got True"),
+        (lambda: DiscreteMeasure(1, points=[[0.0]], masses=[1.0], denom=1), "mass 0 must be an integer, got 1.0"),
+        # the points of empirical, the vector of shift, the point of mass and the box of discretize
+        # are read by float_rows, which refuses True, "0.5" and None
+        (lambda: empirical([(True,), (0.5,)]), "point 0 coordinate 0 is True: coordinates must be numbers"),
+        (lambda: empirical([(0.5,), ("0.5",)]), "point 1 coordinate 0 is '0.5': coordinates must be numbers"),
+        (lambda: empirical([(None,)]), "point 0 coordinate 0 is None: coordinates must be numbers"),
+        (lambda: shift(empirical([(0.0,)]), (True,)), "entry 0 of v is True: entries of v must be numbers"),
+        (lambda: shift(empirical([(0.0,)]), ("0.5",)), "entry 0 of v is '0.5': entries of v must be numbers"),
+        (lambda: empirical([(0.0,), (1.0,)]).mass(("1",)),
+         "coordinate 0 of the point is '1': coordinates must be numbers"),
+        (lambda: discretize(empirical([(0.5,)]), 2, box=[("0", "1")]),
+         "box dimension 0 bound 0 is '0': box bounds must be numbers"),
+        (lambda: discretize(empirical([(0.5,)]), 2, box=[(False, True)]),
+         "box dimension 0 bound 0 is False: box bounds must be numbers"),
+        (lambda: discretize(empirical([(0.5,)]), 2, box=[(0.0, 0.5, 1.0)]),
+         "box must be one (lo, hi) pair per dimension, got an array of shape (1, 3)"),
+        # indices and counts are integers: numpy reads a list of bools as a mask, so [True, True]
+        # would keep both coordinates, not coordinate 1 twice
+        (lambda: marginal(empirical([(0.0, 1.0)]), [True, True]), "coordinate must be an integer, got True"),
+        (lambda: marginal(empirical([(0.0, 1.0)]), [0.0]), "coordinate must be an integer, got 0.0"),
+        (lambda: mean_abs(empirical([(0.0, 1.0)]), True), "coordinate must be an integer, got True"),
+        (lambda: discretize(empirical([(0.5,)]), 1, n=2.0), "stage-2 sample count n must be an integer, got 2.0"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
@@ -532,8 +558,41 @@ class TestRefusals:
             "weights_bytes", "json_coordinate_bool",
             "json_coordinate_string", "json_coordinate_null", "json_coordinate_huge_int", "coordinate_bool",
             "coordinate_string", "points_none", "points_bool_array", "json_list", "json_no_dim", "json_no_atoms",
-            "json_atoms_object", "json_atom_int", "json_atom_no_w", "json_point_object"])
+            "json_atoms_object", "json_atom_int", "json_atom_no_w", "json_point_object", "denom_float",
+            "denom_string", "mass_bool", "mass_float", "empirical_coordinate_bool", "empirical_coordinate_string",
+            "empirical_coordinate_null", "shift_entry_bool", "shift_entry_string", "mass_point_string",
+            "discretize_box_string", "discretize_box_bool", "discretize_box_shape", "marginal_coordinate_bool",
+            "marginal_coordinate_float", "mean_abs_coordinate_bool", "discretize_n_float"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+class TestIntValue:
+    """`int_value`, the one reader of a caller's integer."""
+
+    @given(st.one_of(
+        st.integers(),
+        st.sampled_from(NUMPY_INTEGERS).flatmap(
+            lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)),
+    ))
+    def test_integers_read_as_python_ints(self, value):
+        got = int_value(value, "x")
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, np.float64(2.0), "2", None, Fraction(2, 1)],
+                             ids=repr)
+    def test_refused_by_name(self, value):
+        with pytest.raises(ValueError) as exc:
+            int_value(value, "x")
+        assert str(exc.value) == f"x must be an integer, got {value!r}"
+
+    def test_numpy_integer_dim_and_denom_stored_as_python_ints(self):
+        mu = DiscreteMeasure(np.int64(1), points=[[0.0], [1.0]], masses=np.array([1, 3]), denom=np.int32(4))
+        assert type(mu.dim) is int and type(mu.denom) is int
+        assert (mu.dim, mu.masses, mu.denom) == (1, (1, 3), 4)
+        assert mu.to_json() == DiscreteMeasure(1, points=[[0.0], [1.0]], masses=[1, 3], denom=4).to_json()

@@ -316,7 +316,7 @@ class TestGraphs:
     @pytest.mark.parametrize("seed", [None, 1.5, "3"])
     def test_erdos_renyi_seed_must_be_an_integer(self, seed):
         # a seed of None would draw a new graph on each call, and 1.5 would label a graph no spec names
-        with pytest.raises(TypeError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
             GraphSpec("erdos_renyi", 12, p=0.5, seed=seed)
 
     def test_erdos_renyi_integer_seed_types_label_alike(self):
@@ -735,6 +735,28 @@ class TestStructure:
         # column shifted by -2: the diagonal entry drops to -2
         assert positivity_defect(WeightedOperator(m)) == 2.0
 
+    @pytest.mark.parametrize("m", [
+        [[-0.0, 1.0], [2.0, 3.0]],  # -0.0 is the only minimum, so min() returns it
+        [[0.0, 3.0], [-5.0, 1.0]],
+        [[0.5, 0.25], [0.125, 1.5]],
+        [[-2.5, 0.0], [0.0, -0.5]],
+    ], ids=["min_negative_zero", "integer_signed", "fractional_nonnegative", "fractional_nonpositive"])
+    def test_kept_range_gives_what_the_matrix_gives(self, m):
+        # _integer_bound, pq_norm's nonnegative branch and positivity_defect read the range the
+        # constructor kept; each gives what the matrix's own min and max give
+        A, a = WeightedOperator(m), np.array(m)
+        low, high = a.min(), a.max()
+        assert (A._low, A._high) == (low, high) and type(A._low) is type(A._high) is float
+        assert math.copysign(1.0, A._low) == math.copysign(1.0, low)
+        integer = np.array_equal(a, np.round(a))
+        assert A._integer_bound == (A.n * int(max(-low, high)) * A.denom if integer else math.inf)
+        assert repr(positivity_defect(A)) == repr(max(0.0, -float(low)))
+        if low >= 0:
+            assert pq_norm(A, math.inf, 2) == q_norm(a.sum(axis=1), A.weights, 2)
+        else:
+            with pytest.raises(UnsupportedNormError):
+                pq_norm(A, math.inf, 2)
+
 
 class TestRefusals:
     """Each input the module refuses, with its exception and message."""
@@ -805,6 +827,23 @@ class TestRefusals:
         (lambda: bilinear(broadcast(2), [1.0, "0.5"], [1.0, 1.0]), "entry 1 of f is '0.5': entries of f must be numbers"),
         (lambda: bilinear(broadcast(2), [1.0, 1.0], [None, 1.0]), "entry 0 of g is None: entries of g must be numbers"),
         (lambda: apply(broadcast(2), np.array([1.0, None])), "entry 1 of f is None: entries of f must be numbers"),
+        # q_norm reads f by float_vector, so an array is read on its dtype
+        (lambda: q_norm(np.array([True, False]), [0.5, 0.5], 1), "entry 0 of f is True: entries of f must be numbers"),
+        (lambda: q_norm(np.ones((2, 2)), [0.5, 0.5], 1),
+         f"f must be a sequence of numbers, got {np.ones((2, 2))!r}"),
+        # builder arguments that name an operator are integers (int_value), and p a real number
+        (lambda: GraphSpec("star", 4.0), "n must be an integer, got 4.0"),
+        (lambda: GraphSpec("erdos_renyi", 12, p=0.5, seed=True), "seed must be an integer, got True"),
+        (lambda: GraphSpec("erdos_renyi", 6, p=True), "p must be a real number, got True"),
+        (lambda: GraphSpec("erdos_renyi", 6, p="0.5"), "p must be a real number, got '0.5'"),
+        (lambda: broadcast(4.0), "n must be an integer, got 4.0"),
+        (lambda: broadcast(4, True), "i_star must be an integer, got True"),
+        (lambda: broadcast(4, 1.0), "i_star must be an integer, got 1.0"),
+        (lambda: signed_limit(adjacency(GraphSpec("cycle", 4)), True, 1), "i_star must be an integer, got True"),
+        (lambda: operators.non_self_adjoint_witness(broadcast(3), np.True_), "i_star must be an integer, got np.True_"),
+        # numpy would read the bool as a mask and fill row 2 with ones
+        (lambda: GraphSpec("edge_list", 3, edges=((True, 2),)), "edge 0 vertex must be an integer, got True"),
+        (lambda: GraphSpec("edge_list", 3, edges=((0, 1), (1, 2.0))), "edge 1 vertex must be an integer, got 2.0"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
             "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
             "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan", "json_entry_bool",
@@ -814,7 +853,10 @@ class TestRefusals:
             "json_weight_exponent", "json_weight_exponent_upper",
             "q_norm_f_string", "q_norm_entry_bool", "q_norm_entry_null", "q_norm_entry_string",
             "q_norm_entry_huge_int", "apply_entry_bool", "bilinear_f_entry_string", "bilinear_g_entry_null",
-            "apply_entry_object_array"])
+            "apply_entry_object_array", "q_norm_entry_bool_array", "q_norm_f_matrix", "graph_n_float",
+            "graph_seed_bool", "graph_p_bool", "graph_p_string", "broadcast_n_float", "broadcast_i_star_bool",
+            "broadcast_i_star_float", "signed_i_star_bool", "witness_i_star_bool", "edge_vertex_bool",
+            "edge_vertex_float"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

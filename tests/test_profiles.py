@@ -109,6 +109,12 @@ class TestStrategy:
     def test_int64_seed_bounds_draw(self, seed):
         assert len(TestFunctionStrategy("mixed", count=1, seed=seed).tuples(3, 1)) == 3
 
+    def test_numpy_integers_stored_as_python_ints(self):
+        s = TestFunctionStrategy("vertex_probe", count=np.int32(4), seed=np.int64(3), probe_vertex=np.uint8(1))
+        assert all(type(x) is int for x in (s.count, s.seed, s.probe_vertex))
+        assert s == TestFunctionStrategy("vertex_probe", count=4, seed=3, probe_vertex=1)
+        assert s.fingerprint() == "vertex_probe:4:3:v1:g9"
+
     def test_probe_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             TestFunctionStrategy("vertex_probe", probe_vertex=9).tuples(5, 1)
@@ -255,8 +261,17 @@ class TestRefusals:
         (lambda: measure_of(broadcast(2), [None, 1.0]), "test vector 0 entry 0 is None: test vector entries must be numbers"),
         (lambda: measure_of(broadcast(2), np.array([[0.5, None]])),
          "test vector 0 entry 1 is None: test vector entries must be numbers"),
+        # the strategy's integers, k and K are read by int_value
+        (lambda: TestFunctionStrategy(count=2.0), "count must be an integer, got 2.0"),
+        (lambda: TestFunctionStrategy(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: TestFunctionStrategy(seed=True), "seed must be an integer, got True"),
+        (lambda: TestFunctionStrategy("vertex_probe", probe_vertex=True), "probe_vertex must be an integer, got True"),
+        (lambda: profile_sample(broadcast(3), 1.0, TestFunctionStrategy()), "k must be an integer, got 1.0"),
+        (lambda: action_distance_estimate(broadcast(3), broadcast(3), 1.0, TestFunctionStrategy()),
+         "K must be an integer, got 1.0"),
     ], ids=["strategy_count", "sample_dim", "profile_k_0", "estimate_K_0", "vector_entry_bool", "vector_entry_string",
-            "one_vector_entry_null", "vector_entry_object_array"])
+            "one_vector_entry_null", "vector_entry_object_array", "strategy_count_float", "strategy_seed_float",
+            "strategy_seed_bool", "strategy_probe_vertex_bool", "profile_k_float", "estimate_K_float"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
