@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, dyadic
+from .measures import DiscreteMeasure, dyadic, real_value
 
 __all__ = [
     "LpResult",
@@ -302,12 +301,11 @@ def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
 def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps.
 
-    eps is any real number and is compared as it is, so a Fraction is an exact threshold;
-    a bool (JSON true), a non-number such as "0.5" or None, a NaN and a negative eps are
-    refused with a ValueError.
+    eps is read by `measures.real_value` and compared as it is, so a Fraction is an exact
+    threshold; a bool (JSON true), a non-number such as "0.5" or None, a NaN and a negative
+    eps are refused with a ValueError.
     """
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
-        raise ValueError(f"eps must be a real number, got {eps!r}")
+    eps = real_value(eps, "eps")
     if eps != eps:
         raise ValueError(f"epsilon is not a number: eps={eps!r}")
     if eps < 0:

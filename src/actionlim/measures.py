@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ __all__ = [
     "DiscreteMeasure",
     "dyadic",
     "int_value",
+    "real_value",
     "integer_masses",
     "weight_masses",
     "weight_ratios",
@@ -46,6 +48,20 @@ def int_value(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def real_value(value, what: str):
+    """value as it is, when it is a real number: the one reader of a caller's real.
+
+    Python and numpy ints and floats and Fractions are real numbers, and are
+    returned unchanged, so an exact Fraction threshold stays exact and an int
+    keeps its label.  A bool or numpy bool (JSON true) and a non-number (a
+    string such as "0.5", None) are refused with a ValueError that names it
+    by what.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def weight_ratios(weights: Iterable) -> list[tuple[int, int]]:
@@ -223,8 +239,8 @@ class DiscreteMeasure:
         else:
             denom = int_value(denom, "denom")
             array = isinstance(masses, np.ndarray) and masses.ndim == 1 and masses.dtype.kind in "iu"
-            if not array:  # a Python int is taken as it is, so a name is built only for another value
-                masses = [m if type(m) is int else int_value(m, f"mass {i}") for i, m in enumerate(masses)]
+            if not array:
+                masses = [int_value(m, f"mass {i}") for i, m in enumerate(masses)]
             if len(masses) != len(pts):
                 raise ValueError(f"{len(masses)} masses for {len(pts)} points")
             if array:  # two reductions; a sum over Python ints cannot overflow

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import dyadic, float_rows, float_vector, int_value, integer_masses, weight_masses
+from .measures import dyadic, float_rows, float_vector, int_value, integer_masses, real_value, weight_masses
 
 __all__ = [
     "WeightedOperator",
@@ -181,8 +180,8 @@ class GraphSpec:
     """Named generator or edge list for a finite simple graph.
 
     n and seed name the graph in its label, so each is read by `int_value` and
-    stored as a Python int, as is each vertex of an edge list; a p that is a bool
-    or no real number is refused.
+    stored as a Python int, as is each vertex of an edge list; p is read by
+    `real_value`, which refuses a bool or a non-number.
     """
 
     kind: str
@@ -195,8 +194,8 @@ class GraphSpec:
         object.__setattr__(self, "n", int_value(self.n, "n"))
         object.__setattr__(self, "seed", int_value(self.seed, "seed"))
         # p is kept as given, so an int or Fraction p labels the graph as before
-        if self.p is not None and (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)):
-            raise ValueError(f"p must be a real number, got {self.p!r}")
+        if self.p is not None:
+            real_value(self.p, "p")
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}; choose from {GRAPH_KINDS}")
         if self.n < 1:

@@ -107,7 +107,7 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="^negative epsilon$"):
             lp_feasible(dirac(0.0), dirac(0.0), -0.5)
 
-    @pytest.mark.parametrize("eps", [True, np.True_, "0.5", None], ids=repr)
+    @pytest.mark.parametrize("eps", [True, np.True_, "0.5", None, 1j], ids=repr)
     def test_eps_that_is_no_real_number_refused(self, eps):
         # True would read as 1, where every pair is feasible
         with pytest.raises(ValueError) as exc:

@@ -16,7 +16,7 @@ from actionlim import (
     shift,
 )
 from actionlim import cli, measures
-from actionlim.measures import int_value, weight_ratios
+from actionlim.measures import int_value, real_value, weight_ratios
 
 # dyadic coordinates make float translation exact
 dyadic = st.integers(-128, 128).map(lambda i: i / 64.0)
@@ -596,3 +596,12 @@ class TestIntValue:
         assert type(mu.dim) is int and type(mu.denom) is int
         assert (mu.dim, mu.masses, mu.denom) == (1, (1, 3), 4)
         assert mu.to_json() == DiscreteMeasure(1, points=[[0.0], [1.0]], masses=[1, 3], denom=4).to_json()
+
+
+class TestRealValue:
+    """`real_value`, the one reader of a caller's real number (its refusals: eps and GraphSpec.p)."""
+
+    @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.5), np.float32(0.5), np.int64(3), Fraction(1, 3)],
+                             ids=repr)
+    def test_reals_returned_as_they_are(self, value):
+        assert real_value(value, "x") is value

@@ -1,11 +1,13 @@
 """One reader per kind of number, checked on the source.
 
 A caller's integer is read by `measures.int_value` (and a weight's parts by
-`weight_ratios`), and a caller's floats by `measures.float_rows`, which
-refuses True, "1" and None where np.asarray(..., dtype=float) would convert
-them.  These tests parse src/actionlim/*.py and fail where another function
-calls operator.index, or makes a float array with np.asarray / np.array and
-dtype=float, outside the two copies of arrays that were read already.
+`weight_ratios`), a caller's real by `measures.real_value`, and a caller's
+floats by `measures.float_rows`, which refuses True, "1" and None where
+np.asarray(..., dtype=float) would convert them.  These tests parse
+src/actionlim/*.py and fail where another function calls operator.index,
+tests numbers.Real, or makes a float array (np.asarray / np.array with a
+float dtype, by keyword or position, or .astype(float)) outside the copies
+of arrays that were read or drawn already.
 """
 import ast
 from collections import Counter
@@ -15,11 +17,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "actionlim"
 
 # the functions that may read integers by operator.index
 INDEX_READERS = {("measures.py", "int_value"), ("measures.py", "weight_ratios")}
+# the functions that may test for a real number
+REAL_READERS = {("measures.py", "real_value")}
 # the functions that may make float arrays, and how many calls each may make (None: any)
 FLOAT_ARRAYS = {
     ("measures.py", "float_rows"): None,
     ("operators.py", "WeightedOperator.__init__"): 1,  # its copy of the matrix float_rows read
     ("operators.py", "adjoint"): 1,  # its copy of A.masses, Python ints
+    ("profiles.py", "TestFunctionStrategy._draw"): 1,  # its own 0/1 indicator draw
 }
 
 
@@ -32,18 +37,29 @@ def index_use(node) -> bool:
     return False
 
 
+def real_use(node) -> bool:
+    """numbers.Real, as in isinstance(x, numbers.Real)."""
+    return (isinstance(node, ast.Attribute) and node.attr == "Real"
+            and isinstance(node.value, ast.Name) and node.value.id == "numbers")
+
+
+def float_dtype(v) -> bool:
+    """float, np.float64 or "float64" as written."""
+    return (isinstance(v, ast.Name) and v.id == "float"
+            or isinstance(v, ast.Attribute) and v.attr == "float64"
+            or isinstance(v, ast.Constant) and v.value in ("float", "float64"))
+
+
 def float_array(node) -> bool:
-    """np.asarray(...) or np.array(...) with dtype float, np.float64 or "float64"."""
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("asarray", "array") and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy")):
+    """np.asarray / np.array with a float dtype (keyword or second argument), or .astype(float)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
         return False
-    for kw in node.keywords:
-        if kw.arg == "dtype":
-            v = kw.value
-            return (isinstance(v, ast.Name) and v.id == "float"
-                    or isinstance(v, ast.Attribute) and v.attr == "float64"
-                    or isinstance(v, ast.Constant) and v.value in ("float", "float64"))
+    dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+    if node.func.attr == "astype":
+        return any(float_dtype(v) for v in node.args[:1] + dtypes)
+    if (node.func.attr in ("asarray", "array") and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")):
+        return any(float_dtype(v) for v in node.args[1:2] + dtypes)
     return False
 
 
@@ -73,7 +89,13 @@ def test_operator_index_only_in_the_integer_readers():
     assert {u[:2] for u in found} == INDEX_READERS  # the readers are seen, so the rule is not blind
 
 
-def test_float_arrays_only_in_float_rows_and_the_two_copies():
+def test_real_number_test_only_in_the_real_reader():
+    found = source_uses(real_use)
+    assert [u for u in found if u[:2] not in REAL_READERS] == []
+    assert {u[:2] for u in found} == REAL_READERS
+
+
+def test_float_arrays_only_in_float_rows_and_the_copies():
     found = source_uses(float_array)
     assert [u for u in found if u[:2] not in FLOAT_ARRAYS] == []
     counts = Counter(u[:2] for u in found)
@@ -88,8 +110,11 @@ def test_rules_catch_hand_rolled_reads():
         "from operator import index\n"
         "class C:\n"
         "    def f(self, xs, v):\n"
-        "        a = list(map(operator.index, xs))\n"
+        "        a = list(map(operator.index, xs)), isinstance(v, numbers.Real)\n"
         "        return np.asarray(v, dtype=float), np.array(v, dtype=np.float64), np.array(v)\n"
+        "    def g(self, v):\n"
+        "        return np.array(v, float), np.asarray(v, np.float64), v.astype(float), v.astype(int)\n"
     )
     assert uses(snippet, index_use) == [("", 2), ("C.f", 5)]
-    assert uses(snippet, float_array) == [("C.f", 6), ("C.f", 6)]
+    assert uses(snippet, real_use) == [("C.f", 5)]
+    assert uses(snippet, float_array) == [("C.f", 6), ("C.f", 6), ("C.g", 8), ("C.g", 8), ("C.g", 8)]
