@@ -64,8 +64,9 @@ class HausdorffResult:
     value: float
     argmax_side: str  # "left" or "right"
     witness: tuple[int, int]
-    # candidates = gap_skips + pairs, pairs = prunes + exact; a candidate is a visited
-    # (i, j) whose distance was not yet known; pushes (along single opened edges),
+    # candidates = tv_ends + gap_skips + pairs, pairs = prunes + exact; a candidate is a
+    # visited (i, j) whose distance was not yet known; tv_ends are the rows ended by the
+    # total-variation bound of their first candidate; pushes (along single opened edges),
     # augmentations (along longer tree paths), rebuilds (breadth-first trees a search
     # used; a tree is built only when a search needs one) and breakpoints (sweep steps
     # whose flow was tested) and edges_sorted (candidate edges at positive distance the
@@ -392,14 +393,52 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     return LpResult(least[first] / scale, "brute_force")  # int / int rounds correctly
 
 
+def _tv(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[int, int]:
+    """The total variation 1 - sum over x of min(mu(x), nu(x)), exactly, as
+    (rest, scale): TV = rest / scale, scale = lcm of the two denominators.
+
+    Equal support rows are found by their bytes (each C-ordered float64 row
+    viewed as one void item), which is float equality here: a
+    DiscreteMeasure stores no -0.0 and no NaN.  Distinct atoms whose cdist
+    underflows to 0.0 count as distinct, so TV may exceed what the flow
+    engine's distance-0 edges match; it is still >= d_LP (Gibbs & Su 2002).
+    """
+    scale = math.lcm(mu.denom, nu.denom)
+    row = f"V{8 * mu.dim}"
+    up_mu, up_nu = scale // mu.denom, scale // nu.denom
+    own = dict(zip(mu.support.view(row).ravel().tolist(), mu.masses))
+    common = 0
+    for key, m in zip(nu.support.view(row).ravel().tolist(), nu.masses):
+        if x := own.get(key):
+            common += min(x * up_mu, m * up_nu)
+    return scale - common, scale
+
+
 def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
               known: np.ndarray, counts: dict, floor: float = -1.0):
     """max(floor, sup over a of inf over b of d_LP(a, b)), with witness indices.
 
     Candidate b's are tried starting at the index paired with a; each is
     dropped as soon as it is shown not to lower the current best cur.
-    known[i, j] holds d_LP(A[i], B[j]) once computed (NaN before); it is read
-    and written.  A candidate is settled by its known value; by its cdist
+    known[i, j] is NaN until settled, then d_LP(A[i], B[j]) exactly (as the
+    correctly rounded float every engine returns), or an upper bound on that
+    float that is at most the running sup of every pass that reads it (the
+    total-variation end below); it is read and written.
+
+    A row's first candidate, when unknown and once the running sup is >= 0,
+    is first tested by its exact total variation (`_tv`), rounded to the
+    nearest float: if that is <= the running sup, the row ends with no
+    cdist, no flow and no update of sup or witness (tv_ends).  This is
+    exact: d_LP <= TV (Gibbs & Su 2002), rounding to nearest keeps the
+    order, so the candidate's float d_LP, and with it the row's inf, is <=
+    the sup, and the sup moves only on a strictly larger row.  The sup is
+    stored in known[i, j] as that upper bound.  The forward pass never reads
+    a cell of its own row twice; a bound it stores is at most the forward
+    value, the reverse pass's floor, so the reverse pass ends a row as soon
+    as it reads one (cur falls to the bound, at most its running sup); a
+    bound the reverse pass stores is read by nothing.
+
+    Any other candidate is settled by its known value; by its cdist
     matrix when min(1, gap) >= cur, gap the least atom distance (gap skip:
     for eps < gap no atom of b lies within eps of a's support, so Strassen's
     condition needs eps >= 1 and d_LP >= min(1, gap) >= cur; at cur = inf
@@ -430,6 +469,12 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
             if d != d:  # NaN: not yet computed
                 counts["candidates"] += 1
                 b = B[j]
+                if cur == math.inf and best_val >= 0:  # the first candidate, under a sup
+                    rest, scale = _tv(a, b)
+                    if rest / scale <= best_val:  # d_LP <= TV, rounded alike: cur falls to the sup, the row ends
+                        counts["tv_ends"] += 1
+                        cur = known[i, j] = best_val
+                        break
                 dist = cdist(a.points(), b.points())
                 if cur <= 1.0 and dist.min() >= cur:  # min(1, gap) >= cur
                     counts["gap_skips"] += 1
@@ -457,11 +502,13 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
 def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> HausdorffResult:
     """Hausdorff distance between two finite sets of measures under d_LP.
 
-    The two directed passes share one (len(A), len(B)) array of exact
-    distances; the reverse pass reads its transpose, so a distance computed in
-    one pass is not recomputed in the other.  A pair skipped or pruned in one
-    pass is settled afresh, by its gap or a flow, if the other visits it.  The
-    reverse pass starts its running sup at the forward value (`_directed`'s floor).
+    The two directed passes share one (len(A), len(B)) array of settled
+    distances, exact or bounded above by the forward value; the reverse pass
+    reads its transpose, so a distance settled in one pass is not settled
+    again in the other.  A pair skipped or pruned in one pass is settled
+    afresh, by its total variation, its gap or a flow, if the other visits
+    it.  The reverse pass starts its running sup at the forward value
+    (`_directed`'s floor).
     """
     A, B = list(A), list(B)
     if not A or not B:
@@ -470,7 +517,7 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions {sorted(dims)}")
     known = np.full((len(A), len(B)), np.nan)
-    counts = dict.fromkeys(("candidates", "gap_skips", "pairs", "prunes", "exact",
+    counts = dict.fromkeys(("candidates", "tv_ends", "gap_skips", "pairs", "prunes", "exact",
                             "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"), 0)
     left, w_left = _directed(A, B, known, counts)
     right, w_right = _directed(B, A, known.T, counts, left)

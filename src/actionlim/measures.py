@@ -402,8 +402,13 @@ def discretize(
     the extra unit first), at additional distance < m/n for m cells.
     The box is read by `float_rows`: a bound that is no number (True, "0",
     None) is refused by dimension and bound, and a box that is not one
-    (lo, hi) pair per dimension by its shape.
+    (lo, hi) pair per dimension by its shape.  k is read by `real_value`: a
+    real k works (cells of diameter <= 1/k), a bool, a non-number, a NaN or
+    an infinite k is refused.
     """
+    k = real_value(k, "resolution k")
+    if k != k or k == math.inf:
+        raise ValueError(f"resolution k must be a finite number, got {k!r}")
     if k < 1:
         raise ValueError("resolution k must be >= 1")
     if n is not None:

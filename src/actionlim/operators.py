@@ -283,8 +283,9 @@ def broadcast(n: int, i_star: int = 0) -> WeightedOperator:
 
 
 def signed_limit(A: WeightedOperator, i_star: int, sign: int) -> WeightedOperator:
-    """A plus or minus the broadcast matrix on A's coordinates; i_star is read by `int_value`."""
-    if sign not in (1, -1):
+    """A plus or minus the broadcast matrix on A's coordinates; sign (+1 or -1, 1.0 too) is
+    read by `real_value`, so a bool is refused, and i_star by `int_value`."""
+    if real_value(sign, "sign") not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     i_star = int_value(i_star, "i_star")
     if not 0 <= i_star < A.n:

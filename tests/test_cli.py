@@ -87,9 +87,9 @@ class TestProfileAndDist:
         assert json.loads(out)["value"] == payload["value"]
         # deterministic counters of the Hausdorff loop, no timings
         counts = payload["counts"]
-        assert set(counts) == {"candidates", "gap_skips", "pairs", "prunes", "exact",
+        assert set(counts) == {"candidates", "tv_ends", "gap_skips", "pairs", "prunes", "exact",
                                "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"}
-        assert counts["candidates"] == counts["gap_skips"] + counts["pairs"]
+        assert counts["candidates"] == counts["tv_ends"] + counts["gap_skips"] + counts["pairs"]
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
         assert counts["rebuilds"] >= counts["pairs"]  # each pair searches at least once
 

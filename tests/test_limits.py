@@ -47,6 +47,11 @@ class TestSignedLimit:
         with pytest.raises(ValueError, match="sign"):
             signed_limit(adjacency(GraphSpec("cycle", 4)), 0, 2)
 
+    def test_float_sign_still_builds(self):
+        A = adjacency(GraphSpec("cycle", 4))
+        assert signed_limit(A, 0, 1.0).name == signed_limit(A, 0, 1).name == "signed:+:0:cycle:4"
+        assert np.array_equal(signed_limit(A, 0, -1.0).matrix, signed_limit(A, 0, -1).matrix)
+
 
 class TestWitness:
     def test_zero_for_symmetric(self):

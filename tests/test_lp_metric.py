@@ -395,17 +395,65 @@ def measure_set_pair(draw):
     return draw(pick), draw(pick)
 
 
+@st.composite
+def near_copy_sets(draw):
+    """Two measure sets whose measures all put one common share 1 - t on the same atoms
+    and move t (1/8, 1/4 or 1/3) to one or two atoms of their own, so total variations
+    are small, masses have mixed denominators, and measures often repeat."""
+    common = draw(st.lists(coarse, min_size=1, max_size=2, unique=True))
+
+    def near_copy():
+        t = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)]))
+        own = draw(st.lists(coarse, min_size=1, max_size=2))
+        return DiscreteMeasure(1, [*(((p,), (1 - t) / len(common)) for p in common),
+                                   *(((p,), t / len(own)) for p in own)])
+
+    def measure_set(most):
+        return [near_copy() for _ in range(draw(st.integers(1, most)))]
+
+    # a longer right side has reverse rows past the end of the left one, whose first
+    # candidates the forward pass may have left unknown
+    return measure_set(4), measure_set(6)
+
+
 def forward_counts(A, B):
     """The counts of hausdorff's forward pass alone."""
-    counts = dict.fromkeys(("candidates", "gap_skips", "pairs", "prunes", "exact",
+    counts = dict.fromkeys(("candidates", "tv_ends", "gap_skips", "pairs", "prunes", "exact",
                             "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"), 0)
     lp_metric._directed(A, B, np.full((len(A), len(B)), np.nan), counts)
     return counts
 
 
 def assert_counts_add_up(c):
-    assert c["candidates"] == c["gap_skips"] + c["pairs"]
+    assert c["candidates"] == c["tv_ends"] + c["gap_skips"] + c["pairs"]
     assert c["pairs"] == c["prunes"] + c["exact"]
+
+
+# signed zeros, a pair 1e-170 apart whose cdist underflows to 0.0, and dyadic points
+zero_or_underflow = st.one_of(dyadic, st.sampled_from([0.0, -0.0, 1e-170, -1e-170]))
+
+
+class TestTotalVariation:
+    @given(dyadic_measures(2, 4, zero_or_underflow), dyadic_measures(2, 4, zero_or_underflow))
+    @example(dirac(0.0, 0.0), dirac(1e-170, 0.0))
+    @example(dirac(-0.0, 0.5), dirac(0.0, 0.5))
+    @example(DiscreteMeasure(2, [((0.0, 0.0), Fraction(2, 3)), ((0.5, 0.0), Fraction(1, 3))]),
+             DiscreteMeasure(2, [((0.0, 0.0), Fraction(3, 4)), ((0.25, 0.0), Fraction(1, 4))]))
+    @settings(max_examples=80, deadline=None)
+    def test_tv_is_exact_and_bounds_lp_distance(self, a, b):
+        rest, scale = lp_metric._tv(a, b)
+        assert scale == math.lcm(a.denom, b.denom)
+        common = sum(min(w, b.mass(p)) for p, w in zip(a.points().tolist(), a.weights()))
+        assert Fraction(rest, scale) == 1 - common
+        # d_LP <= TV, and rounding to nearest keeps the order
+        assert lp_distance(a, b).value <= rest / scale
+
+    def test_underflowing_distance_is_no_shared_atom(self):
+        # cdist puts the two atoms at 0.0, so d_LP reads 0.0, but they are distinct: TV = 1
+        a, b = dirac(0.0), dirac(1e-170)
+        assert cdist(a.points(), b.points()).tolist() == [[0.0]]
+        assert lp_distance(a, b).value == 0.0
+        assert lp_metric._tv(a, b) == (1, 1)
 
 
 class TestHausdorff:
@@ -482,6 +530,62 @@ class TestHausdorff:
         # often, and the reverse pass must compute some of those pairs exactly
         assert hausdorff(A, B) == unpruned_hausdorff(A, B)
 
+    @given(near_copy_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_same_result_as_unpruned_loop_on_near_copies(self, sets):
+        # measures that share most of their mass, as star profiles do, so rows end by
+        # their total variation in both passes
+        A, B = sets
+        res = hausdorff(A, B)
+        assert res == unpruned_hausdorff(A, B)
+        assert_counts_add_up(res.counts)
+
+    def test_total_variation_ends_rows_in_both_passes(self):
+        # every measure is 3/4 at 0 plus a quarter: A[0] 1/4 at 1, A[1] 1/4 at 0.75; B[0]
+        # 1/4 at 0.25, B[1] 1/8 at 0.75 and 1/8 at 1, B[2] 1/8 at 0.5 and 1/8 at 0.75.
+        # Forward: row 0, under no sup yet, computes B[0] (0.25) and B[1] (0.125, their TV),
+        # and prunes B[2] (0.25 > 0.125).  Sup 0.125.  Row 1's first candidate B[1] has
+        # TV 1/8 <= 0.125, so the row ends there, with no cdist or flow, and stores 0.125.
+        # Reverse, its running sup started at 0.125: row B[0] reads A[0] (0.25), computes
+        # A[1] (0.25) and raises the sup to 0.25; row B[1] ends at its stored A[1]; row
+        # B[2], past the end of A, starts at A[0], pruned forward, whose TV 1/4 <= 0.25
+        # ends the row.  The right side wins at 0.25, witness (0, 0).  Each pair opens its
+        # distance-0 edges first: the exact pairs at 0.25 push 3/4 along one, their ceiling
+        # falls to 1/4, and they sort their one edge at 0.25 and test two breakpoints; the
+        # pair at 0.125 pushes along two and its ceiling falls to 1/8, the prune along one
+        # and its ceiling to 1/8 too; neither sorts an edge, each tests one breakpoint.
+        # Every pair searches one tree.
+        def quarter_moved(*atoms):
+            return DiscreteMeasure(1, [((0.0,), Fraction(3, 4)), *(((p,), w) for p, w in atoms)])
+
+        q, e = Fraction(1, 4), Fraction(1, 8)
+        A = [quarter_moved((1.0, q)), quarter_moved((0.75, q))]
+        B = [quarter_moved((0.25, q)), quarter_moved((0.75, e), (1.0, e)), quarter_moved((0.5, e), (0.75, e))]
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(0.25, "right", (0, 0))
+        assert res == unpruned_hausdorff(A, B)
+        assert forward_counts(A, B)["tv_ends"] == 1
+        assert res.counts == {"candidates": 6, "tv_ends": 2, "gap_skips": 0, "pairs": 4, "prunes": 1,
+                              "exact": 3, "pushes": 5, "augmentations": 0, "rebuilds": 4, "breakpoints": 6,
+                              "edges_sorted": 2}
+        assert_counts_add_up(res.counts)
+
+    def test_total_variation_is_compared_as_a_rounded_float(self):
+        # every measure is 2/3 at 0 plus 1/3 at least 0.5 from the others' third, so each
+        # d_LP equals its TV, 1/3, and the float 1/3 lies below 1/3.  Forward row 0 sets
+        # the sup to that float; row 1's first candidate has TV 1/3, above the float sup,
+        # yet its float d_LP cannot be: rounded to the nearest float, TV is the sup, and
+        # the row ends there (an exact compare of TV with the sup would run its flow)
+        def third_at(p):
+            return DiscreteMeasure(1, [((0.0,), Fraction(2, 3)), ((p,), Fraction(1, 3))])
+
+        A, B = [third_at(1.0), third_at(0.75)], [third_at(0.5), third_at(0.25)]
+        assert lp_distance(A[1], B[1]).value == 1 / 3 < Fraction(1, 3) == Fraction(*lp_metric._tv(A[1], B[1]))
+        res = hausdorff(A, B)
+        assert res == HausdorffResult(1 / 3, "left", (0, 0)) == unpruned_hausdorff(A, B)
+        assert res.counts["tv_ends"] == 1 and res.counts["exact"] == 1
+        assert_counts_add_up(res.counts)
+
     def test_candidate_with_gap_below_cur_is_computed(self):
         # row A[0] = a: B[0] sets cur = 0.75; B[1]'s nearest atom (0.375, 0.5) is 0.625
         # from a, below cur, so B[1] must be computed: its distance 0.625 is the row's
@@ -531,7 +635,7 @@ class TestHausdorff:
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.1875, "left", (1, 1))
         assert res == unpruned_hausdorff(A, B)
-        assert res.counts == {"candidates": 4, "gap_skips": 1, "pairs": 3, "prunes": 1, "exact": 2,
+        assert res.counts == {"candidates": 4, "tv_ends": 0, "gap_skips": 1, "pairs": 3, "prunes": 1, "exact": 2,
                               "pushes": 4, "augmentations": 0, "rebuilds": 5, "breakpoints": 5,
                               "edges_sorted": 4}
         assert res.counts == forward_counts(A, B)  # the reverse pass visits no unknown candidate
@@ -540,7 +644,8 @@ class TestHausdorff:
     def test_tie_reverse_rows_end_past_a_larger_known_value(self):
         # diracs A at 0, 0.75, 0.5 and B at 0.5, 0.25.  Forward: row 0 computes B[0] (0.5)
         # and B[1] (0.25); row 1 computes B[1] (0.5), then B[0] (0.25) ties the sup and
-        # ends the row; row 2 computes B[0] (0) and ends.  Sup 0.25.  Reverse, with its
+        # ends the row; row 2's first candidate B[0] is the same dirac, whose total
+        # variation 0 ends the row with no flow.  Sup 0.25.  Reverse, with its
         # running sup started at 0.25: row B[0] reads A[0] (0.5), then A[1] (0.25) and
         # ends there, before A[2]; row B[1] reads A[1] (0.5), then A[0] (0.25) and ends
         # there, before A[2], whose distance was never computed (a reverse pass started
@@ -551,7 +656,8 @@ class TestHausdorff:
         assert res == HausdorffResult(0.25, "left", (0, 1))
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == forward_counts(A, B)
-        assert res.counts["candidates"] == res.counts["exact"] == 5
+        assert res.counts["candidates"] == 5
+        assert res.counts["exact"] == 4 and res.counts["tv_ends"] == 1
 
     def test_counts_on_a_hand_sized_example(self):
         # forward row A[0] = dirac(0): B[0] is exact (0.25) and sets cur; B[1] straddles 0,
@@ -570,7 +676,7 @@ class TestHausdorff:
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
-        assert res.counts == {"candidates": 7, "gap_skips": 2, "pairs": 5, "prunes": 1, "exact": 4,
+        assert res.counts == {"candidates": 7, "tv_ends": 0, "gap_skips": 2, "pairs": 5, "prunes": 1, "exact": 4,
                               "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10,
                               "edges_sorted": 6}
         assert_counts_add_up(res.counts)
@@ -596,7 +702,7 @@ class TestHausdorff:
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.125, "left", (0, 1))
         assert res == unpruned_hausdorff(A, B)
-        assert res.counts == {"candidates": 6, "gap_skips": 1, "pairs": 5, "prunes": 0, "exact": 5,
+        assert res.counts == {"candidates": 6, "tv_ends": 0, "gap_skips": 1, "pairs": 5, "prunes": 0, "exact": 5,
                               "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 9,
                               "edges_sorted": 4}
         assert res.counts == forward_counts(A, B)

@@ -436,6 +436,12 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="outside"):
             discretize(empirical([(2.0,)]), 2, box=[(-1.0, 1.0)])
 
+    def test_real_resolution_still_runs(self):
+        # a real k is a cell diameter bound 1/k, as an integer one is
+        mu = empirical([(j / 10.0,) for j in range(11)])
+        assert discretize(mu, 2.5) == discretize(mu, Fraction(5, 2))
+        assert discretize(mu, 2.0) == discretize(mu, 2)
+
     def test_point_mass_stays_put(self):
         mu = empirical([(0.5, 0.5)])
         quant = discretize(mu, 8)
@@ -549,6 +555,11 @@ class TestRefusals:
         (lambda: marginal(empirical([(0.0, 1.0)]), [0.0]), "coordinate must be an integer, got 0.0"),
         (lambda: mean_abs(empirical([(0.0, 1.0)]), True), "coordinate must be an integer, got True"),
         (lambda: discretize(empirical([(0.5,)]), 1, n=2.0), "stage-2 sample count n must be an integer, got 2.0"),
+        # k is read by real_value: True once ran as k = 1, and a NaN k passed the k < 1 test
+        (lambda: discretize(empirical([(0.5,)]), True), "resolution k must be a real number, got True"),
+        (lambda: discretize(empirical([(0.5,)]), "2"), "resolution k must be a real number, got '2'"),
+        (lambda: discretize(empirical([(0.5,)]), math.nan), "resolution k must be a finite number, got nan"),
+        (lambda: discretize(empirical([(0.5,)]), math.inf), "resolution k must be a finite number, got inf"),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
@@ -562,7 +573,8 @@ class TestRefusals:
             "denom_string", "mass_bool", "mass_float", "empirical_coordinate_bool", "empirical_coordinate_string",
             "empirical_coordinate_null", "shift_entry_bool", "shift_entry_string", "mass_point_string",
             "discretize_box_string", "discretize_box_bool", "discretize_box_shape", "marginal_coordinate_bool",
-            "marginal_coordinate_float", "mean_abs_coordinate_bool", "discretize_n_float"])
+            "marginal_coordinate_float", "mean_abs_coordinate_bool", "discretize_n_float", "discretize_k_bool",
+            "discretize_k_string", "discretize_k_nan", "discretize_k_inf"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

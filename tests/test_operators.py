@@ -840,6 +840,10 @@ class TestRefusals:
         (lambda: broadcast(4, True), "i_star must be an integer, got True"),
         (lambda: broadcast(4, 1.0), "i_star must be an integer, got 1.0"),
         (lambda: signed_limit(adjacency(GraphSpec("cycle", 4)), True, 1), "i_star must be an integer, got True"),
+        # sign is read by real_value: True once built signed:+:...
+        (lambda: signed_limit(adjacency(GraphSpec("cycle", 4)), 0, True), "sign must be a real number, got True"),
+        (lambda: signed_limit(adjacency(GraphSpec("cycle", 4)), 0, np.True_),
+         "sign must be a real number, got np.True_"),
         (lambda: operators.non_self_adjoint_witness(broadcast(3), np.True_), "i_star must be an integer, got np.True_"),
         # numpy would read the bool as a mask and fill row 2 with ones
         (lambda: GraphSpec("edge_list", 3, edges=((True, 2),)), "edge 0 vertex must be an integer, got True"),
@@ -855,7 +859,8 @@ class TestRefusals:
             "q_norm_entry_huge_int", "apply_entry_bool", "bilinear_f_entry_string", "bilinear_g_entry_null",
             "apply_entry_object_array", "q_norm_entry_bool_array", "q_norm_f_matrix", "graph_n_float",
             "graph_seed_bool", "graph_p_bool", "graph_p_string", "broadcast_n_float", "broadcast_i_star_bool",
-            "broadcast_i_star_float", "signed_i_star_bool", "witness_i_star_bool", "edge_vertex_bool",
+            "broadcast_i_star_float", "signed_i_star_bool", "signed_sign_bool", "signed_sign_numpy_bool",
+            "witness_i_star_bool", "edge_vertex_bool",
             "edge_vertex_float"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
