@@ -8,14 +8,16 @@ first, and the mass they leave unmatched bounds d_LP from above, so the rest
 of the sweep runs under that ceiling and sorts only the few edges below it,
 in one stable sort by distance (ties row-major).  A small pair (|A||B| <=
 2(|A| + |B|)) sorts (distance, i, j) tuples from Python lists instead, the
-same order without numpy's per-call cost on a few numbers.  A
-subset-enumeration oracle covers small supports: it tests Strassen's
-condition on every union of the smaller side's atoms, one way only (for
-probability measures the largest deficit is the same both ways, by a
-complement argument), at the distance levels its binary search probes (the
-largest deficit never rises from one level to the next, so O(log L) of the L
-levels settle the answer).  The Hausdorff distance between finite measure
-sets is built on top.
+same order without numpy's per-call cost on a few numbers.  Each max flow
+searches for an augmenting path only while some atom of mu with mass left
+and some atom of nu with room left both touch an opened edge; otherwise no
+path exists, and no search tree is built.  A subset-enumeration oracle
+covers small supports: it tests Strassen's condition on every union of the
+smaller side's atoms, one way only (for probability measures the largest
+deficit is the same both ways, by a complement argument), at the distance
+levels its binary search probes (the largest deficit never rises from one
+level to the next, so O(log L) of the L levels settle the answer).  The
+Hausdorff distance between finite measure sets is built on top.
 """
 from __future__ import annotations
 
@@ -68,9 +70,11 @@ class HausdorffResult:
     # visited (i, j) whose distance was not yet known; tv_ends are the rows ended by the
     # total-variation bound of their first candidate; pushes (along single opened edges),
     # augmentations (along longer tree paths), rebuilds (breadth-first trees a search
-    # used; a tree is built only when a search needs one) and breakpoints (sweep steps
-    # whose flow was tested) and edges_sorted (candidate edges at positive distance the
-    # sweep put in order; distance-0 edges open unsorted) are summed over the pairs
+    # used; a search is made only while an A-atom with mass left and a B-atom with room
+    # left both have an opened edge, and builds a tree only when the pair's last is stale)
+    # and breakpoints (sweep steps whose flow was tested) and edges_sorted (candidate
+    # edges at positive distance the sweep put in order; distance-0 edges open unsorted)
+    # are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -83,7 +87,21 @@ class _Pair:
     the residuals it was built on and marks it stale, and the next search builds
     it afresh.  The pair counts its direct pushes, its tree-path augmentations,
     the trees its searches used, and the breakpoints `_distance_upto` tests on
-    it and the edges it puts in order."""
+    it and the edges it puts in order.
+
+    Two counters decide when a search can find nothing: live_a counts the
+    A-atoms with residual source mass and at least one opened edge, live_b the
+    B-atoms with residual sink capacity and at least one opened edge into them
+    (entered).  An augmenting path leaves the source into an A-atom with
+    residual mass and goes on along one of its opened edges; it enters the sink
+    from a B-atom with residual capacity, which it reached along an opened edge
+    (the residual graph's only arcs into a B-atom).  So while either count is 0
+    no augmenting path exists and the flow is already maximum: `max_flow`
+    searches only while both are positive, and builds no tree otherwise.
+    Only flow along an atom's edges lowers its residual mass, and a measure
+    stores no zero mass, so an atom's first edge finds all of it: each count
+    rises when an atom's first edge opens and falls when a push or an
+    augmentation empties the atom."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -93,6 +111,8 @@ class _Pair:
         self.into: list[dict[int, int]] = [{} for _ in self.snk]  # into[j][i]: flow A_i -> B_j
         self.flow = 0
         self.dist = dist
+        self.entered = [False] * len(self.snk)  # B_j has an opened edge into it
+        self.live_a = self.live_b = 0  # see the class docstring
         self.pushes = self.augmentations = self.rebuilds = self.breakpoints = self.edges_sorted = 0
         self.stale = True  # no tree yet: the first search builds one
 
@@ -114,20 +134,31 @@ class _Pair:
         otherwise a reached A-atom of a current tree resumes its search from
         its new edges (the queue holds only reached A-atoms with edges left to
         scan)."""
-        src, snk, into, out = self.src, self.snk, self.into, self.out
+        src, snk, into, out, entered = self.src, self.snk, self.into, self.out, self.entered
         tree = not self.stale
         reach_a, queue = (self.reach_a, self.queue) if tree else (None, None)
         pushes = flow = 0
+        live_a, live_b = self.live_a, self.live_b
         for i, j in edges:
+            if not out[i]:
+                live_a += 1
             out[i].append(j)
+            if not entered[j]:
+                entered[j] = True
+                live_b += 1
             if push := min(src[i], snk[j]):
                 src[i] -= push
                 snk[j] -= push
                 into[j][i] = push
                 flow += push
                 pushes += 1
+                if not src[i]:
+                    live_a -= 1
+                if not snk[j]:
+                    live_b -= 1
             elif tree and reach_a[i] is not None:
                 queue.append(i)
+        self.live_a, self.live_b = live_a, live_b
         if pushes:
             self.pushes += pushes
             self.flow += flow
@@ -155,15 +186,21 @@ class _Pair:
         return None
 
     def max_flow(self) -> int:
-        """Augment along tree paths to a maximum flow over the opened edges."""
-        while (j := self._search()) is not None:
+        """Augment along tree paths to a maximum flow over the opened edges,
+        searching only while both live counts are positive."""
+        while self.live_a and self.live_b and (j := self._search()) is not None:
             path = [(self.reach_b[j], j)]  # A -> B edges of the tree path, from the sink back
             while (back := self.reach_a[path[-1][0]]) >= 0:
                 path.append((self.reach_b[back], back))
             rev = [(i, b) for (i, _), (_, b) in zip(path, path[1:])]  # B_b -> A_i, cancelling flow
-            push = min(self.snk[j], self.src[path[-1][0]], *(self.into[b][i] for i, b in rev))
+            first = path[-1][0]
+            push = min(self.snk[j], self.src[first], *(self.into[b][i] for i, b in rev))
             self.snk[j] -= push
-            self.src[path[-1][0]] -= push
+            self.src[first] -= push
+            if not self.snk[j]:
+                self.live_b -= 1
+            if not self.src[first]:
+                self.live_a -= 1
             for i, b in path:
                 self.into[b][i] = self.into[b].get(i, 0) + push
             for i, b in rev:

@@ -404,7 +404,9 @@ def discretize(
     None) is refused by dimension and bound, and a box that is not one
     (lo, hi) pair per dimension by its shape.  k is read by `real_value`: a
     real k works (cells of diameter <= 1/k), a bool, a non-number, a NaN or
-    an infinite k is refused.
+    an infinite k is refused, and so is a k whose grid would have more than
+    2^53 cells a side (10**300, or any k beyond the floats, on a span > 0),
+    where the float cell index stops counting exactly.
     """
     k = real_value(k, "resolution k")
     if k != k or k == math.inf:
@@ -431,9 +433,16 @@ def discretize(
         i, j = outside[0]
         raise ValueError(f"atom coordinate {pts[i, j]} outside box [{lo[j]}, {hi[j]}]")
 
-    # cell side <= 1/(k*sqrt(d)) forces cell diameter <= 1/k
+    # cell side <= 1/(k*sqrt(d)) forces cell diameter <= 1/k; each atom's cell index is
+    # a float64, which counts cells exactly only up to 2^53 a side
     span = hi - lo
-    counts = np.array([max(1, math.ceil(s * k * math.sqrt(d))) for s in span.tolist()])
+    try:
+        counts = [math.ceil(s * k * math.sqrt(d)) if s else 1 for s in span.tolist()]
+    except OverflowError:  # s * k beyond the floats
+        counts = [math.inf]
+    if max(counts) > 2**53:
+        raise ValueError("resolution k is too large: the grid would have more than 2^53 cells a side")
+    counts = np.array(counts)
     pitch = span / counts
     cell = np.minimum(counts - 1, ((pts - lo) / np.where(pitch > 0, pitch, 1.0)).astype(int))
     # the constructor merges the atoms that fall into one cell

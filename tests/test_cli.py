@@ -91,7 +91,9 @@ class TestProfileAndDist:
                                "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"}
         assert counts["candidates"] == counts["tv_ends"] + counts["gap_skips"] + counts["pairs"]
         assert counts["pairs"] == counts["prunes"] + counts["exact"] > 0
-        assert counts["rebuilds"] >= counts["pairs"]  # each pair searches at least once
+        # a tree is built only by a search, and each max flow (one per breakpoint tested, one
+        # for the distance-0 edges) searches at most once more than it augments
+        assert counts["rebuilds"] <= counts["breakpoints"] + counts["pairs"] + counts["augmentations"]
 
     def test_vertex_probe_defaults_to_last_vertex(self, capsys, tmp_path):
         code, _ = run(capsys, "profile", "--graph", "gplus:cycle:4", "--kind", "vertex_probe", "--count", "2",

@@ -554,7 +554,8 @@ class TestHausdorff:
         # falls to 1/4, and they sort their one edge at 0.25 and test two breakpoints; the
         # pair at 0.125 pushes along two and its ceiling falls to 1/8, the prune along one
         # and its ceiling to 1/8 too; neither sorts an edge, each tests one breakpoint.
-        # Every pair searches one tree.
+        # No pair searches a tree: after its pushes every A-atom with an opened edge, or
+        # every B-atom with one into it, is empty, so a live count is 0 at each max flow.
         def quarter_moved(*atoms):
             return DiscreteMeasure(1, [((0.0,), Fraction(3, 4)), *(((p,), w) for p, w in atoms)])
 
@@ -566,7 +567,7 @@ class TestHausdorff:
         assert res == unpruned_hausdorff(A, B)
         assert forward_counts(A, B)["tv_ends"] == 1
         assert res.counts == {"candidates": 6, "tv_ends": 2, "gap_skips": 0, "pairs": 4, "prunes": 1,
-                              "exact": 3, "pushes": 5, "augmentations": 0, "rebuilds": 4, "breakpoints": 6,
+                              "exact": 3, "pushes": 5, "augmentations": 0, "rebuilds": 0, "breakpoints": 6,
                               "edges_sorted": 2}
         assert_counts_add_up(res.counts)
 
@@ -622,11 +623,12 @@ class TestHausdorff:
         # left side wins.  (A reverse pass that settles a forward prune afresh, where
         # right > left, is test_forward_prune_is_computed_exactly_in_reverse.)  Pair (0, 0)
         # pushes 1/4 along its distance-0 edge, then at breakpoint 0.0625, and stops at
-        # 0.4375 (two pushes, two trees, two breakpoints tested); the exact dirac pair
-        # pushes once (two trees: one searched at breakpoint 0 before any edge opens, one
-        # after the push; two breakpoints); the prune opens only the distance-0 edge,
-        # pushes 1/4 along it and fails the one test at its ceiling (one tree, one
-        # breakpoint).  Edges sorted: the distance-0 edges open first and are never
+        # 0.4375 (two pushes, two breakpoints tested); the exact dirac pair pushes once
+        # (two breakpoints); the prune opens only the distance-0 edge, pushes 1/4 along it
+        # and fails the one test at its ceiling (one breakpoint).  No pair searches a tree:
+        # at each test either no edge is open or a push has emptied every A-atom with one
+        # (live_a = 0) or every B-atom entered (live_b = 0), so the flow is already
+        # maximum.  Edges sorted: the distance-0 edges open first and are never
         # sorted, and their flow 1/4 lowers each pair's ceiling to at most 3/4, so pair
         # (0, 0) sorts its 3 positive distances (all below 3/4), the dirac pair its 1, and
         # the prune none (its one positive distance, 0.4375, is above its ceiling).
@@ -636,7 +638,7 @@ class TestHausdorff:
         assert res == HausdorffResult(0.1875, "left", (1, 1))
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == {"candidates": 4, "tv_ends": 0, "gap_skips": 1, "pairs": 3, "prunes": 1, "exact": 2,
-                              "pushes": 4, "augmentations": 0, "rebuilds": 5, "breakpoints": 5,
+                              "pushes": 4, "augmentations": 0, "rebuilds": 0, "breakpoints": 5,
                               "edges_sorted": 4}
         assert res.counts == forward_counts(A, B)  # the reverse pass visits no unknown candidate
         assert_counts_add_up(res.counts)
@@ -667,17 +669,17 @@ class TestHausdorff:
         # row with cur = inf, so the forward prune of B[3] is settled afresh.  Every pair
         # opens its edges in one batch and pushes along each of them directly: one push per
         # pair, but two for B[1]'s two half atoms, and no longer tree path is left to augment.
-        # Each pair searches two trees, one at breakpoint 0 before any edge opens and one
-        # after its batch of pushes, and tests two breakpoints: 0 and the one distance at
-        # which its edges open.  Each sorts
-        # its edges below 1 (at or below cur for the prune): one, but two for B[1]; B[3]'s
-        # edge at distance 1.0 is never a candidate.
+        # No pair searches a tree: at breakpoint 0 no edge is open, so both live counts
+        # are 0, and after its batch of pushes every B-atom it entered is empty.  Each
+        # tests two breakpoints: 0 and the one distance at which its edges open.  Each
+        # sorts its edges below 1 (at or below cur for the prune): one, but two for B[1];
+        # B[3]'s edge at distance 1.0 is never a candidate.
         B = [dirac(0.25), empirical([(-0.5,), (0.5,)]), dirac(0.75),
              DiscreteMeasure(1, [((0.125,), Fraction(1, 4)), ((1.0,), Fraction(3, 4))])]
         res = hausdorff([dirac(0.0)], B)
         assert res == HausdorffResult(0.75, "right", (0, 2))
         assert res.counts == {"candidates": 7, "tv_ends": 0, "gap_skips": 2, "pairs": 5, "prunes": 1, "exact": 4,
-                              "pushes": 6, "augmentations": 0, "rebuilds": 10, "breakpoints": 10,
+                              "pushes": 6, "augmentations": 0, "rebuilds": 0, "breakpoints": 10,
                               "edges_sorted": 6}
         assert_counts_add_up(res.counts)
 
@@ -693,17 +695,17 @@ class TestHausdorff:
         # (0.1875) and breaks at A[0] (0.125), before A[2], which a pass started at -1
         # would gap-skip; row B[2] breaks at its known first candidate A[2] (0.125).  So
         # the reverse pass visits no unknown candidate: sup 0.125, a tie the left side
-        # wins.  Every pair is two diracs: one push, two trees (one searched at breakpoint
-        # 0 before its edge opens, one after the push), two breakpoints and one edge
-        # sorted, but the pair at distance 0 pushes along its edge before the sweep, so it
-        # searches one tree, tests one breakpoint and sorts nothing.
+        # wins.  Every pair is two diracs: one push, two breakpoints and one edge sorted,
+        # but the pair at distance 0 pushes along its edge before the sweep, so it tests
+        # one breakpoint and sorts nothing.  No pair searches a tree: before its edge
+        # opens both live counts are 0, and its push empties both atoms.
         A = [dirac(0.0), dirac(0.3125), dirac(0.5)]
         B = [dirac(0.3125), dirac(0.125), dirac(0.375)]
         res = hausdorff(A, B)
         assert res == HausdorffResult(0.125, "left", (0, 1))
         assert res == unpruned_hausdorff(A, B)
         assert res.counts == {"candidates": 6, "tv_ends": 0, "gap_skips": 1, "pairs": 5, "prunes": 0, "exact": 5,
-                              "pushes": 5, "augmentations": 0, "rebuilds": 9, "breakpoints": 9,
+                              "pushes": 5, "augmentations": 0, "rebuilds": 0, "breakpoints": 9,
                               "edges_sorted": 4}
         assert res.counts == forward_counts(A, B)
         assert_counts_add_up(res.counts)
@@ -769,6 +771,18 @@ def scipy_max_flow(pair, mask):
     caps = np.array([*pair.src, *[pair.scale] * len(ii), *pair.snk], dtype=np.int64)
     graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
     return int(maximum_flow(graph, 0, sink).flow_value)
+
+
+def assert_live_counts(pair):
+    """live_a and live_b against their definitions, recomputed from src, snk and out;
+    while either is 0, a forced search finds no augmenting path."""
+    entered = {j for edges in pair.out for j in edges}
+    live_a = sum(1 for c, edges in zip(pair.src, pair.out) if c and edges)
+    live_b = sum(1 for j in entered if pair.snk[j])
+    assert (pair.live_a, pair.live_b) == (live_a, live_b)
+    assert pair.entered == [j in entered for j in range(len(pair.snk))]
+    if not (live_a and live_b):
+        assert pair._search() is None
 
 
 def strassen_holds(a, b, eps):
@@ -856,21 +870,30 @@ class TestFlowEngine:
         assert (pair.pushes, pair.augmentations) == (2, 1)
 
     def test_trees_are_built_when_a_search_needs_one(self):
-        # a fresh pair has no tree; one push batch then max_flow builds one, and a second
-        # max_flow with nothing opened in between searches the same tree
+        # a saturated pair builds no tree: its two pushes empty every atom, so both live
+        # counts fall to 0 and max_flow searches nothing
         pair = new_pair(empirical([(0.0,), (1.0,)]), empirical([(0.0,), (1.0,)]))
-        assert pair.rebuilds == 0
         pair.open([(0, 0), (1, 1)])
-        assert (pair.pushes, pair.rebuilds) == (2, 0)
+        assert (pair.pushes, pair.live_a, pair.live_b) == (2, 0, 0)
         assert pair.max_flow() == pair.scale
-        assert pair.max_flow() == pair.scale
+        assert pair.rebuilds == 0
+        # scale 3, a third on each atom: A0 -> B0 and A2 -> B1 push, leaving A1 (into the
+        # full B0) and B2 (from the empty A2) live with no path between them, so the search
+        # builds one tree and finds nothing; a second max_flow with nothing opened in
+        # between searches the same tree
+        pair, flows = self.flows_after_batches([Fraction(1, 3)] * 3, [Fraction(1, 3)] * 3,
+                                               [[(0, 0), (1, 0), (2, 1), (2, 2)]])
+        assert flows == [2]
+        assert (pair.live_a, pair.live_b, pair.rebuilds) == (1, 1, 1)
+        assert pair.max_flow() == 2
         assert pair.rebuilds == 1
-        # the reroute below: each batch's push and the augmentation leave the tree stale,
-        # and the search after each builds one, three in all
+        # the reroute above: batch 1's push empties A0, its one A-atom with an edge, so
+        # nothing is searched; batch 2's push leaves A1 and B0 live, and the search builds
+        # one tree, whose augmentation along A1 -> B2 -> A0 -> B0 empties B0
         pair, _ = self.flows_after_batches(
             [Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)],
             [[(0, 2), (0, 0)], [(1, 2)]])
-        assert (pair.pushes, pair.augmentations, pair.rebuilds) == (2, 1, 3)
+        assert (pair.pushes, pair.augmentations, pair.rebuilds) == (2, 1, 1)
 
     def test_push_is_capped_by_both_ends(self):
         # scale 4: src (3, 1), snk (2, 2); A0 -> B0 carries only B0's 2, leaving 1 of A0
@@ -1016,6 +1039,29 @@ def flow_pairs_with_edge_cases(draw):
         return DiscreteMeasure(1, [((float(k),), Fraction(r, sum(raw))) for k, r in enumerate(raw)])
 
     return weighted(dist.shape[0]), weighted(dist.shape[1]), dist
+
+
+class TestLiveCounts:
+    """`_Pair` searches only while live_a and live_b, its two live-atom counts, are both
+    positive; while either is 0 no augmenting path exists."""
+
+    @given(flow_pairs_with_edge_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_live_counts_prove_searches_futile(self, case):
+        # every distance's edges opened in turn, ties, distance-0, underflowed and
+        # overflowed entries among them: after each open and each max_flow both counts
+        # equal their definitions, a search forced while either is 0 finds no path, and
+        # the flow equals scipy's over the edges opened so far
+        a, b, dist = case
+        pair = _Pair(a, b, dist)
+        opened = np.zeros(dist.shape, dtype=bool)
+        for d in np.unique(dist).tolist():
+            batch = dist == d
+            opened |= batch
+            pair.open(zip(*(x.tolist() for x in np.nonzero(batch))))
+            assert_live_counts(pair)
+            assert pair.max_flow() == scipy_max_flow(_Pair(a, b, dist), opened)
+            assert_live_counts(pair)
 
 
 class TestChunkedOrder:

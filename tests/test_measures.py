@@ -442,6 +442,15 @@ class TestDiscretize:
         assert discretize(mu, 2.5) == discretize(mu, Fraction(5, 2))
         assert discretize(mu, 2.0) == discretize(mu, 2)
 
+    def test_large_resolution_still_runs(self):
+        # 10**15 cells of 3e-16 over a span of 0.3, below the 2^53 a side that is refused:
+        # each atom keeps its own cell, within 1/k of it
+        quant = discretize(empirical([(0.0,), (0.3,)]), 10**15)
+        assert quant.support_size == 2
+        assert np.abs(quant.points()[:, 0] - [0.0, 0.3]).max() <= 1e-15
+        # a single atom spans nothing: one cell, whatever k
+        assert discretize(empirical([(0.25,)]), 10**400) == empirical([(0.25,)])
+
     def test_point_mass_stays_put(self):
         mu = empirical([(0.5, 0.5)])
         quant = discretize(mu, 8)
@@ -455,6 +464,9 @@ class TestDiscretize:
         for p in mu.points():
             d = math.sqrt(min(((qpts - p) ** 2).sum(axis=1)))
             assert d <= 1 / 3
+
+
+TOO_FINE = "resolution k is too large: the grid would have more than 2^53 cells a side"
 
 
 class TestRefusals:
@@ -560,6 +572,10 @@ class TestRefusals:
         (lambda: discretize(empirical([(0.5,)]), "2"), "resolution k must be a real number, got '2'"),
         (lambda: discretize(empirical([(0.5,)]), math.nan), "resolution k must be a finite number, got nan"),
         (lambda: discretize(empirical([(0.5,)]), math.inf), "resolution k must be a finite number, got inf"),
+        # a k too large for the grid once escaped as an OverflowError from the float or int64 cell count
+        (lambda: discretize(empirical([(0.0,), (0.3,)]), 10**400), TOO_FINE),
+        (lambda: discretize(empirical([(0.0,), (0.3,)]), Fraction(10**400)), TOO_FINE),
+        (lambda: discretize(empirical([(0.0,), (0.3,)]), 10**300), TOO_FINE),
     ], ids=["dim_0", "mass_count", "mass_sum", "empirical_empty", "marginal_empty", "marginal_out_of_range",
             "mean_abs_out_of_range", "discretize_k_0", "discretize_n_0", "discretize_box_dims",
             "weight_inf", "weight_nan", "atom_weight_inf", "json_dim_overflows", "json_dim_fractional",
@@ -574,7 +590,8 @@ class TestRefusals:
             "empirical_coordinate_null", "shift_entry_bool", "shift_entry_string", "mass_point_string",
             "discretize_box_string", "discretize_box_bool", "discretize_box_shape", "marginal_coordinate_bool",
             "marginal_coordinate_float", "mean_abs_coordinate_bool", "discretize_n_float", "discretize_k_bool",
-            "discretize_k_string", "discretize_k_nan", "discretize_k_inf"])
+            "discretize_k_string", "discretize_k_nan", "discretize_k_inf", "discretize_k_beyond_floats",
+            "discretize_k_fraction_beyond_floats", "discretize_k_beyond_int64"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
