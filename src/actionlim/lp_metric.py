@@ -13,11 +13,12 @@ searches for an augmenting path only while some atom of mu with mass left
 and some atom of nu with room left both touch an opened edge; otherwise no
 path exists, and no search tree is built.  A subset-enumeration oracle
 covers small supports: it tests Strassen's condition on every union of the
-smaller side's atoms, one way only (for probability measures the largest
-deficit is the same both ways, by a complement argument), at the distance
-levels its binary search probes (the largest deficit never rises from one
-level to the next, so O(log L) of the L levels settle the answer).  The
-Hausdorff distance between finite measure sets is built on top.
+smaller side's atoms, its masses over the two denominators' lcm and its
+distances compared as floats, one way only (for probability measures the
+largest deficit is the same both ways, by a complement argument), at the
+distance levels its binary search probes (the largest deficit never rises
+from one level to the next, so O(log L) of the L levels settle the answer).
+The Hausdorff distance between finite measure sets is built on top.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, dyadic, real_value
+from .measures import DiscreteMeasure, real_value
 
 __all__ = [
     "LpResult",
@@ -340,7 +341,7 @@ def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps.
 
     eps is read by `measures.real_value` and compared as it is, so a Fraction is an exact
-    threshold; a bool (JSON true), a non-number such as "0.5" or None, a NaN and a negative
+    threshold and a float32 eps is compared at its value, not in float32; a bool (JSON true), a non-number such as "0.5" or None, a NaN and a negative
     eps are refused with a ValueError.
     """
     eps = real_value(eps, "eps")
@@ -364,12 +365,12 @@ def lp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
 def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult:
     """Oracle: evaluate the Borel-set definition over all unions of atoms.
 
-    Guarded to combined supports of at most 10 atoms.  Masses and the exact
-    values of the (dyadic) pairwise distances sit on one integer scale, so
-    every test of Strassen's condition compares ints.  Each distance is
-    clamped to at most 1 first (inf, where cdist overflows, included).  This
-    is exact: a distance >= 1 is not one of the levels l_k below, and never
-    <= a probed level, since every level is below 1.
+    Guarded to combined supports of at most 10 atoms.  The masses sit on
+    scale = lcm(mu.denom, nu.denom) as Python ints; the pairwise distances
+    stay the floats cdist gives.  N_eps(T) at a level eps, itself a float, is
+    decided by the float compare d <= eps, which is exact.  A distance >= 1
+    (inf, where cdist overflows, included) is never a level and never <= a
+    probed level, since every level is below 1, so it needs no clamp.
 
     The condition is tested one way only, over the unions T of the measure
     with fewer atoms (mu on a tie), say mu: mu(T) <= nu(N_eps(T)) + eps.  For
@@ -388,6 +389,13 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     k; it holds in the last interval, as every deficit is at most 1.  A binary
     search over k finds the first k where it holds, and d_LP = max(l_k, W_k),
     with one pass over the unions per level it probes.
+
+    Each probed level costs one exact compare: as l_k < l_k+1, the test is
+    W_k < l_k+1, one integer cross-multiplication of W_k (an int over scale)
+    with l_k+1's integer ratio.  The answer max(l_k, W_k / scale) is taken
+    between floats: rounding to nearest keeps the order against the float
+    l_k, so it is l_k or W_k / scale (int / int, correctly rounded), the
+    correctly rounded d_LP.
     """
     _check_dims(mu, nu)
     if mu.support_size + nu.support_size > 10:
@@ -395,20 +403,19 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
     if nu.support_size < mu.support_size:  # d_LP is symmetric: enumerate the smaller side
         mu, nu = nu, mu
 
-    nums, den = dyadic(np.minimum(cdist(mu.points(), nu.points()), 1.0).ravel().tolist())
-    scale = math.lcm(mu.denom, nu.denom, den)
-    k = nu.support_size
-    dist = [[x * (scale // den) for x in nums[i : i + k]] for i in range(0, len(nums), k)]
+    scale = math.lcm(mu.denom, nu.denom)
+    dist = cdist(mu.points(), nu.points()).tolist()
 
     def subset_masses(m: DiscreteMeasure) -> list[int]:
         table = [0]  # table[T]: mass of the atoms whose bits are set in T
+        up = scale // m.denom
         for x in m.masses:
-            table += [t + x * (scale // m.denom) for t in table]
+            table += [t + x * up for t in table]
         return table
 
     own, other = subset_masses(mu), subset_masses(nu)
 
-    def worst_deficit(eps: int) -> int:
+    def worst_deficit(eps: float) -> int:
         """The largest mu(T) - nu(N_eps(T)) over every union T of mu's atoms (0 for the empty one)."""
         reach = [0]  # reach[T]: bitmask of nu's atoms in N_eps(T), bits as in own
         for row in dist:
@@ -416,18 +423,21 @@ def lp_distance_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LpResult
             reach += [r | near for r in reach]
         return max(map(sub, own, map(other.__getitem__, reach)))
 
-    levels = sorted({d for row in dist for d in row if d < scale} | {0})  # l_0 ... l_L-1
-    bounds = levels[1:] + [scale + 1]  # l_1 ... l_L
-    least: dict[int, int] = {}  # k -> max(l_k, W_k), for each level k the search probes
+    levels = sorted({d for row in dist for d in row if d < 1.0} | {0.0})  # l_0 ... l_L-1
+    least: dict[int, float] = {}  # k -> max(l_k, W_k), for each level k the search probes
 
     def feasible_below_next(k: int) -> bool:
         """Whether the least feasible eps in [l_k, l_k+1) exists."""
-        least[k] = max(levels[k], worst_deficit(levels[k]))
-        return least[k] < bounds[k]
+        worst = worst_deficit(levels[k])
+        least[k] = max(levels[k], worst / scale)  # int / int rounds correctly
+        if k + 1 == len(levels):  # l_L = 1 + 1/scale exceeds every deficit
+            return True
+        n, d = levels[k + 1].as_integer_ratio()
+        return worst * d < n * scale
 
     # the key holds at the last level, so the first k where it holds is one the search probed
     first = bisect_left(range(len(levels)), True, key=feasible_below_next)
-    return LpResult(least[first] / scale, "brute_force")  # int / int rounds correctly
+    return LpResult(least[first], "brute_force")
 
 
 def _tv(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[int, int]:

@@ -51,16 +51,25 @@ def int_value(value, what: str) -> int:
 
 
 def real_value(value, what: str):
-    """value as it is, when it is a real number: the one reader of a caller's real.
+    """value, a numpy float as the Python number it equals, when it is a real number: the one reader of a caller's real.
 
-    Python and numpy ints and floats and Fractions are real numbers, and are
-    returned unchanged, so an exact Fraction threshold stays exact and an int
-    keeps its label.  A bool or numpy bool (JSON true) and a non-number (a
+    Python and numpy ints, Python floats and Fractions are real numbers, and
+    are returned unchanged, so an exact Fraction threshold stays exact and an
+    int keeps its label.  A numpy float is returned as the Python number it
+    equals, since under NumPy 2 a Python float that meets a float32 or float16
+    scalar is computed in that width: a float16, float32 or float64 as
+    float(value), which is exact; a finite wider float (np.longdouble) as the
+    Fraction of its integer ratio; a NaN or an infinity as a float, for the
+    callers' refusals.  A bool or numpy bool (JSON true) and a non-number (a
     string such as "0.5", None) are refused with a ValueError that names it
     by what.
     """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+    if isinstance(value, np.floating):
+        if value.dtype.itemsize > 8 and np.isfinite(value):
+            return Fraction(*value.as_integer_ratio())
+        return float(value)
     return value
 
 

@@ -103,6 +103,23 @@ class TestFeasibility:
         else:
             assert lp_feasible(a, b, eps)
 
+    @pytest.mark.parametrize("width", [np.float32, np.float16], ids=["float32", "float16"])
+    def test_narrow_numpy_eps_read_at_its_value(self, width):
+        # x is the float just above float(np.float32(0.1)), and d_LP = x on both pairs: a
+        # 1x1 pair on the lists path and a 5x5 pair on the arrays path.  A float32 or float16
+        # eps once pulled the lists path's float compares down to its own width, where x
+        # rounds to eps, and the pair read as feasible
+        x = math.nextafter(float(np.float32(0.1)), 1.0)
+        eps = width(0.1)
+        lists = dirac(0.0), dirac(x)
+        arrays = (empirical([(0.0, 10.0 * k) for k in range(5)]), empirical([(x, 10.0 * k) for k in range(5)]))
+        for (a, b), small in ((lists, True), (arrays, False)):
+            m, n = a.support_size, b.support_size
+            assert (m * n <= 2 * (m + n)) == small  # the size rule of _distance_upto
+            assert lp_distance(a, b).value == x > float(eps)
+            assert not lp_feasible(a, b, eps)
+            assert lp_feasible(a, b, x)
+
     def test_negative_eps_refused(self):
         with pytest.raises(ValueError, match="^negative epsilon$"):
             lp_feasible(dirac(0.0), dirac(0.0), -0.5)
@@ -172,14 +189,18 @@ def fraction_reference(mu, nu):
 
 
 # 5-point grid coordinates, so distances tie and reach 0
-grid5 = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+GRID5 = [-0.5, -0.25, 0.0, 0.25, 0.5]
+# coordinates at the edges of the floats, beside grid values that tie: from 0.0, the least
+# subnormal 5e-324 and 1e-170 lie at distance 0.0 (their squares underflow), 1e-160 at an
+# inexact tiny distance (its square is subnormal), and 1e200 at inf (its square overflows)
+EDGE_COORDS = [0.0, 5e-324, 1e-170, 1e-160, 0.25, 0.5, 1e200]
 
 
 @st.composite
-def grid_measure(draw, dim, atoms):
-    """A measure on exactly `atoms` distinct grid points, with masses over a
-    small denominator, one near 2^31 or one of at least 10^30."""
-    pts = draw(st.lists(st.tuples(*[grid5] * dim), min_size=atoms, max_size=atoms, unique=True))
+def grid_measure(draw, dim, atoms, coords=GRID5):
+    """A measure on exactly `atoms` distinct points with coordinates from coords, with
+    masses over a small denominator, one near 2^31 or one of at least 10^30."""
+    pts = draw(st.lists(st.tuples(*[st.sampled_from(coords)] * dim), min_size=atoms, max_size=atoms, unique=True))
     den = draw(st.one_of(st.integers(atoms, 16), st.integers(2**31 - 8, 2**31 + 8),
                          st.integers(10**30, 10**30 + 64)))
     cuts = sorted(draw(st.lists(st.integers(1, max(den - 1, 1)), min_size=atoms - 1, max_size=atoms - 1, unique=True)))
@@ -188,13 +209,13 @@ def grid_measure(draw, dim, atoms):
 
 
 @st.composite
-def oracle_pair(draw):
-    """Two grid measures in dims 1-3 with combined support 2-10, often exactly 10."""
+def oracle_pair(draw, coords=GRID5):
+    """Two measures on coordinates from coords in dims 1-3 with combined support 2-10, often exactly 10."""
     dim = draw(st.integers(1, 3))
-    room = min(5**dim, 9)  # at most 5 distinct grid points in dim 1
+    room = min(len(coords)**dim, 9)  # at most len(coords) distinct points in dim 1
     total = draw(st.one_of(st.just(10), st.integers(2, 10)))
     p = draw(st.integers(max(1, total - room), min(total - 1, room)))
-    return draw(grid_measure(dim, p)), draw(grid_measure(dim, total - p))
+    return draw(grid_measure(dim, p, coords)), draw(grid_measure(dim, total - p, coords))
 
 
 def largest_deficit(x, y, eps):
@@ -215,6 +236,30 @@ class TestOracle:
     def test_matches_fraction_reference(self, pair):
         a, b = pair
         assert a.support_size + b.support_size <= 10
+        assert lp_distance_bruteforce(a, b).value == fraction_reference(a, b)
+
+    @given(oracle_pair(EDGE_COORDS))
+    @settings(max_examples=80, deadline=None)
+    def test_edges_of_the_floats(self, pair):
+        # distances that underflow to 0.0 between distinct atoms, tiny inexact ones, inf,
+        # ties, and masses on small, near-2^31 and >= 10^30 denominators: the oracle compares
+        # float distances with float levels and puts only the masses on an integer scale
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == lp_distance(x, y).value
+        if np.isfinite(cdist(a.points(), b.points())).all():
+            assert lp_distance_bruteforce(a, b).value == fraction_reference(a, b)
+
+    def test_distinct_atoms_at_distance_zero(self):
+        # a subnormal coordinate and offsets of 1e-170 and 1e-300 put distinct atoms at
+        # distance 0.0 from (0, 0), the level l_0 at which they are each other's neighbours
+        a = DiscreteMeasure(2, points=[(0.0, 0.0), (5e-324, 0.0), (0.25, 0.5), (0.5, 0.125), (0.75, 0.75)],
+                            masses=[1, 2, 3, 4, 5], denom=15)
+        b = DiscreteMeasure(2, points=[(1e-170, 0.0), (0.125, 0.5), (0.5, 0.25), (0.75, 0.5), (1e-300, 1e-300)],
+                            masses=[5, 4, 3, 2, 1], denom=15)
+        assert (cdist(a.points(), b.points()) == 0.0).sum() == 4  # and no atom is shared
+        for x, y in ((a, b), (b, a)):
+            assert lp_distance_bruteforce(x, y).value == lp_distance(x, y).value == 0.26666666666666666
         assert lp_distance_bruteforce(a, b).value == fraction_reference(a, b)
 
     @given(oracle_pair())
@@ -250,7 +295,7 @@ class TestOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called the flow engine")
 
-        for name in ("_Pair", "_sorted_edges", "_distance_upto"):
+        for name in ("_Pair", "_sorted_edges", "_distance_upto", "_max_float", "_sweep", "_open_zeros"):
             monkeypatch.setattr(lp_metric, name, refuse)
         a = DiscreteMeasure(1, points=[(x / 8,) for x in (0, 2, 4, 6, 8)], masses=[5, 1, 4, 1, 2], denom=13)
         b = DiscreteMeasure(1, points=[(x / 8,) for x in (1, 3, 5, 7, 9)], masses=[1, 6, 1, 1, 2], denom=11)
@@ -259,7 +304,7 @@ class TestOracle:
             lp_distance(a, b)
 
     def test_every_distance_overflowing_gives_one(self):
-        # cdist overflows to inf; the oracle clamps it to 1 before taking its integer ratio
+        # cdist overflows to inf, which is never a level and never <= a level, all below 1
         a, b = dirac(1e200, 0.0), dirac(0.0, 1e200)
         for x, y in ((a, b), (b, a)):
             assert lp_distance_bruteforce(x, y).value == lp_distance(x, y).value == 1.0
@@ -288,6 +333,11 @@ class TestOracle:
         # W_0 = 1/4 (the far atom's mass) lies strictly inside [0, 0.875)
         (dirac(0.0), DiscreteMeasure(1, [((0.0,), Fraction(3, 4)), ((0.875,), Fraction(1, 4))]), 0.25),
         (dirac(0.0), DiscreteMeasure(1, [((0.125,), Fraction(3, 5)), ((0.875,), Fraction(2, 5))]), 0.4),
+        # W_1 = 1/4 equals the level l_1 = 0.25 it is taken at, and W_0 = 1/2 is above l_1
+        (dirac(0.0), DiscreteMeasure(1, [((0.0,), Fraction(1, 2)), ((0.25,), Fraction(1, 4)),
+                                         ((0.875,), Fraction(1, 4))]), 0.25),
+        # W_0 = 1/4 equals the next level l_1 = 0.25, so [0, l_1) holds no feasible eps
+        (dirac(0.0), DiscreteMeasure(1, [((0.0,), Fraction(3, 4)), ((0.25,), Fraction(1, 4))]), 0.25),
     ])
     def test_level_and_interior_answers(self, a, b, want):
         for x, y in ((a, b), (b, a)):

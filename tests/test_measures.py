@@ -442,6 +442,17 @@ class TestDiscretize:
         assert discretize(mu, 2.5) == discretize(mu, Fraction(5, 2))
         assert discretize(mu, 2.0) == discretize(mu, 2)
 
+    def test_float32_resolution_is_read_at_its_value(self):
+        # a float32 k once stayed float32, so span * k ran in float32 and gave 4,748 cells of
+        # 0.0012005661, wider than 1/k = 0.0012005660; at its float64 value it needs 4,749
+        span = 5.700288052607967
+        mu = empirical([(0.0,), (span,)])
+        k = np.float32(832.9404)
+        quant = discretize(mu, k)
+        assert quant == discretize(mu, float(k))
+        width = 2 * quant.points()[0, 0]  # the first cell starts at 0
+        assert round(span / width) == 4749 and width <= 1 / float(k)
+
     def test_large_resolution_still_runs(self):
         # 10**15 cells of 3e-16 over a span of 0.3, below the 2^53 a side that is refused:
         # each atom keeps its own cell, within 1/k of it
@@ -630,7 +641,17 @@ class TestIntValue:
 class TestRealValue:
     """`real_value`, the one reader of a caller's real number (its refusals: eps and GraphSpec.p)."""
 
-    @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.5), np.float32(0.5), np.int64(3), Fraction(1, 3)],
-                             ids=repr)
+    @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.5), np.float32(0.5), np.int64(3), Fraction(1, 3),
+                                       np.float16(0.1), np.float32(0.1), np.longdouble(1) / 3, np.float32("inf"),
+                                       np.longdouble("-inf"), np.float32("nan"), np.longdouble("nan")], ids=repr)
     def test_reals_returned_as_they_are(self, value):
-        assert real_value(value, "x") is value
+        # a numpy float comes back as the exact Python number it equals, since under NumPy 2 a
+        # float32 scalar would pull the Python floats it meets down to float32: a finite
+        # longdouble, wider than float64, as its Fraction, any other as a float; all else as it is
+        got = real_value(value, "x")
+        if not isinstance(value, np.floating):
+            assert got is value
+        elif value.dtype.itemsize > 8 and np.isfinite(value):
+            assert type(got) is Fraction and got == Fraction(*value.as_integer_ratio())
+        else:
+            assert type(got) is float and (got == value or got != got and value != value)
