@@ -380,15 +380,28 @@ class ExperimentConfig:
 
     @classmethod
     def parse_value(cls, key: str, value):
-        """One config value as its field holds it: sizes, K, count and seed parse as integers."""
+        """One config value as its field holds it: sizes, K, count and seed are integers.
+
+        A string (a config file's or a `--set` value) is parsed, sizes as a list
+        split on commas and spaces.  Any other value, such as JSON's (a
+        manifest's `config` replays), is read by `measures.int_value`: K, count
+        and seed, each entry of a sizes list or tuple, and a sizes that is one
+        integer; so a float or a bool is refused by its key, not truncated.
+        """
         if key not in {f.name for f in fields(cls)}:
             raise ValueError(f"unknown config key {key!r}")
         if key not in ("sizes", "K", "count", "seed"):
             return value
-        try:
-            return tuple(int(x) for x in str(value).replace(",", " ").split()) if key == "sizes" else int(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r} needs integers, got {value!r}") from None
+        if isinstance(value, str):
+            try:
+                return tuple(int(x) for x in value.replace(",", " ").split()) if key == "sizes" else int(value)
+            except ValueError:
+                raise ValueError(f"config key {key!r} needs integers, got {value!r}") from None
+        if key != "sizes":
+            return measures.int_value(value, f"config key {key!r}")
+        if not isinstance(value, (list, tuple)):
+            return (measures.int_value(value, "config key 'sizes'"),)
+        return tuple(measures.int_value(x, f"config key 'sizes' entry {i}") for i, x in enumerate(value))
 
     def to_dict(self) -> dict:
         return dict(asdict(self), sizes=list(self.sizes))
@@ -398,12 +411,18 @@ def _strategy_for(
     cfg: ExperimentConfig, op: operators.WeightedOperator, probe: str | int | None
 ) -> profiles.TestFunctionStrategy:
     """Test functions for one operator: vertex_probe at `probe` ("last" or None: the last vertex) when a
-    probe is given or the strategy is vertex_probe, otherwise `cfg.strategy`."""
+    probe is given or the strategy is vertex_probe, otherwise `cfg.strategy`.  A string probe is
+    parsed; any other is read by `measures.int_value`, so a float or a bool is refused."""
     if cfg.strategy == "vertex_probe" or probe is not None:
-        try:
-            vertex = op.n - 1 if probe in (None, "last") else int(probe)
-        except ValueError:
-            raise ValueError(f"probe {probe!r} must be a vertex index or 'last'") from None
+        if probe in (None, "last"):
+            vertex = op.n - 1
+        elif not isinstance(probe, str):
+            vertex = measures.int_value(probe, "probe")
+        else:
+            try:
+                vertex = int(probe)
+            except ValueError:
+                raise ValueError(f"probe {probe!r} must be a vertex index or 'last'") from None
         return profiles.TestFunctionStrategy("vertex_probe", count=cfg.count, seed=cfg.seed, probe_vertex=vertex)
     return profiles.TestFunctionStrategy(cfg.strategy, count=cfg.count, seed=cfg.seed)
 

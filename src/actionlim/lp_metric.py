@@ -9,15 +9,16 @@ of the sweep runs under that ceiling and sorts only the few edges below it,
 in one stable sort by distance (ties row-major).  A small pair (|A||B| <=
 2(|A| + |B|)) sorts (distance, i, j) tuples from Python lists instead, the
 same order without numpy's per-call cost on a few numbers.  Each max flow
-searches for an augmenting path only while some atom of mu with mass left
-and some atom of nu with room left both touch an opened edge; otherwise no
-path exists, and no search tree is built.  A subset-enumeration oracle
-covers small supports: it tests Strassen's condition on every union of the
-smaller side's atoms, its masses over the two denominators' lcm and its
-distances compared as floats, one way only (for probability measures the
-largest deficit is the same both ways, by a complement argument), at the
-distance levels its binary search probes (the largest deficit never rises
-from one level to the next, so O(log L) of the L levels settle the answer).
+searches for an augmenting path, each search in a breadth-first tree of its
+own, only while some atom of mu with mass left and some atom of nu with room
+left both touch an opened edge; otherwise no path exists, and no search tree
+is built.  A subset-enumeration oracle covers small supports: it tests
+Strassen's condition on every union of the smaller side's atoms, its masses
+over the two denominators' lcm and its distances compared as floats, one way
+only (for probability measures the largest deficit is the same both ways, by
+a complement argument), at the distance levels its binary search probes (the
+largest deficit never rises from one level to the next, so O(log L) of the L
+levels settle the answer).
 The Hausdorff distance between finite measure sets is built on top.
 """
 from __future__ import annotations
@@ -70,25 +71,27 @@ class HausdorffResult:
     # candidates = tv_ends + gap_skips + pairs, pairs = prunes + exact; a candidate is a
     # visited (i, j) whose distance was not yet known; tv_ends are the rows ended by the
     # total-variation bound of their first candidate; pushes (along single opened edges),
-    # augmentations (along longer tree paths), rebuilds (breadth-first trees a search
-    # used; a search is made only while an A-atom with mass left and a B-atom with room
-    # left both have an opened edge, and builds a tree only when the pair's last is stale)
-    # and breakpoints (sweep steps whose flow was tested) and edges_sorted (candidate
-    # edges at positive distance the sweep put in order; distance-0 edges open unsorted)
-    # are summed over the pairs
+    # augmentations (along longer tree paths), rebuilds (one breadth-first tree per search;
+    # a search is made only while the flow is not known maximum and an A-atom with mass
+    # left and a B-atom with room left both have an opened edge) and breakpoints (sweep
+    # steps whose flow was tested) and edges_sorted (candidate edges at positive distance
+    # the sweep put in order; distance-0 edges open unsorted) are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
+
+
+# the counters each flow pair keeps, summed into HausdorffResult.counts in this order
+_PAIR_COUNTS = ("pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted")
 
 
 class _Pair:
     """One (mu, nu) pair as an incremental max-flow in Python ints: source ->
     A-atom (mu's masses) -> B-atom over the opened edges (uncapacitated) ->
     sink (nu's masses), all masses over one common scale; `dist` is the caller's
-    cdist(mu.points(), nu.points()).  The breadth-first tree of the search is
-    built only when a search needs it: a push batch or an augmentation changes
-    the residuals it was built on and marks it stale, and the next search builds
-    it afresh.  The pair counts its direct pushes, its tree-path augmentations,
-    the trees its searches used, and the breakpoints `_distance_upto` tests on
-    it and the edges it puts in order.
+    cdist(mu.points(), nu.points()).  The pair keeps no search tree: each
+    search builds its own breadth-first tree over every opened edge.  The pair
+    counts its direct pushes, its tree-path augmentations, the trees its
+    searches built (one per search), and the breakpoints `_distance_upto` tests
+    on it and the edges it puts in order.
 
     Two counters decide when a search can find nothing: live_a counts the
     A-atoms with residual source mass and at least one opened edge, live_b the
@@ -102,7 +105,10 @@ class _Pair:
     Only flow along an atom's edges lowers its residual mass, and a measure
     stores no zero mass, so an atom's first edge finds all of it: each count
     rises when an atom's first edge opens and falls when a push or an
-    augmentation empties the atom."""
+    augmentation empties the atom.  One more bit, maximal, says that the flow
+    is maximum over the edges opened so far: `max_flow` sets it when it
+    returns, and only `open` clears it, so a second `max_flow` with nothing
+    opened in between searches nothing."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -114,33 +120,19 @@ class _Pair:
         self.dist = dist
         self.entered = [False] * len(self.snk)  # B_j has an opened edge into it
         self.live_a = self.live_b = 0  # see the class docstring
+        self.maximal = True  # no edge is open, so the zero flow is maximum
         self.pushes = self.augmentations = self.rebuilds = self.breakpoints = self.edges_sorted = 0
-        self.stale = True  # no tree yet: the first search builds one
-
-    def _new_tree(self) -> None:
-        # breadth-first tree from the source: reach_a[i] is -1 (the source) or the B-atom
-        # that reached A_i, reach_b[j] the A-atom that reached B_j
-        self.rebuilds += 1
-        self.stale = False
-        self.reach_a = [-1 if c else None for c in self.src]
-        self.reach_b: list[int | None] = [None] * len(self.snk)
-        self.scanned = [0] * len(self.src)  # out-edges of each A-atom searched
-        self.queue = deque([i for i, c in enumerate(self.src) if c and self.out[i]])
 
     def open(self, edges) -> None:
         """Add A -> B edges, pushing min(src[i], snk[j]) straight along each one
-        (source -> A_i -> B_j -> sink is an augmenting path).  A push changes
-        residuals the tree was built on, so a batch with one leaves the tree
-        stale, for the next search to build afresh over every opened edge;
-        otherwise a reached A-atom of a current tree resumes its search from
-        its new edges (the queue holds only reached A-atoms with edges left to
-        scan)."""
+        (source -> A_i -> B_j -> sink is an augmenting path).  A new edge may
+        open a longer augmenting path, so the flow is no longer known to be
+        maximum."""
         src, snk, into, out, entered = self.src, self.snk, self.into, self.out, self.entered
-        tree = not self.stale
-        reach_a, queue = (self.reach_a, self.queue) if tree else (None, None)
         pushes = flow = 0
         live_a, live_b = self.live_a, self.live_b
         for i, j in edges:
+            self.maximal = False
             if not out[i]:
                 live_a += 1
             out[i].append(j)
@@ -157,29 +149,27 @@ class _Pair:
                     live_a -= 1
                 if not snk[j]:
                     live_b -= 1
-            elif tree and reach_a[i] is not None:
-                queue.append(i)
         self.live_a, self.live_b = live_a, live_b
-        if pushes:
-            self.pushes += pushes
-            self.flow += flow
-            self.stale = True
+        self.pushes += pushes
+        self.flow += flow
 
-    def _search(self) -> int | None:
-        """Grow the tree, built first if stale, until it reaches a B-atom with
-        residual sink capacity."""
-        if self.stale:
-            self._new_tree()
-        out, into, reach_a, reach_b, scanned, queue, snk = (
-            self.out, self.into, self.reach_a, self.reach_b, self.scanned, self.queue, self.snk)
+    def _search(self) -> tuple[int, list, list] | None:
+        """One breadth-first tree from the source over the residual graph, grown
+        until it reaches a B-atom j with residual sink capacity: (j, reach_a,
+        reach_b), where reach_a[i] is -1 (the source) or the B-atom that reached
+        A_i and reach_b[j] the A-atom that reached B_j; None if it reaches none."""
+        self.rebuilds += 1
+        out, into, snk = self.out, self.into, self.snk
+        reach_a = [-1 if c else None for c in self.src]
+        reach_b: list[int | None] = [None] * len(snk)
+        queue = deque([i for i, c in enumerate(self.src) if c and out[i]])
         while queue:
             i = queue.popleft()
-            new, scanned[i] = out[i][scanned[i]:], len(out[i])
-            for j in new:
+            for j in out[i]:
                 if reach_b[j] is None:
                     reach_b[j] = i
                     if snk[j]:
-                        return j
+                        return j, reach_a, reach_b
                     for k in into[j]:
                         if reach_a[k] is None:
                             reach_a[k] = j
@@ -188,11 +178,13 @@ class _Pair:
 
     def max_flow(self) -> int:
         """Augment along tree paths to a maximum flow over the opened edges,
-        searching only while both live counts are positive."""
-        while self.live_a and self.live_b and (j := self._search()) is not None:
-            path = [(self.reach_b[j], j)]  # A -> B edges of the tree path, from the sink back
-            while (back := self.reach_a[path[-1][0]]) >= 0:
-                path.append((self.reach_b[back], back))
+        searching only while the flow is not known maximal and both live counts
+        are positive."""
+        while not self.maximal and self.live_a and self.live_b and (found := self._search()):
+            j, reach_a, reach_b = found
+            path = [(reach_b[j], j)]  # A -> B edges of the tree path, from the sink back
+            while (back := reach_a[path[-1][0]]) >= 0:
+                path.append((reach_b[back], back))
             rev = [(i, b) for (i, _), (_, b) in zip(path, path[1:])]  # B_b -> A_i, cancelling flow
             first = path[-1][0]
             push = min(self.snk[j], self.src[first], *(self.into[b][i] for i, b in rev))
@@ -210,7 +202,7 @@ class _Pair:
                     del self.into[b][i]
             self.flow += push
             self.augmentations += 1
-            self.stale = True
+        self.maximal = True
         return self.flow
 
 
@@ -341,8 +333,9 @@ def lp_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
     """True iff a coupling puts mass >= 1-eps on pairs at distance <= eps.
 
     eps is read by `measures.real_value` and compared as it is, so a Fraction is an exact
-    threshold and a float32 eps is compared at its value, not in float32; a bool (JSON true), a non-number such as "0.5" or None, a NaN and a negative
-    eps are refused with a ValueError.
+    threshold and a float32 eps is compared at its value, not in float32; a bool (JSON
+    true), a non-number such as "0.5" or None, a NaN and a negative eps are refused with
+    a ValueError.
     """
     eps = real_value(eps, "eps")
     if eps != eps:
@@ -529,7 +522,7 @@ def _directed(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure],
                 counts["pairs"] += 1
                 pair = _Pair(a, b, dist)
                 exact = _distance_upto(pair, cur)
-                for key in ("pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"):
+                for key in _PAIR_COUNTS:
                     counts[key] += getattr(pair, key)
                 if exact is None:
                     counts["prunes"] += 1
@@ -564,8 +557,7 @@ def hausdorff(A: Sequence[DiscreteMeasure], B: Sequence[DiscreteMeasure]) -> Hau
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions {sorted(dims)}")
     known = np.full((len(A), len(B)), np.nan)
-    counts = dict.fromkeys(("candidates", "tv_ends", "gap_skips", "pairs", "prunes", "exact",
-                            "pushes", "augmentations", "rebuilds", "breakpoints", "edges_sorted"), 0)
+    counts = dict.fromkeys(("candidates", "tv_ends", "gap_skips", "pairs", "prunes", "exact") + _PAIR_COUNTS, 0)
     left, w_left = _directed(A, B, known, counts)
     right, w_right = _directed(B, A, known.T, counts, left)
     if left >= right:

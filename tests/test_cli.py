@@ -95,6 +95,31 @@ class TestProfileAndDist:
         # for the distance-0 edges) searches at most once more than it augments
         assert counts["rebuilds"] <= counts["breakpoints"] + counts["pairs"] + counts["augmentations"]
 
+    @pytest.mark.parametrize("profiles, value, witness, counts", [
+        # star against broadcast settles by direct pushes: no search tree
+        ((["star:32", "-k", "2", "--count", "8"], ["broadcast:32:0", "-k", "2", "--count", "8"]), 0.03125, 0,
+         dict(candidates=19, tv_ends=9, gap_skips=8, pairs=2, prunes=1, exact=1, pushes=2, augmentations=0,
+              rebuilds=0, breakpoints=2, edges_sorted=0)),
+        # the apex against its limit, probed at the apex and at vertex 0: one augmentation along
+        # a tree path, and one tree per search
+        ((["gplus:cycle:32", "--probe-vertex", "32", "-k", "1", "--count", "16"],
+          ["signed:+1:0:cycle:33", "--probe-vertex", "0", "-k", "1", "--count", "16"]), 0.12121212121212122, 11,
+         dict(candidates=69, tv_ends=7, gap_skips=21, pairs=41, prunes=30, exact=11, pushes=419, augmentations=1,
+              rebuilds=25, breakpoints=237, edges_sorted=255)),
+    ], ids=["star", "apex"])
+    def test_hausdorff_counts_pinned(self, capsys, tmp_path, profiles, value, witness, counts):
+        # the in-process twin of the console-script step's two `dist hausdorff` checks
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for (graph, *flags), out in zip(profiles, dirs):
+            code, _ = run(capsys, "profile", "--graph", graph, *flags, "--seed", "7", "--out", str(out))
+            assert code == 0
+        code, out = run(capsys, "--json", "dist", "hausdorff", *map(str, dirs))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["argmax_side"]) == (value, "left")
+        assert payload["witness"] == [f"measure_{witness:04d}.json"] * 2
+        assert list(payload["counts"].items()) == list(counts.items())
+
     def test_vertex_probe_defaults_to_last_vertex(self, capsys, tmp_path):
         code, _ = run(capsys, "profile", "--graph", "gplus:cycle:4", "--kind", "vertex_probe", "--count", "2",
                       "--out", str(tmp_path))

@@ -133,6 +133,40 @@ class TestExperiment:
         with pytest.raises(ValueError, match=f"config key '{key}' needs integers, got '{value}'"):
             ExperimentConfig.from_mapping({key: value})
 
+    @pytest.mark.parametrize("cfg", [harness.STAR, harness.APEX], ids=["star", "apex"])
+    def test_config_reads_back_its_own_dict(self, cfg):
+        assert ExperimentConfig.from_mapping(cfg.to_dict()) == cfg
+
+    def test_manifest_config_replays(self, tmp_path):
+        cfg = ExperimentConfig(sizes=(4, 6), K=1, count=2, seed=3, out=str(tmp_path / "m"))
+        manifest = json.loads((run_experiment(cfg) / "manifest.json").read_text())
+        assert ExperimentConfig.from_mapping(manifest["config"]) == cfg
+
+    @pytest.mark.parametrize("key, value, refused", [
+        ("seed", 1.5, "config key 'seed' must be an integer, got 1.5"),
+        ("K", 2.9, "config key 'K' must be an integer, got 2.9"),
+        ("count", True, "config key 'count' must be an integer, got True"),
+        ("sizes", [8, 32.0], "config key 'sizes' entry 1 must be an integer, got 32.0"),
+        ("sizes", (8, False), "config key 'sizes' entry 1 must be an integer, got False"),
+        ("sizes", 8.0, "config key 'sizes' must be an integer, got 8.0"),
+    ])
+    def test_non_string_non_integer_refused_by_key(self, key, value, refused):
+        # JSON floats and bools were truncated by int(): seed 1.5 ran as seed 1
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            ExperimentConfig.from_mapping({key: value})
+
+    def test_non_string_integers_taken_at_their_value(self):
+        cfg = ExperimentConfig.from_mapping({"sizes": [4, np.int64(6)], "K": np.int32(2), "count": 5, "seed": 9})
+        assert (cfg.sizes, cfg.K, cfg.count, cfg.seed) == ((4, 6), 2, 5, 9)
+        assert ExperimentConfig.from_mapping({"sizes": 8}).sizes == (8,)
+
+    @pytest.mark.parametrize("probe", [1.7, True, 1.0])
+    def test_non_string_probe_read_as_an_integer(self, probe):
+        # int() probed vertex 1 for 1.7 and for True
+        with pytest.raises(ValueError, match=re.escape(f"probe must be an integer, got {probe!r}")):
+            harness._strategy_for(harness.STAR, parse_operator_spec("star:5"), probe)
+        assert harness._strategy_for(harness.STAR, parse_operator_spec("star:5"), np.int64(2)).probe_vertex == 2
+
     def test_bad_probe_named(self, tmp_path):
         cfg = ExperimentConfig(sizes=(4,), K=1, count=2, probe_a="x", out=str(tmp_path / "p"))
         with pytest.raises(ValueError, match="probe 'x' must be a vertex index or 'last'"):

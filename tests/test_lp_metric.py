@@ -930,7 +930,7 @@ class TestFlowEngine:
         # scale 3, a third on each atom: A0 -> B0 and A2 -> B1 push, leaving A1 (into the
         # full B0) and B2 (from the empty A2) live with no path between them, so the search
         # builds one tree and finds nothing; a second max_flow with nothing opened in
-        # between searches the same tree
+        # between searches nothing, as the flow is already maximal
         pair, flows = self.flows_after_batches([Fraction(1, 3)] * 3, [Fraction(1, 3)] * 3,
                                                [[(0, 0), (1, 0), (2, 1), (2, 2)]])
         assert flows == [2]
@@ -944,6 +944,15 @@ class TestFlowEngine:
             [Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)],
             [[(0, 2), (0, 0)], [(1, 2)]])
         assert (pair.pushes, pair.augmentations, pair.rebuilds) == (2, 1, 1)
+
+    def test_edge_from_a_reached_atom_after_a_failed_search(self):
+        # batch 1 as above: the search from A1 reaches B0 and, back along its flow, A0, and
+        # finds nothing.  Batch 2 adds A0 -> B2 and pushes nothing (A0 is empty); the next
+        # search builds a fresh tree, which finds A1 -> B0 -> A0 -> B2
+        pair, flows = self.flows_after_batches([Fraction(1, 3)] * 3, [Fraction(1, 3)] * 3,
+                                               [[(0, 0), (1, 0), (2, 1), (2, 2)], [(0, 2)]])
+        assert flows == [2, 3]
+        assert (pair.pushes, pair.augmentations, pair.rebuilds) == (2, 1, 2)
 
     def test_push_is_capped_by_both_ends(self):
         # scale 4: src (3, 1), snk (2, 2); A0 -> B0 carries only B0's 2, leaving 1 of A0
@@ -1057,11 +1066,10 @@ def assert_sweep_matches_reference(a, b):
 
 
 # Within one distance, pushes along edges that share no atom commute, so any order that
-# keeps each row's and each column's edges in index order pushes the same.  A batch with
-# no push instead queues its reached A-atoms for the tree search, and their order decides
-# the augmenting path: in this small 3x5 pair the edges at 1/8 open with no push, and
-# opening them column-major puts other flows on the edges than row-major (random small
-# pairs reach this rarely)
+# keeps each row's and each column's edges in index order pushes the same; a search scans
+# each A-atom's edges in the order they opened.  In this small 3x5 pair the edges at 1/8
+# open with no push, and the sweep reaches the tree search, which augments once (random
+# small pairs reach this rarely)
 TIE_ORDER_PAIR = (
     DiscreteMeasure(1, [((float(k),), Fraction(m, 12)) for k, m in enumerate((5, 3, 4))]),
     DiscreteMeasure(1, [((float(k),), Fraction(m, 33)) for k, m in enumerate((8, 6, 5, 8, 6))]),
