@@ -72,10 +72,10 @@ class HausdorffResult:
     # visited (i, j) whose distance was not yet known; tv_ends are the rows ended by the
     # total-variation bound of their first candidate; pushes (along single opened edges),
     # augmentations (along longer tree paths), rebuilds (one breadth-first tree per search;
-    # a search is made only while the flow is not known maximum and an A-atom with mass
-    # left and a B-atom with room left both have an opened edge) and breakpoints (sweep
-    # steps whose flow was tested) and edges_sorted (candidate edges at positive distance
-    # the sweep put in order; distance-0 edges open unsorted) are summed over the pairs
+    # a search is made only while an A-atom with mass left and a B-atom with room left
+    # both have an opened edge) and breakpoints (sweep steps whose flow was tested) and
+    # edges_sorted (candidate edges at positive distance the sweep put in order;
+    # distance-0 edges open unsorted) are summed over the pairs
     counts: dict[str, int] = field(default_factory=dict, compare=False)
 
 
@@ -105,10 +105,10 @@ class _Pair:
     Only flow along an atom's edges lowers its residual mass, and a measure
     stores no zero mass, so an atom's first edge finds all of it: each count
     rises when an atom's first edge opens and falls when a push or an
-    augmentation empties the atom.  One more bit, maximal, says that the flow
-    is maximum over the edges opened so far: `max_flow` sets it when it
-    returns, and only `open` clears it, so a second `max_flow` with nothing
-    opened in between searches nothing."""
+    augmentation empties the atom.  So a pair's state is its residual graph
+    and the two counts.  The pair does not remember that its flow is
+    maximum: the sweep calls `max_flow` once after each `open`, and never
+    twice with nothing opened in between."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, dist: np.ndarray):
         self.scale = math.lcm(mu.denom, nu.denom)
@@ -120,19 +120,16 @@ class _Pair:
         self.dist = dist
         self.entered = [False] * len(self.snk)  # B_j has an opened edge into it
         self.live_a = self.live_b = 0  # see the class docstring
-        self.maximal = True  # no edge is open, so the zero flow is maximum
         self.pushes = self.augmentations = self.rebuilds = self.breakpoints = self.edges_sorted = 0
 
     def open(self, edges) -> None:
         """Add A -> B edges, pushing min(src[i], snk[j]) straight along each one
         (source -> A_i -> B_j -> sink is an augmenting path).  A new edge may
-        open a longer augmenting path, so the flow is no longer known to be
-        maximum."""
+        also open a longer augmenting path, which only `max_flow` finds."""
         src, snk, into, out, entered = self.src, self.snk, self.into, self.out, self.entered
         pushes = flow = 0
         live_a, live_b = self.live_a, self.live_b
         for i, j in edges:
-            self.maximal = False
             if not out[i]:
                 live_a += 1
             out[i].append(j)
@@ -178,9 +175,11 @@ class _Pair:
 
     def max_flow(self) -> int:
         """Augment along tree paths to a maximum flow over the opened edges,
-        searching only while the flow is not known maximal and both live counts
-        are positive."""
-        while not self.maximal and self.live_a and self.live_b and (found := self._search()):
+        searching only while both live counts are positive.  Not idempotent: a
+        second call with nothing opened in between searches again (and finds
+        nothing), so the sweep calls it once after each `open` and never twice
+        in a row."""
+        while self.live_a and self.live_b and (found := self._search()):
             j, reach_a, reach_b = found
             path = [(reach_b[j], j)]  # A -> B edges of the tree path, from the sink back
             while (back := reach_a[path[-1][0]]) >= 0:
@@ -202,7 +201,6 @@ class _Pair:
                     del self.into[b][i]
             self.flow += push
             self.augmentations += 1
-        self.maximal = True
         return self.flow
 
 
@@ -261,13 +259,12 @@ def _upto_lists(pair: _Pair, ceiling: float) -> float | None:
     row-major flat indices does, and tolist gives the same float64 values."""
     rows = pair.dist.tolist()
     zeros = [(i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if d == 0.0]
-    if zeros:
-        ceiling = _open_zeros(pair, zeros, ceiling)
+    ceiling, rest = _open_zeros(pair, zeros, ceiling) if zeros else (ceiling, pair.scale)
     # with no bound below 1, the float below 1.0 keeps exactly the distances d < 1.0
     top = ceiling if ceiling < 1 else math.nextafter(1.0, 0.0)
     edges = sorted([(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if 0.0 < d <= top])
     pair.edges_sorted += len(edges)
-    return _sweep(pair, edges, ceiling)
+    return _sweep(pair, edges, ceiling, rest)
 
 
 def _upto_arrays(pair: _Pair, ceiling: float) -> float | None:
@@ -275,17 +272,18 @@ def _upto_arrays(pair: _Pair, ceiling: float) -> float | None:
     index k is edge divmod(k, |B|), in np.nonzero's order), its edges sorted
     by `_sorted_edges`."""
     flat = pair.dist.ravel()
-    cols = pair.dist.shape[1]
     zeros = np.flatnonzero(flat == 0.0)
-    if len(zeros):
-        ceiling = _open_zeros(pair, (divmod(k, cols) for k in zeros.tolist()), ceiling)
+    edges = [divmod(k, pair.dist.shape[1]) for k in zeros.tolist()]
+    ceiling, rest = _open_zeros(pair, edges, ceiling) if edges else (ceiling, pair.scale)
     mask = flat <= ceiling if ceiling < 1 else flat < 1.0
     mask[zeros] = False
-    return _sweep(pair, _sorted_edges(pair, np.flatnonzero(mask)), ceiling)
+    return _sweep(pair, _sorted_edges(pair, np.flatnonzero(mask)), ceiling, rest)
 
 
-def _open_zeros(pair: _Pair, edges, ceiling: float) -> float:
-    """Open the distance-0 edges and return min(ceiling, rest/scale rounded up)."""
+def _open_zeros(pair: _Pair, edges, ceiling: float) -> tuple[float, int]:
+    """Open the distance-0 edges, grow their max flow F and return (min(ceiling,
+    rest/scale rounded up), rest), rest = scale - F: the sweep's first breakpoint
+    tests this rest, with no second max-flow call."""
     scale = pair.scale
     pair.open(edges)
     rest = scale - pair.max_flow()
@@ -293,12 +291,15 @@ def _open_zeros(pair: _Pair, edges, ceiling: float) -> float:
     n, d = up.as_integer_ratio()
     if n * scale < rest * d:
         up = math.nextafter(up, math.inf)
-    return min(ceiling, up)
+    return min(ceiling, up), rest
 
 
-def _sweep(pair: _Pair, edges, ceiling: float) -> float | None:
+def _sweep(pair: _Pair, edges, ceiling: float, rest: int) -> float | None:
     """The breakpoint sweep of `_distance_upto` over the positive-distance edges,
-    given as (distance, i, j) in order."""
+    given as (distance, i, j) in order, from rest = 1 - F in units of 1/scale, F
+    the max flow over the distance-0 edges (0, rest = scale, where none opened).
+    Each step opens one distance's edges and calls `max_flow` once, right after
+    that `open`; each breakpoint is tested against the rest already in hand."""
     scale = pair.scale
     if ceiling < 1:
         cn, cd = ceiling.as_integer_ratio()
@@ -307,14 +308,13 @@ def _sweep(pair: _Pair, edges, ceiling: float) -> float | None:
     b = 0.0
     for nxt, group in itertools.groupby(edges, key=itemgetter(0)):  # each nxt > b
         pair.breakpoints += 1
-        rest = scale - pair.max_flow()  # 1 - F in units of 1/scale
         n, d = nxt.as_integer_ratio()
         if rest * d < n * scale:
             return _max_float(b, rest, scale)
         b = nxt
         pair.open((i, j) for _, i, j in group)
+        rest = scale - pair.max_flow()
     pair.breakpoints += 1
-    rest = scale - pair.max_flow()
     return _max_float(b, rest, scale) if rest * cd <= cn * scale else None
 
 

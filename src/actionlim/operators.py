@@ -325,8 +325,10 @@ def parse_operator_spec(spec: str) -> WeightedOperator:
     Grammar: star:N | empty:N | cycle:N | path:N | complete:N |
     er:N:P[:SEED] | edgelist:PATH | gplus:<graph spec> |
     broadcast:N[:I] | signed:SIGN:I:<graph spec> | a path ending in .json
-    to operator JSON.  Any spec the grammar refuses, or whose file cannot be
-    read or holds no operator, raises one ValueError that names the whole spec.
+    to operator JSON.  Any spec the grammar refuses, whose file cannot be
+    read or holds no operator, or whose matrix cannot be allocated (a
+    MemoryError, as at star:1000000000), raises one ValueError that names the
+    whole spec.
     """
     try:
         if spec.endswith(".json"):
@@ -352,7 +354,7 @@ def parse_operator_spec(spec: str) -> WeightedOperator:
             i_star = _int_field(i_s, "index")
             return signed_limit(adjacency(_parse_graph_spec(inner)), i_star, sign)
         return adjacency(_parse_graph_spec(spec))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise ValueError(f"operator spec {spec!r}: {exc}") from exc
 
 
@@ -400,11 +402,16 @@ def q_norm(f: Sequence[float], weights: Sequence[Fraction], q: float) -> float:
     |f_i| read exactly by `dyadic`: correctly rounded at q=inf and at
     integer q.  An entry with zero weight counts at no q.
 
+    q is read by `measures.real_value`, so a float32 q is taken at its value
+    and its power sum is not run in float32.
+
     Refused with a ValueError that names the input: an f or weights that is
     no sequence of numbers, an infinite, NaN or negative weight, a NaN
     entry (the max at q=inf would depend on the order), an infinite entry at
-    finite q, and whatever `_norm` refuses.
+    finite q, a q that is a bool, no number, NaN or below 1, and whatever
+    `_norm` refuses.
     """
+    q = real_value(q, "q")
     if not q >= 1:  # NaN fails it too
         raise ValueError(f"q must be >= 1, got q={q!r}")
     v = float_vector(f, "entry {1} of f", "entries of f")
@@ -553,8 +560,11 @@ def pq_norm(A: WeightedOperator, p: float, q: float) -> float:
     integer-valued A with
     bound = n * max|a_ij| * denom < 2^53, its sums taken in float32 when
     bound <= 2^24 and in float64 above, and float64 for any other A.
-    Other regimes raise UnsupportedNormError.
+    Other regimes raise UnsupportedNormError.  p and q are read by
+    `measures.real_value`, as q_norm reads q; a p or q that is a bool, no
+    number, NaN or below 1 is refused with a ValueError that names it.
     """
+    p, q = real_value(p, "p"), real_value(q, "q")
     for name, value in (("p", p), ("q", q)):
         if not value >= 1:  # NaN fails it too
             raise ValueError(f"{name} must be >= 1, got {name}={value!r}")

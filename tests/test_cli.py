@@ -259,8 +259,13 @@ class TestBadInput:
          "config key 'sizes' needs integers, got 'x'"),
         (["experiment", "--config", "unknown_key.cfg"],
          "actionlim experiment: error: argument --config: config file 'unknown_key.cfg': unknown config key 'colour'"),
+        # its n x n float64 matrix asks for 8 EiB, which numpy refuses at once with a MemoryError
+        (["limit", "star:1000000000"],
+         "actionlim limit: error: argument spec: operator spec 'star:1000000000': Unable to allocate 6.94 EiB "
+         "for an array with shape (1000000000, 1000000000) and data type float64"),
     ], ids=["missing_measure", "brute_force_guard", "missing_config", "set_not_integers", "probe_out_of_range",
-            "dim_mismatch", "hausdorff_empty_dir", "hausdorff_no_atoms", "config_not_integers", "config_unknown_key"])
+            "dim_mismatch", "hausdorff_empty_dir", "hausdorff_no_atoms", "config_not_integers", "config_unknown_key",
+            "limit_matrix_too_large"])
     def test_usage_error(self, capsys, tmp_path, monkeypatch, argv, last):
         monkeypatch.chdir(tmp_path)
         six = {"dim": 1, "atoms": [{"p": [x / 8], "w": "1/6"} for x in range(6)]}

@@ -43,7 +43,9 @@ class TestOperatorSpecs:
     @pytest.mark.parametrize("spec", ["hypercube:8", "er:10", "broadcast:5:2:9", "signed:+:0",
                                       "star:5:3", "star:", "broadcast:0", "edge_list:5", "erdos_renyi:5",
                                       "cycle:2", "er:5:x", "er:5:1.5", "signed:+:9:cycle:4",
-                                      "no_matrix.json", "list.json", "bad_weights.json", "missing_op.json"])
+                                      "no_matrix.json", "list.json", "bad_weights.json", "missing_op.json",
+                                      # an 8 EiB matrix, which numpy refuses at once with a MemoryError
+                                      "gplus:cycle:1000000000"])
     def test_bad_spec_raises(self, spec, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no_matrix.json").write_text('{"n": 2}')

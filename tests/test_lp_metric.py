@@ -929,14 +929,11 @@ class TestFlowEngine:
         assert pair.rebuilds == 0
         # scale 3, a third on each atom: A0 -> B0 and A2 -> B1 push, leaving A1 (into the
         # full B0) and B2 (from the empty A2) live with no path between them, so the search
-        # builds one tree and finds nothing; a second max_flow with nothing opened in
-        # between searches nothing, as the flow is already maximal
+        # builds one tree and finds nothing
         pair, flows = self.flows_after_batches([Fraction(1, 3)] * 3, [Fraction(1, 3)] * 3,
                                                [[(0, 0), (1, 0), (2, 1), (2, 2)]])
         assert flows == [2]
         assert (pair.live_a, pair.live_b, pair.rebuilds) == (1, 1, 1)
-        assert pair.max_flow() == 2
-        assert pair.rebuilds == 1
         # the reroute above: batch 1's push empties A0, its one A-atom with an edge, so
         # nothing is searched; batch 2's push leaves A1 and B0 live, and the search builds
         # one tree, whose augmentation along A1 -> B2 -> A0 -> B0 empties B0
@@ -1181,6 +1178,32 @@ class TestChunkedOrder:
         assert _upto_lists(lists, ceiling) == _upto_arrays(arrays, ceiling)
         assert flow_state(lists) == flow_state(arrays)
         assert lists.edges_sorted == arrays.edges_sorted
+
+    @given(flow_pairs_with_edge_cases(), st.sampled_from([math.inf, 1.0, 0.875, 0.5, 0.375, 1e-200, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_max_flow_after_each_open(self, case, ceiling):
+        # both paths call open, max_flow, open, max_flow, ...: each nonempty batch is
+        # followed by one max_flow, and no max_flow comes before the first open or right
+        # after another, since the pair does not remember that its flow is maximum
+        a, b, dist = case
+        for path in (_upto_lists, _upto_arrays):
+            pair, calls = _Pair(a, b, dist), []
+            real_open, real_max_flow = pair.open, pair.max_flow
+
+            def open_batch(edges):
+                batch = list(edges)
+                calls.append(("open", len(batch)))
+                real_open(batch)
+
+            def max_flow():
+                calls.append(("max_flow", None))
+                return real_max_flow()
+
+            pair.open, pair.max_flow = open_batch, max_flow
+            path(pair, ceiling)
+            assert [name for name, _ in calls[::2]] == ["open"] * len(calls[::2])
+            assert [name for name, _ in calls[1::2]] == ["max_flow"] * len(calls[1::2])
+            assert all(size for name, size in calls if name == "open")
 
     def test_sweep_that_stops_early_sorts_every_candidate_once(self):
         # no atom is shared, so no ceiling falls: each of the 900 distances is sorted once,

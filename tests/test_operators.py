@@ -532,6 +532,15 @@ class TestNorms:
         with pytest.raises(ValueError, match=f"{bad} must be >= 1, got {bad}=nan"):
             pq_norm(adjacency(GraphSpec("star", 4)), p, q)
 
+    def test_float32_exponent_read_at_its_value(self):
+        # under NumPy 2 a float32 q kept the power sum, and the norm, in float32
+        f, w = [0.75, 1.0, 0.3], [Fraction(1, 3)] * 3
+        got = q_norm(f, w, np.float32(2.5))
+        assert got == q_norm(f, w, 2.5) == 0.765168526415643 and type(got) is float
+        A = adjacency(GraphSpec("star", 10))
+        got = pq_norm(A, np.float32(math.inf), np.float32(2.5))
+        assert got == pq_norm(A, math.inf, 2.5) == 3.635467079602183 and type(got) is float
+
     def test_q_norm_refuses_nan(self):
         with pytest.raises(ValueError, match="q must be >= 1, got q=nan"):
             q_norm([1.0, 2.0], [Fraction(1, 2), Fraction(1, 2)], math.nan)
@@ -848,6 +857,12 @@ class TestRefusals:
         # numpy would read the bool as a mask and fill row 2 with ones
         (lambda: GraphSpec("edge_list", 3, edges=((True, 2),)), "edge 0 vertex must be an integer, got True"),
         (lambda: GraphSpec("edge_list", 3, edges=((0, 1), (1, 2.0))), "edge 1 vertex must be an integer, got 2.0"),
+        # the norms' exponents are read by real_value: True passed `q >= 1` and gave the 1-norm,
+        # and a string failed the compare with a TypeError
+        (lambda: q_norm([0.75, 1.0, 0.3], [Fraction(1, 3)] * 3, True), "q must be a real number, got True"),
+        (lambda: pq_norm(adjacency(GraphSpec("star", 10)), math.inf, True), "q must be a real number, got True"),
+        (lambda: pq_norm(adjacency(GraphSpec("star", 10)), "inf", 1), "p must be a real number, got 'inf'"),
+        (lambda: q_norm([1.0], [1], "2"), "q must be a real number, got '2'"),
     ], ids=["non_finite_matrix", "weight_count", "graph_kind", "graph_n_0", "signed_sign", "apply_length",
             "bilinear_length", "q_norm_length", "q_norm_weight_inf", "q_norm_weight_nan", "witness_index",
             "operator_weight_bool", "operator_weight_null", "q_norm_weight_float32_nan", "json_entry_bool",
@@ -861,7 +876,7 @@ class TestRefusals:
             "graph_seed_bool", "graph_p_bool", "graph_p_string", "broadcast_n_float", "broadcast_i_star_bool",
             "broadcast_i_star_float", "signed_i_star_bool", "signed_sign_bool", "signed_sign_numpy_bool",
             "witness_i_star_bool", "edge_vertex_bool",
-            "edge_vertex_float"])
+            "edge_vertex_float", "q_norm_q_bool", "pq_norm_q_bool", "pq_norm_p_string", "q_norm_q_string"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

@@ -7,7 +7,9 @@ np.asarray(..., dtype=float) would convert them.  These tests parse
 src/actionlim/*.py and fail where another function calls operator.index,
 tests numbers.Real, or makes a float array (np.asarray / np.array with a
 float dtype, by keyword or position, or .astype(float)) outside the copies
-of arrays that were read or drawn already.
+of arrays that were read or drawn already, and where a public function (one
+its module's __all__ names) does not pass a parameter annotated `float` to
+`real_value`.
 """
 import ast
 from collections import Counter
@@ -78,6 +80,29 @@ def uses(source: str, rule) -> list[tuple[str, int]]:
     return found
 
 
+def float_parameters(source: str) -> dict[str, bool]:
+    """{"function.parameter": read} for each parameter annotated `float` of each
+    function that the module's __all__ names; read is whether the function passes
+    that parameter to real_value (called by name or as measures.real_value)."""
+    tree = ast.parse(source)
+    public = {e.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+              for e in node.value.elts}
+    found = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in public):
+            continue
+        read = {call.args[0].id for call in ast.walk(node)
+                if isinstance(call, ast.Call) and call.args and isinstance(call.args[0], ast.Name)
+                and (isinstance(call.func, ast.Name) and call.func.id == "real_value"
+                     or isinstance(call.func, ast.Attribute) and call.func.attr == "real_value")}
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if isinstance(arg.annotation, ast.Name) and arg.annotation.id == "float":
+                found[f"{node.name}.{arg.arg}"] = arg.arg in read
+    return found
+
+
 def source_uses(rule) -> list[tuple[str, str, int]]:
     return [(path.name, where, line) for path in sorted(SRC.glob("*.py"))
             for where, line in uses(path.read_text(), rule)]
@@ -104,6 +129,15 @@ def test_float_arrays_only_in_float_rows_and_the_copies():
     assert counts[("measures.py", "float_rows")] >= 1
 
 
+def test_public_float_parameters_read_by_real_value():
+    found = {f"{path.name}:{name}": read for path in sorted(SRC.glob("*.py"))
+             for name, read in float_parameters(path.read_text()).items()}
+    assert [name for name, read in found.items() if not read] == []
+    # the parameters are seen, so the rule is not blind
+    assert {"lp_metric.py:lp_feasible.eps", "operators.py:q_norm.q",
+            "operators.py:pq_norm.p", "operators.py:pq_norm.q"} <= set(found)
+
+
 def test_rules_catch_hand_rolled_reads():
     snippet = (
         "import operator\n"
@@ -118,3 +152,14 @@ def test_rules_catch_hand_rolled_reads():
     assert uses(snippet, index_use) == [("", 2), ("C.f", 5)]
     assert uses(snippet, real_use) == [("C.f", 5)]
     assert uses(snippet, float_array) == [("C.f", 6), ("C.f", 6), ("C.g", 8), ("C.g", 8), ("C.g", 8)]
+    snippet = (
+        "__all__ = ['f', 'g']\n"
+        "def f(x: float, y: float, z: int, w: Sequence[float], *, v: float):\n"
+        "    x = real_value(x, 'x')\n"
+        "    return measures.real_value(v, 'v') + real_value(float(y), 'y')\n"
+        "def g(q: float):\n"
+        "    return q >= 1\n"
+        "def h(u: float):\n"
+        "    return u\n"
+    )
+    assert float_parameters(snippet) == {"f.x": True, "f.y": False, "f.v": True, "g.q": False}
